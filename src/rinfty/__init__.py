@@ -17,7 +17,8 @@ from .intlinalg import (IntMatrix, IntPoly, ReciprocalSymmetry,
                         squarefree_part, sylvester_matrix)
 from .freelie import (GradedQuotient, HallWord, InducedTower, MetabelianTable,
                       StructureTable, build_hall_basis,
-                      eigenvalue_one_first_degree, ideal_quotient,
+                      eigenvalue_one_first_degree, fixed_point_dets,
+                      ideal_quotient,
                       induced_tower, metabelian_truncation, orientable_relator,
                       witt_dimension)
 from .nilpotent import (FreeNilpotentGroup, MalcevElement,

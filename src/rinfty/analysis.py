@@ -28,8 +28,8 @@ import json
 import random
 
 from .errors import ResourceLimitError
-from .freelie import (apply_matrix_to_vector,
-                      build_hall_basis, eigenvalue_one_first_degree,
+from .freelie import (apply_matrix_to_vector, build_hall_basis,
+                      eigenvalue_one_first_degree, fixed_point_dets,
                       ideal_quotient, induced_tower, metabelian_truncation,
                       orientable_relator)
 from .intlinalg import (IntMatrix, IntPoly, charpoly, dominance_root_test,
@@ -216,6 +216,8 @@ def sample_admissible(g, sign, seed, length=10):
     """
     if sign not in ("plus", "minus"):
         raise ValueError("sign must be 'plus' or 'minus'")
+    if length < 0:
+        raise ValueError(f"length must be at least 0, got {length}")
     n = 2 * g
     rng = _seeded_rng(seed)
     om = omega(g)
@@ -367,29 +369,21 @@ class RinfVerdict:
 
 def _orientable_witness_dets(g, witness, up_to_class, context=None):
     table, quotient, met = orientable_context(g, context)
-    tower = induced_tower(table, witness)
-    dets = {}
-    for d in range(1, up_to_class + 1):
-        mat = quotient.project(tower.matrix(d), d)
-        dets[d] = (IntMatrix.identity(mat.rows) - mat).det()
-    met_tower = induced_tower(met.ring, witness)
-    proj = met.project(met_tower.matrix(4), 4)
-    met_det = (IntMatrix.identity(proj.rows) - proj).det()
+    dets = dict(fixed_point_dets(induced_tower(table, witness), quotient,
+                                 range(1, up_to_class + 1)))
+    _, met_det = next(fixed_point_dets(induced_tower(met.ring, witness), met,
+                                       [4]))
     return dets, met_det
 
 
 def _nonorientable_witness_dets(g, witness, up_to_class, context=None):
     table = context if context is not None else build_hall_basis(g, 2 * g)
     tower = induced_tower(table, witness)
-    dets = {}
-    for d in range(1, up_to_class + 1):
-        mat = tower.matrix(d)
-        dets[d] = (IntMatrix.identity(mat.rows) - mat).det()
+    dets = dict(fixed_point_dets(tower, None, range(1, up_to_class + 1)))
     p = charpoly(witness)
     kfold_vals = {i: kfold_value_at_one(p, i)
                   for i in range(1, up_to_class + 1)}
-    final = tower.matrix(2 * g)
-    final_det = (IntMatrix.identity(final.rows) - final).det()
+    _, final_det = next(fixed_point_dets(tower, None, [2 * g]))
     return dets, kfold_vals, final_det
 
 
@@ -461,6 +455,9 @@ def rinf_degree(spec, max_class=None, samples=20, seed=0, max_m=DEFAULT_MAX_M,
                 f"orientable genus capped at {ORIENTABLE_GENUS_CAP}")
         if max_class < 4:
             raise ResourceLimitError("orientable verdicts need class budget >= 4")
+        if samples < 1:
+            raise ValueError("the structural certificate needs at least one "
+                             f"sample, got {samples}")
         g = spec.genus
         ctx = orientable_context(g, context)
         witness = orientable_witness(g)

@@ -8,7 +8,6 @@ invocations produce byte-identical documents.  Exit codes: 0 success,
 """
 
 import json
-import os
 import sys
 
 import click
@@ -17,39 +16,14 @@ from .analysis import (SurfaceSpec, admissibility, is_automorphism_matrix,
                        nonorientable_witness, orientable_witness, rinf_degree,
                        sample_admissible)
 from .errors import ResourceLimitError
-from .freelie import (StructureTable, build_hall_basis, ideal_quotient,
-                      induced_tower, metabelian_truncation, orientable_relator)
+from .freelie import (build_hall_basis, fixed_point_dets, ideal_quotient,
+                      induced_tower, orientable_relator)
 from .intlinalg import IntMatrix, charpoly
 from .nilpotent import free_nilpotent_group, power_padding
 from .oracle import (FiniteTwistedSetup, abelian_reidemeister_count,
                      brute_force_twisted_classes, spectrum_crosscheck)
 
 SCHEMA_REPORT = "cli-report/1"
-
-
-def _load_table(rank, klass, order, cache_dir):
-    """Build a Hall table, round-tripping through the on-disk cache if given."""
-    if cache_dir is None:
-        return build_hall_basis(rank, klass, order=order)
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir,
-                        f"hall-table-r{rank}-c{klass}-{order}.json")
-    if os.path.exists(path):
-        with open(path) as fh:
-            return StructureTable.from_json_dict(json.load(fh))
-    table = build_hall_basis(rank, klass, order=order)
-    with open(path, "w") as fh:
-        json.dump(table.to_json_dict(), fh, sort_keys=True)
-    return table
-
-
-def _save_table(table, cache_dir):
-    if cache_dir is None:
-        return
-    path = os.path.join(cache_dir,
-                        f"hall-table-r{table.r}-c{table.c}-{table.order}.json")
-    with open(path, "w") as fh:
-        json.dump(table.to_json_dict(), fh, sort_keys=True)
 
 
 def _emit(payload, fmt, text_lines):
@@ -79,25 +53,16 @@ def cli():
 @cli.command()
 @click.option("--orientable/--nonorientable", "orientable", required=True)
 @click.option("--genus", type=int, required=True)
-@click.option("--samples", type=int, default=10, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=10,
+              show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--max-m", type=int, default=10 ** 40, show_default=False,
               help="cap for the non-orientable twist-exponent search")
-@click.option("--cache-dir", type=click.Path(file_okay=False), default=None)
 @_FORMAT
-def degree(orientable, genus, samples, seed, max_m, cache_dir, fmt):
+def degree(orientable, genus, samples, seed, max_m, fmt):
     """Nilpotency degree at which every automorphism forces R-infinity."""
     spec = _surface(orientable, genus)
-    context = None
-    if cache_dir is not None:
-        if orientable:
-            table = _load_table(spec.rank, 4, "lex", cache_dir)
-            quotient = ideal_quotient(table, orientable_relator(genus, table), 4)
-            context = (table, quotient, metabelian_truncation(quotient))
-        else:
-            context = _load_table(spec.rank, 2 * (genus - 1), "lex", cache_dir)
-    verdict = rinf_degree(spec, samples=samples, seed=seed, max_m=max_m,
-                          context=context)
+    verdict = rinf_degree(spec, samples=samples, seed=seed, max_m=max_m)
     payload = {"schema": SCHEMA_REPORT, "command": "degree",
                "config": {"samples": samples, "seed": seed, "max_m": max_m},
                "verdict": verdict.to_json_dict()}
@@ -132,9 +97,8 @@ def degree(orientable, genus, samples, seed, max_m, cache_dir, fmt):
 @click.option("--orientable/--nonorientable", "orientable", required=True)
 @click.option("--genus", type=int, required=True)
 @click.option("--class", "klass", type=int, required=True)
-@click.option("--cache-dir", type=click.Path(file_okay=False), default=None)
 @_FORMAT
-def check(matrix_path, orientable, genus, klass, cache_dir, fmt):
+def check(matrix_path, orientable, genus, klass, fmt):
     """Per-degree eigenvalue-1 report for one abelianized action."""
     spec = _surface(orientable, genus)
     if klass < 1:
@@ -155,33 +119,18 @@ def check(matrix_path, orientable, genus, klass, cache_dir, fmt):
                 "matrix is not admissible: S*Omega*S^T equals neither "
                 "Omega nor -Omega")
         computed = min(klass, 4)
-        table = _load_table(n, computed, "lex", cache_dir)
+        table = build_hall_basis(n, computed)
         quotient = ideal_quotient(table, orientable_relator(genus, table),
                                   computed)
-        tower = induced_tower(table, s)
-        dets = {}
-        first = None
-        for d in range(1, computed + 1):
-            mat = quotient.project(tower.matrix(d), d)
-            dets[d] = (IntMatrix.identity(mat.rows) - mat).det()
-            if first is None and dets[d] == 0:
-                first = d
-        _save_table(table, cache_dir)
         extra = {"admissibility": sign}
     else:
-        g = genus - 1
-        computed = min(klass, 2 * g)
-        table = _load_table(g, computed, "lex", cache_dir)
-        tower = induced_tower(table, s)
-        dets = {}
-        first = None
-        for d in range(1, computed + 1):
-            mat = tower.matrix(d)
-            dets[d] = (IntMatrix.identity(mat.rows) - mat).det()
-            if first is None and dets[d] == 0:
-                first = d
-        _save_table(table, cache_dir)
+        computed = min(klass, 2 * n)
+        table = build_hall_basis(n, computed)
+        quotient = None
         extra = {"unimodular": is_automorphism_matrix(s)}
+    dets = dict(fixed_point_dets(induced_tower(table, s), quotient,
+                                 range(1, computed + 1)))
+    first = next((d for d, v in dets.items() if v == 0), None)
     if first is not None:
         verdict = f"R infinite (degree {first})"
     elif computed >= klass:
@@ -260,13 +209,12 @@ def witness(orientable, genus, klass, max_m, fmt):
 @click.option("--class", "klass", type=int, required=True)
 @click.option("--order", type=click.Choice(["lex", "alt"]), default="lex",
               show_default=True)
-@click.option("--cache-dir", type=click.Path(file_okay=False), default=None)
 @_FORMAT
-def lie_dims(rank, klass, order, cache_dir, fmt):
+def lie_dims(rank, klass, order, fmt):
     """Per-degree ranks of the free Lie ring (Witt numbers)."""
     if rank < 1 or klass < 1:
         raise click.ClickException("rank and class must be at least 1")
-    table = _load_table(rank, klass, order, cache_dir)
+    table = build_hall_basis(rank, klass, order=order)
     dims = table.dims()
     payload = {"schema": SCHEMA_REPORT, "command": "lie-dims",
                "config": {"rank": rank, "class": klass, "order": order},
@@ -378,7 +326,8 @@ def crosscheck(what, rank, klass, count, degree, seed, modulus, matrix_path,
 @click.option("--genus", type=int, required=True)
 @click.option("--sign", type=click.Choice(["plus", "minus"]), required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--length", type=int, default=10, show_default=True)
+@click.option("--length", type=click.IntRange(min=0), default=10,
+              show_default=True)
 @_FORMAT
 def sample(genus, sign, seed, length, fmt):
     """Random admissible matrix (S*Omega*S^T = +-Omega), seed-deterministic."""

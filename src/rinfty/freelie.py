@@ -22,8 +22,6 @@ from .intlinalg import IntMatrix, smith_normal_form
 DEFAULT_TABLE_CAP = 10 ** 7
 
 HALL_ORDERS = ("lex", "alt")
-SCHEMA_TABLE = "hall-table/1"
-SCHEMA_QUOTIENT = "graded-quotient/1"
 
 
 def _mobius(n):
@@ -80,14 +78,46 @@ class HallWord:
         return f"HallWord({self.tree!r})"
 
 
-class StructureTable:
+class _GradedLieRing:
+    """Per-degree bases plus the bilinear bracket built on ``bracket_words``.
+
+    Subclasses set ``c`` and ``_by_degree`` (degree -> tuple of words) and
+    define ``bracket_words`` on single basis words.
+    """
+
+    def dim(self, d):
+        if d < 1 or d > self.c:
+            return 0
+        return len(self._by_degree[d])
+
+    def dims(self):
+        return [self.dim(d) for d in range(1, self.c + 1)]
+
+    def words(self, d):
+        return self._by_degree[d]
+
+    def bracket(self, va, da, vb, db):
+        """Bilinear bracket of coordinate vectors (dicts local -> coeff)."""
+        if da + db > self.c:
+            return {}
+        out = {}
+        words_a = self._by_degree[da]
+        words_b = self._by_degree[db]
+        for ia, ca in va.items():
+            wa = words_a[ia]
+            for ib, cb in vb.items():
+                expansion = self.bracket_words(wa, words_b[ib])
+                if expansion:
+                    _vec_add(out, expansion, ca * cb)
+        return out
+
+
+class StructureTable(_GradedLieRing):
     """Hall basis of the free Lie ring on ``r`` generators up to class ``c``.
 
     Bracket expansions are memoized per word pair, so the table fills in
     lazily and acts as the structure-constant store.
     """
-
-    kind = "free"
 
     def __init__(self, r, c, order="lex", max_size=DEFAULT_TABLE_CAP):
         if r < 1 or c < 1:
@@ -141,17 +171,6 @@ class StructureTable:
 
     # -- basis access --------------------------------------------------
 
-    def dim(self, d):
-        if d < 1 or d > self.c:
-            return 0
-        return len(self._by_degree[d])
-
-    def dims(self):
-        return [self.dim(d) for d in range(1, self.c + 1)]
-
-    def words(self, d):
-        return self._by_degree[d]
-
     def split(self, d, local):
         """Bracket decomposition (degree, local) pairs of a degree-d word."""
         w = self._by_degree[d][local]
@@ -188,61 +207,8 @@ class StructureTable:
         self._memo[key] = res
         return res
 
-    def bracket(self, va, da, vb, db):
-        """Bilinear bracket of coordinate vectors (dicts local -> coeff)."""
-        if da + db > self.c:
-            return {}
-        out = {}
-        words_a = self._by_degree[da]
-        words_b = self._by_degree[db]
-        for ia, ca in va.items():
-            wa = words_a[ia]
-            for ib, cb in vb.items():
-                expansion = self.bracket_words(wa, words_b[ib])
-                if expansion:
-                    _vec_add(out, expansion, ca * cb)
-        return out
 
-    # -- serialization ---------------------------------------------------
-
-    def to_json_dict(self, include_brackets=True):
-        def tree_json(t):
-            return t if isinstance(t, int) else [tree_json(t[0]), tree_json(t[1])]
-        data = {
-            "schema": SCHEMA_TABLE,
-            "rank": self.r,
-            "class": self.c,
-            "order": self.order,
-            "degrees": [[tree_json(w.tree) for w in self._by_degree[d]]
-                        for d in range(1, self.c + 1)],
-        }
-        if include_brackets:
-            data["brackets"] = [
-                [a, b, sorted(vec.items())]
-                for (a, b), vec in sorted(self._memo.items())
-            ]
-        return data
-
-    @staticmethod
-    def from_json_dict(data, max_size=DEFAULT_TABLE_CAP):
-        if data.get("schema") != SCHEMA_TABLE:
-            raise ValueError("not a hall table document")
-        table = StructureTable(data["rank"], data["class"],
-                               order=data.get("order", "lex"),
-                               max_size=max_size)
-        # the basis is rebuilt deterministically; verify it matches
-        def tree_json(t):
-            return t if isinstance(t, int) else [tree_json(t[0]), tree_json(t[1])]
-        own = [[tree_json(w.tree) for w in table._by_degree[d]]
-               for d in range(1, table.c + 1)]
-        if own != data["degrees"]:
-            raise ValueError("cached hall table disagrees with construction")
-        for a, b, pairs in data.get("brackets", []):
-            table._memo[(a, b)] = {int(k): int(v) for k, v in pairs}
-        return table
-
-
-class MetabelianTable:
+class MetabelianTable(_GradedLieRing):
     """Free metabelian Lie ring on ``r`` generators truncated at class ``c``.
 
     Basis words are index tuples (i1, i2, ..., ik), k = degree, with
@@ -250,14 +216,11 @@ class MetabelianTable:
     [[x_i1, x_i2], x_i3, ..., x_ik].
     """
 
-    kind = "metabelian"
-
     def __init__(self, r, c=4):
         if r < 1 or c < 2:
             raise ValueError("need r >= 1 and c >= 2")
         self.r = r
         self.c = c
-        self.order = "leftnormed"
         by_degree = [(), tuple((i,) for i in range(r))]
         for d in range(2, c + 1):
             level = []
@@ -270,17 +233,6 @@ class MetabelianTable:
         self._index = [dict() for _ in range(c + 1)]
         for d in range(1, c + 1):
             self._index[d] = {w: i for i, w in enumerate(by_degree[d])}
-
-    def dim(self, d):
-        if d < 1 or d > self.c:
-            return 0
-        return len(self._by_degree[d])
-
-    def dims(self):
-        return [self.dim(d) for d in range(1, self.c + 1)]
-
-    def words(self, d):
-        return self._by_degree[d]
 
     def index(self, d, word):
         return self._index[d][word]
@@ -322,20 +274,6 @@ class MetabelianTable:
         if db == 1:
             return self._bracket_word_gen(wa, wb[0])
         return {k: -v for k, v in self._bracket_word_gen(wb, wa[0]).items()}
-
-    def bracket(self, va, da, vb, db):
-        if da + db > self.c:
-            return {}
-        out = {}
-        words_a = self._by_degree[da]
-        words_b = self._by_degree[db]
-        for ia, ca in va.items():
-            wa = words_a[ia]
-            for ib, cb in vb.items():
-                expansion = self.bracket_words(wa, words_b[ib])
-                if expansion:
-                    _vec_add(out, expansion, ca * cb)
-        return out
 
 
 def _sorted_tuples(lo, hi, length):
@@ -526,64 +464,6 @@ class GradedQuotient:
                     raise ValueError("ideal is not invariant under the matrix")
         return IntMatrix([row[s:] for row in wu.entries]) if n - s else IntMatrix([])
 
-    # -- serialization ---------------------------------------------------
-
-    def to_json_dict(self):
-        def mat_json(m):
-            return [list(row) for row in m.entries]
-        degrees = {}
-        for d, data in sorted(self._data.items()):
-            degrees[str(d)] = {
-                "generators": [sorted(v.items()) for v in data.generators],
-                "u": mat_json(data.snf.u),
-                "d": mat_json(data.snf.d),
-                "v": mat_json(data.snf.v),
-                "u_inv": mat_json(data.snf.u_inv),
-                "v_inv": mat_json(data.snf.v_inv),
-            }
-        return {
-            "schema": SCHEMA_QUOTIENT,
-            "ring": {"kind": self.ring.kind, "rank": self.ring.r,
-                     "class": self.ring.c, "order": self.ring.order},
-            "generator": {"degree": self.gen_degree,
-                          "vector": sorted(self.gen_vec.items())},
-            "up_to": self.up_to,
-            "metabelian_truncation": self.is_metabelian_truncation,
-            "degrees": degrees,
-        }
-
-    @staticmethod
-    def from_json_dict(data, ring):
-        if data.get("schema") != SCHEMA_QUOTIENT:
-            raise ValueError("not a graded quotient document")
-        ref = data["ring"]
-        if (ref["kind"], ref["rank"], ref["class"]) != (ring.kind, ring.r, ring.c):
-            raise ValueError("quotient document does not match the ring")
-        gen = {int(k): int(v) for k, v in data["generator"]["vector"]}
-        quotient = GradedQuotient(ring, gen, data["generator"]["degree"],
-                                  data["up_to"],
-                                  data.get("metabelian_truncation", False))
-        from .intlinalg import SmithDecomposition
-        for key, block in data["degrees"].items():
-            d = int(key)
-            gens = [{int(i): int(c) for i, c in pairs}
-                    for pairs in block["generators"]]
-            n = ring.dim(d)
-            cols = [[vec.get(i, 0) for vec in gens] for i in range(n)]
-            matrix = IntMatrix(cols)
-            u = IntMatrix(block["u"])
-            dm = IntMatrix(block["d"])
-            v = IntMatrix(block["v"])
-            ui = IntMatrix(block["u_inv"])
-            vi = IntMatrix(block["v_inv"])
-            if (u @ matrix) @ v != dm:
-                raise ValueError("cached Smith data fails re-verification")
-            if u @ ui != IntMatrix.identity(u.rows):
-                raise ValueError("cached transform inverse fails re-verification")
-            quotient._data[d] = _DegreeData(gens, SmithDecomposition(
-                matrix, u, dm, v, ui, vi), n)
-        return quotient
-
 
 # ---------------------------------------------------------------------------
 # surface-specific constructions
@@ -630,19 +510,25 @@ def metabelian_truncation(quotient):
     return GradedQuotient(met, vec, 2, 4, is_metabelian_truncation=True)
 
 
-def eigenvalue_one_first_degree(tower, quotient, c):
-    """Smallest degree i <= c where det(I - M_i) vanishes, or None.
+def fixed_point_dets(tower, quotient, degrees):
+    """Lazily yield (d, det(I - M_d)) for each requested degree d.
 
-    Determinants are taken on the quotient lattice modulo torsion when a
-    quotient is supplied, otherwise on the free per-degree lattice.
+    This is the one zero test behind every eigenvalue-1 verdict: M_d is
+    projected onto the quotient lattice modulo torsion when a quotient is
+    supplied, otherwise it acts on the free per-degree lattice.
     """
-    for d in range(1, c + 1):
+    for d in degrees:
         mat = tower.matrix(d)
         if quotient is not None:
             mat = quotient.project(mat, d)
-        if mat.rows and (IntMatrix.identity(mat.rows) - mat).det() == 0:
-            return d
-    return None
+        yield d, (IntMatrix.identity(mat.rows) - mat).det()
+
+
+def eigenvalue_one_first_degree(tower, quotient, c):
+    """Smallest degree i <= c where det(I - M_i) vanishes, or None."""
+    return next((d for d, det in fixed_point_dets(tower, quotient,
+                                                  range(1, c + 1))
+                 if det == 0), None)
 
 
 def apply_matrix_to_vector(mat, vec):

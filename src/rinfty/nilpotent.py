@@ -30,8 +30,13 @@ _PADDING_CACHE = {}
 # ---------------------------------------------------------------------------
 # truncated free associative series with generic coefficients
 # ---------------------------------------------------------------------------
+#
+# A series is a dict {word tuple: coefficient}.  The coefficients are
+# Fractions for group arithmetic and MPoly for the symbolic tables; the
+# ``one`` argument is the unit of whichever ring is in use.
 
-def _ser_mul(a, b, c):
+def ser_mul(a, b, c):
+    """Product truncated at word length c."""
     out = {}
     for wa, ca in a.items():
         for wb, cb in b.items():
@@ -43,7 +48,8 @@ def _ser_mul(a, b, c):
             out[w] = val if cur is None else cur + val
     return {w: v for w, v in out.items() if v}
 
-def _ser_add(a, b, scale=1):
+def ser_add(a, b, scale=1):
+    """a + scale * b."""
     out = dict(a)
     for w, v in b.items():
         cur = out.get(w)
@@ -54,54 +60,60 @@ def _ser_add(a, b, scale=1):
             out.pop(w, None)
     return out
 
-def _ser_scale(a, s):
+def ser_scale(a, s):
+    """s * a for a scalar s of the coefficient ring."""
     if not s:
         return {}
     return {w: s * v for w, v in a.items()}
 
-def _ser_exp(ell, c):
+def _unit_tail(e, one):
+    """e - 1 for a series with constant term ``one``."""
+    n = dict(e)
+    if n.pop((), None) != one:
+        raise ValueError("series must have constant term 1")
+    return n
+
+def ser_exp(ell, c, one=Fraction(1)):
     """exp of a series with zero constant term."""
-    assert () not in ell
-    out = {(): Fraction(1)}
-    term = {(): Fraction(1)}
+    if () in ell:
+        raise ValueError("exp needs a series with zero constant term")
+    out = {(): one}
+    term = {(): one}
     fact = 1
     for j in range(1, c + 1):
-        term = _ser_mul(term, ell, c)
+        term = ser_mul(term, ell, c)
         if not term:
             break
         fact *= j
-        out = _ser_add(out, _ser_scale(term, Fraction(1, fact)))
+        out = ser_add(out, ser_scale(term, Fraction(1, fact)))
     return out
 
-def _ser_log(e, c):
+def ser_log(e, c, one=Fraction(1)):
     """log of a series with constant term 1."""
-    n = dict(e)
-    one = n.pop((), None)
-    assert one == 1
+    n = _unit_tail(e, one)
     out = {}
-    term = {(): Fraction(1)}
+    term = {(): one}
     for j in range(1, c + 1):
-        term = _ser_mul(term, n, c)
+        term = ser_mul(term, n, c)
         if not term:
             break
-        out = _ser_add(out, _ser_scale(term, Fraction((-1) ** (j - 1), j)))
+        out = ser_add(out, ser_scale(term, Fraction((-1) ** (j - 1), j)))
     return out
 
-def _ser_inv(e, c):
+def ser_inv(e, c, one=Fraction(1)):
     """Inverse of a series with constant term 1."""
-    n = dict(e)
-    one = n.pop((), None)
-    assert one == 1
-    out = {(): Fraction(1)}
-    term = {(): Fraction(1)}
+    n = _unit_tail(e, one)
+    out = {(): one}
+    term = {(): one}
     for j in range(1, c + 1):
-        term = _ser_mul(term, n, c)
+        term = ser_mul(term, n, c)
         if not term:
             break
-        out = _ser_add(out, term, scale=(-1) ** j)
+        out = ser_add(out, term, scale=(-1) ** j)
     return out
 
-def _ser_degree_part(e, d):
+def ser_degree_part(e, d):
+    """Homogeneous part of word length d."""
     return {w: v for w, v in e.items() if len(w) == d}
 
 
@@ -137,8 +149,8 @@ class FreeNilpotentGroup:
             else:
                 a = self.lie_series(w.left.degree, w.left.local)
                 b = self.lie_series(w.right.degree, w.right.local)
-                cached = _ser_add(_ser_mul(a, b, self.c),
-                                  _ser_mul(b, a, self.c), scale=-1)
+                cached = ser_add(ser_mul(a, b, self.c),
+                                 ser_mul(b, a, self.c), scale=-1)
             self._lie_series[key] = cached
         return cached
 
@@ -151,12 +163,12 @@ class FreeNilpotentGroup:
             if w.left is None:
                 cached = {k: Fraction(v) for k, v in self.lie_series(d, local).items()}
             else:
-                u = _ser_exp(self.log_basis(w.left.degree, w.left.local), self.c)
-                v = _ser_exp(self.log_basis(w.right.degree, w.right.local), self.c)
-                comm = _ser_mul(_ser_mul(_ser_inv(u, self.c), _ser_inv(v, self.c),
-                                         self.c),
-                                _ser_mul(u, v, self.c), self.c)
-                cached = _ser_log(comm, self.c)
+                u = ser_exp(self.log_basis(w.left.degree, w.left.local), self.c)
+                v = ser_exp(self.log_basis(w.right.degree, w.right.local), self.c)
+                comm = ser_mul(ser_mul(ser_inv(u, self.c), ser_inv(v, self.c),
+                                       self.c),
+                               ser_mul(u, v, self.c), self.c)
+                cached = ser_log(comm, self.c)
             self._log_series[key] = cached
         return cached
 
@@ -206,60 +218,59 @@ class FreeNilpotentGroup:
         recon = {}
         for x, col in zip(coords, cols):
             if x:
-                recon = _ser_add(recon, _ser_scale(col, x))
-        if recon != {w: val for w, val in _ser_degree_part(series, d).items() if val}:
+                recon = ser_add(recon, ser_scale(col, x))
+        if recon != {w: val for w, val in ser_degree_part(series, d).items() if val}:
             raise AssertionError("degree part is not a Lie element")
         return coords
 
     # -- coordinates <-> series ---------------------------------------------
 
-    def series_from_coords(self, coords):
-        out = {(): Fraction(1)}
+    def series_from_coords(self, coords, one=Fraction(1)):
+        """The series of prod a_i^{x_i}; coordinates may be ring elements."""
+        out = {(): one}
         for (dl, x) in zip(self.basis, coords):
             if not x:
                 continue
             log_a = self.log_basis(*dl)
-            out = _ser_mul(out, _ser_exp(_ser_scale(log_a, _as_scalar(x)), self.c),
-                           self.c)
+            out = ser_mul(out, ser_exp(ser_scale(log_a, x), self.c, one),
+                          self.c)
         return out
 
-    def peel(self, series):
+    def peel(self, series, one=Fraction(1)):
         """Normal-form exponents of a group series, degree by degree."""
         w = series
         coords = []
-        pos = 0
         for d in range(1, self.c + 1):
-            part = _ser_degree_part(w, d)
-            xs = self.lie_coordinates(part, d)
+            xs = self.lie_coordinates(ser_degree_part(w, d), d)
             for local, x in enumerate(xs):
                 if x:
                     log_a = self.log_basis(d, local)
-                    w = _ser_mul(_ser_exp(_ser_scale(log_a, -x), self.c), w, self.c)
+                    w = ser_mul(ser_exp(ser_scale(log_a, -x), self.c, one), w,
+                                self.c)
             coords.extend(xs)
-            pos += len(xs)
-        if w != {(): Fraction(1)}:
+        if w != {(): one}:
             raise AssertionError("peel left a non-identity residue")
         return coords
 
     # -- group operations on raw coordinate tuples ---------------------------
 
     def multiply_coords(self, a, b):
-        prod = _ser_mul(self.series_from_coords(a), self.series_from_coords(b),
-                        self.c)
+        prod = ser_mul(self.series_from_coords(a), self.series_from_coords(b),
+                       self.c)
         return _as_int_tuple(self.peel(prod))
 
     def inverse_coords(self, a):
-        inv = _ser_inv(self.series_from_coords(a), self.c)
+        inv = ser_inv(self.series_from_coords(a), self.c)
         return _as_int_tuple(self.peel(inv))
 
     def power_coords(self, a, n):
-        log = _ser_log(self.series_from_coords(a), self.c)
-        powered = _ser_exp(_ser_scale(log, Fraction(n)), self.c)
+        log = ser_log(self.series_from_coords(a), self.c)
+        powered = ser_exp(ser_scale(log, Fraction(n)), self.c)
         return _as_int_tuple(self.peel(powered))
 
     def root_coords(self, a, s):
-        log = _ser_log(self.series_from_coords(a), self.c)
-        rooted = _ser_exp(_ser_scale(log, Fraction(1, s)), self.c)
+        log = ser_log(self.series_from_coords(a), self.c)
+        rooted = ser_exp(ser_scale(log, Fraction(1, s)), self.c)
         coords = self.peel(rooted)
         if any(x.denominator != 1 for x in coords):
             return None
@@ -286,12 +297,6 @@ class FreeNilpotentGroup:
 
     def __repr__(self):
         return f"FreeNilpotentGroup(r={self.r}, c={self.c})"
-
-
-def _as_scalar(x):
-    if isinstance(x, (int,)):
-        return Fraction(x)
-    return x
 
 
 def _as_int_tuple(fracs):
@@ -470,13 +475,8 @@ def build_power_table(r, c):
     xs = [MPoly.variable(names, f"x{j + 1}") for j in range(amb.k)]
     mv = MPoly.variable(names, "m")
     one = MPoly.constant(names, 1)
-    series = {(): one}
-    for (dl, x) in zip(amb.basis, xs):
-        log_a = amb.log_basis(*dl)
-        series = _ser_mul(series, _ser_exp(_ser_scale(log_a, x), amb.c), amb.c)
-    log = _ser_log_generic(series, amb.c, one)
-    powered = _ser_exp_generic(_ser_scale(log, mv), amb.c, one)
-    coords = _peel_generic(amb, powered, one)
+    log = ser_log(amb.series_from_coords(xs, one), amb.c, one)
+    coords = amb.peel(ser_exp(ser_scale(log, mv), amb.c, one), one)
     polys = []
     for j in range(amb.k):
         q = coords[j] - mv * xs[j]
@@ -489,46 +489,6 @@ def build_power_table(r, c):
     if amb.k >= 2 and polys[1]:
         raise AssertionError("q_2 must be identically zero")
     return PowerPolynomialTable(amb, names, polys)
-
-
-def _ser_exp_generic(ell, c, one):
-    out = {(): one}
-    term = {(): one}
-    fact = 1
-    for j in range(1, c + 1):
-        term = _ser_mul(term, ell, c)
-        if not term:
-            break
-        fact *= j
-        out = _ser_add(out, _ser_scale(term, Fraction(1, fact)))
-    return out
-
-def _ser_log_generic(e, c, one):
-    n = dict(e)
-    n.pop((), None)
-    out = {}
-    term = {(): one}
-    for j in range(1, c + 1):
-        term = _ser_mul(term, n, c)
-        if not term:
-            break
-        out = _ser_add(out, _ser_scale(term, Fraction((-1) ** (j - 1), j)))
-    return out
-
-def _peel_generic(amb, series, one):
-    w = series
-    coords = []
-    for d in range(1, amb.c + 1):
-        part = _ser_degree_part(w, d)
-        xs = amb.lie_coordinates(part, d)
-        for local, x in enumerate(xs):
-            if x:
-                log_a = amb.log_basis(d, local)
-                w = _ser_mul(_ser_exp_generic(_ser_scale(log_a, -x), amb.c, one),
-                             w, amb.c)
-        coords.extend(xs)
-    assert w == {(): one}
-    return coords
 
 
 # ---------------------------------------------------------------------------
@@ -555,13 +515,12 @@ def padding_data(n, c):
     one = MPoly.constant(names, 1)
     log_a = {w: v * one for w, v in amb.log_basis(1, 0).items()}
     log_b = {w: v * one for w, v in amb.log_basis(1, 1).items()}
-    w = _ser_mul(_ser_exp_generic(_ser_scale(log_a, Fraction(n) * one), c, one),
-                 _ser_exp_generic(_ser_scale(log_b, mv), c, one), c)
-    root = _ser_exp_generic(_ser_scale(_ser_log_generic(w, c, one),
-                                       Fraction(1, n) * one), c, one)
-    z_series = _ser_mul(_ser_exp_generic(_ser_scale(log_a, -one), c, one),
-                        root, c)
-    coords = _peel_generic(amb, z_series, one)
+    w = ser_mul(ser_exp(ser_scale(log_a, Fraction(n) * one), c, one),
+                ser_exp(ser_scale(log_b, mv), c, one), c)
+    root = ser_exp(ser_scale(ser_log(w, c, one), Fraction(1, n) * one),
+                   c, one)
+    z_series = ser_mul(ser_exp(ser_scale(log_a, -one), c, one), root, c)
+    coords = amb.peel(z_series, one)
     if coords[0]:
         raise AssertionError("z must have no component on the first generator")
     for q in coords:

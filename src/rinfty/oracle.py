@@ -18,8 +18,7 @@ from .intlinalg import (IntMatrix, charpoly, kfold_product_spectrum,
                         poly_divides, smith_normal_form, squarefree_part)
 from .freelie import induced_tower
 from .mvpoly import MPoly
-from .nilpotent import (_ser_exp_generic, _ser_mul, _ser_scale,
-                        free_nilpotent_group)
+from .nilpotent import free_nilpotent_group, ser_inv, ser_mul
 
 DEFAULT_MAX_ORDER = 10 ** 6
 
@@ -74,30 +73,18 @@ class _CoordinateMaps:
         one = MPoly.constant(names, 1)
         us = [MPoly.variable(names, f"u{j}") for j in range(k)]
         vs = [MPoly.variable(names, f"v{j}") for j in range(k)]
-
-        def generic_series(scalars):
-            out = {(): one}
-            for (dl, x) in zip(amb.basis, scalars):
-                log_a = amb.log_basis(*dl)
-                out = _ser_mul(out, _ser_exp_generic(_ser_scale(log_a, x), amb.c,
-                                                     one), amb.c)
-            return out
-
-        series_u = generic_series(us)
-        series_v = generic_series(vs)
+        series_u = amb.series_from_coords(us, one)
+        series_v = amb.series_from_coords(vs, one)
         self.ambient = amb
         self.names = names
-        self.mult = self._peel_to_cleared(amb, _ser_mul(series_u, series_v, amb.c),
-                                          one)
-        self.inv = self._peel_to_cleared(amb, _series_inverse_generic(series_u,
-                                                                      amb.c, one),
-                                         one)
+        self.mult = self._clear_denominators(
+            amb.peel(ser_mul(series_u, series_v, amb.c), one))
+        self.inv = self._clear_denominators(amb.peel(ser_inv(series_u, amb.c, one), one))
 
     @staticmethod
-    def _peel_to_cleared(amb, series, one):
-        from .nilpotent import _peel_generic
+    def _clear_denominators(polys):
         cleared = []
-        for poly in _peel_generic(amb, series, one):
+        for poly in polys:
             den = poly.denominator_lcm()
             terms = {}
             for exps, coeff in poly.terms.items():
@@ -114,23 +101,6 @@ class _CoordinateMaps:
         for den, _ in self.inv:
             out = lcm(out, den)
         return out
-
-
-def _series_inverse_generic(series, c, one):
-    n = dict(series)
-    n.pop((), None)
-    out = {(): one}
-    term = {(): one}
-    for j in range(1, c + 1):
-        term = _ser_mul(term, n, c)
-        if not term:
-            break
-        for w, v in term.items():
-            cur = out.get(w)
-            val = v if j % 2 == 1 else -v
-            out[w] = -val if cur is None else cur - val
-    # out = 1 - N + N^2 - ... built with sign bookkeeping above
-    return out
 
 
 def _coordinate_maps(r, c):

@@ -98,6 +98,10 @@ class TestSampling:
         p = IntMatrix.block_diag([IntMatrix([[0, 1], [1, 0]])] * 2)
         assert sample_admissible(2, "minus", 0, length=0) == p
 
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError):
+            sample_admissible(2, "plus", 0, length=-5)
+
     def test_entries_grow_with_length(self):
         small = sample_admissible(2, "plus", 5, length=2)
         large = sample_admissible(2, "plus", 5, length=40)
@@ -240,6 +244,11 @@ class TestRinfDegree:
             rinf_degree(SurfaceSpec(True, 4))
         with pytest.raises(ResourceLimitError):
             rinf_degree(SurfaceSpec(True, 2), max_class=3)
+
+    def test_structural_claim_needs_a_sample(self):
+        for samples in (0, -3):
+            with pytest.raises(ValueError):
+                rinf_degree(SurfaceSpec(True, 2), samples=samples)
 
     def test_verdict_stable_across_hall_orders(self):
         results = []

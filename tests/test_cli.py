@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -135,15 +136,6 @@ class TestOtherCommands:
         assert code == 0
         assert "[4, 6, 20]" in out
 
-    def test_lie_dims_cache(self, capsys, tmp_path):
-        args = ("lie-dims", "--rank", "3", "--class", "4",
-                "--cache-dir", str(tmp_path))
-        code, out1, _ = run(capsys, *args)
-        assert code == 0
-        assert (tmp_path / "hall-table-r3-c4-lex.json").exists()
-        code, out2, _ = run(capsys, *args)
-        assert out1 == out2
-
     def test_padding(self, capsys):
         code, out, _ = run(capsys, "padding", "--rank", "2", "--class", "2",
                            "--n", "2")
@@ -195,3 +187,52 @@ class TestOtherCommands:
     def test_usage_error_is_exit_one(self, capsys):
         code, _, err = run(capsys, "degree", "--genus", "2")
         assert code == 1
+
+
+class TestRejectedArguments:
+    @pytest.mark.parametrize("args", [
+        ("degree", "--orientable", "--genus", "2", "--samples", "0"),
+        ("degree", "--orientable", "--genus", "2", "--samples", "-3"),
+        ("sample", "--genus", "2", "--sign", "plus", "--length", "-5"),
+    ])
+    def test_out_of_range_count_is_exit_one(self, capsys, args):
+        code, out, err = run(capsys, *args)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+class TestGoldenOutput:
+    """Pinned sha256 of stdout for three verdict commands.
+
+    A change that keeps the verdicts must keep these bytes; a deliberate
+    schema change updates the hashes together with the schema version.
+    """
+
+    def digest(self, capsys, *args):
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        return hashlib.sha256(out.encode()).hexdigest()
+
+    def test_orientable_degree(self, capsys):
+        assert self.digest(capsys, "degree", "--orientable", "--genus", "2",
+                           "--samples", "2", "--format", "json") == (
+            "a11fad66d49178a48d4dc01c99aaa8345dc93d886efc92a77268ebc4e683ca16")
+
+    def test_nonorientable_degree(self, capsys):
+        assert self.digest(capsys, "degree", "--nonorientable", "--genus", "3",
+                           "--format", "json") == (
+            "f8fd78f3e72c4636838f49e0a9c433f97a3fc4fa6648e71ea45b542e0e3e68c5")
+
+    def test_check_witness_class_four(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "witness", "--orientable", "--genus", "2",
+                           "--format", "json")
+        assert code == 0
+        path = tmp_path / "s2.txt"
+        path.write_text(json.loads(out)["matrix_text"])
+        assert self.digest(capsys, "check", "--matrix", str(path),
+                           "--orientable", "--genus", "2", "--class", "4",
+                           "--format", "json") == (
+            "689c191cc3035d957eb839740ce05d0fc56d4c148f1176a5e94b434b084afd2d")

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,8 @@ from rinfty.mvpoly import MPoly
 from rinfty.nilpotent import (MalcevElement, build_power_table,
                               free_nilpotent_group, free_rank_certificate,
                               multiply, nth_root, padding_data,
-                              padding_exponent, power, power_padding)
+                              padding_exponent, power, power_padding, ser_exp,
+                              ser_inv, ser_log)
 
 
 def coords_strategy(group, bound=3):
@@ -93,6 +95,21 @@ class TestNormalForm:
     def test_json_roundtrip(self):
         el = G23.element([1, -2, 0, 3, 0])
         assert MalcevElement.from_json(el.to_json()) == el
+
+
+class TestSeries:
+    def test_series_preconditions_raise(self):
+        one = MPoly.constant(("m",), 1)
+        twice = {(): Fraction(2), (0,): Fraction(1)}
+        for args in ((twice, 3), ({(): 2 * one}, 3, one)):
+            with pytest.raises(ValueError):
+                ser_log(*args)
+            with pytest.raises(ValueError):
+                ser_inv(*args)
+        with pytest.raises(ValueError):
+            ser_exp({(): Fraction(1)}, 3)
+        with pytest.raises(AssertionError):
+            G22.peel({(): Fraction(2)})
 
 
 class TestPowerTable:
