@@ -455,14 +455,15 @@ class GradedQuotient:
         n = u.rows
         if mat.rows != n or mat.cols != n:
             raise ValueError("matrix does not act on this degree")
-        low = IntMatrix(u.entries[s:]) if s < n else IntMatrix.zeros(0, n)
-        w = low @ mat
+        if s == n:
+            return IntMatrix([])  # the ideal fills the degree: no off-block
+        w = IntMatrix(u.entries[s:]) @ mat
         wu = w @ u_inv
         for i in range(n - s):
             for j in range(s):
                 if wu[i, j] != 0:
                     raise ValueError("ideal is not invariant under the matrix")
-        return IntMatrix([row[s:] for row in wu.entries]) if n - s else IntMatrix([])
+        return IntMatrix([row[s:] for row in wu.entries])
 
 
 # ---------------------------------------------------------------------------

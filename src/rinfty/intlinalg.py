@@ -1,9 +1,12 @@
 """Exact integer matrices and univariate integer polynomials.
 
 Everything in here is arbitrary-precision and exact: determinants are
-fraction-free (Bareiss), characteristic polynomials division-free
+fraction-free (Bareiss) and sparse, pivoting on the sparsest column and
+the smallest entry in it, characteristic polynomials division-free
 (Berkowitz), and Smith normal forms carry their unimodular transforms so
-results can be re-verified.  No floating point is used anywhere.
+results can be re-verified.  Matrix products and determinants only touch
+nonzero entries, since the lattices met here are mostly zero.  No
+floating point is used anywhere.
 
 All objects are immutable after construction, so values can be shared
 freely between threads; every operation is a pure function.
@@ -105,12 +108,23 @@ class IntMatrix:
     __rmul__ = __mul__
 
     def __matmul__(self, other):
+        """Product that touches only nonzero pairs a[i][k] * b[k][j]."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ "
                              f"{other.rows}x{other.cols}")
-        bt = list(zip(*other.entries)) if other.entries else []
-        return IntMatrix([[sum(a * b for a, b in zip(row, col)) for col in bt]
-                          for row in self.entries])
+        width = other.cols
+        b_support = [[j for j, b in enumerate(row) if b]
+                     for row in other.entries]
+        out = []
+        for row in self.entries:
+            acc = [0] * width
+            for k, a in enumerate(row):
+                if a:
+                    b_row = other.entries[k]
+                    for j in b_support[k]:
+                        acc[j] += a * b_row[j]
+            out.append(acc)
+        return IntMatrix(out)
 
     def __pow__(self, k):
         if not self.is_square or k < 0:
@@ -132,35 +146,76 @@ class IntMatrix:
         return sum(self.entries[i][i] for i in range(self.rows))
 
     def det(self):
-        """Exact determinant by fraction-free (Bareiss) elimination."""
+        """Exact determinant by sparse, pivoted fraction-free (Bareiss) elimination.
+
+        Rows are {column: entry} dicts.  Each step pivots on the column
+        with the fewest nonzeros (Markowitz) and, within it, on the entry
+        of fewest bits, ties going to the sparsest row: a large pivot
+        would inflate every later minor.  Only rows with an entry in the
+        pivot column are touched.  Any other row keeps the entries of the
+        step that last updated it, together with that step's pivot as its
+        denominator; its next update divides by that denominator, and the
+        division is exact because the result is a minor of the matrix.
+        The sign is the parity of the pivot row order times that of the
+        pivot column order.
+        """
         self._require_square()
         n = self.rows
-        if n == 0:
-            return 1
-        m = [list(row) for row in self.entries]
-        sign = 1
+        rows = {i: {j: x for j, x in enumerate(row) if x}
+                for i, row in enumerate(self.entries)}
+        counts = [0] * n
+        for row in rows.values():
+            for j in row:
+                counts[j] += 1
+        live_cols = list(range(n))
+        dens = [1] * n
         prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            pivot = m[k][k]
-            for i in range(k + 1, n):
-                mik = m[i][k]
-                if mik == 0 and pivot == prev:
+        row_order, col_order = [], []
+        for _ in range(n):
+            c = min(live_cols, key=counts.__getitem__)
+            if not counts[c]:
+                return 0
+            live_cols.remove(c)
+            holders = [i for i, row in rows.items() if c in row]
+            r = min(holders, key=lambda i: (
+                rows[i][c].bit_length() - dens[i].bit_length(),
+                len(rows[i]), i))
+            pivot_row = rows.pop(r)
+            if dens[r] != prev:
+                den = dens[r]
+                pivot_row = {j: x * prev // den for j, x in pivot_row.items()}
+            pivot = pivot_row.pop(c)
+            for j in pivot_row:
+                counts[j] -= 1
+            row_order.append(r)
+            col_order.append(c)
+            for i in holders:
+                if i == r:
                     continue
-                row_i = m[i]
-                row_k = m[k]
-                for j in range(k + 1, n):
-                    row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
-                row_i[k] = 0
+                row = rows[i]
+                m = row.pop(c)
+                if pivot != 1:
+                    for j in row:
+                        row[j] *= pivot
+                for j, y in pivot_row.items():
+                    x = row.get(j)
+                    if x is None:
+                        row[j] = -m * y
+                        counts[j] += 1
+                    elif x == m * y:
+                        del row[j]
+                        counts[j] -= 1
+                    else:
+                        row[j] = x - m * y
+                if not row:
+                    return 0
+                den = dens[i]
+                if den != 1:
+                    for j in row:
+                        row[j] //= den
+                dens[i] = pivot
             prev = pivot
-        return sign * m[n - 1][n - 1]
+        return _permutation_sign(row_order) * _permutation_sign(col_order) * prev
 
     def _same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -188,6 +243,24 @@ class IntMatrix:
         if len(body) != r * c:
             raise ValueError(f"expected {r * c} entries, got {len(body)}")
         return IntMatrix([[int(body[i * c + j]) for j in range(c)] for i in range(r)])
+
+
+def _permutation_sign(perm):
+    """Sign of a permutation of 0..n-1, from the parity of its cycles."""
+    sign = 1
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
 
 
 class IntPoly:

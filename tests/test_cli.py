@@ -205,7 +205,7 @@ class TestRejectedArguments:
 
 
 class TestGoldenOutput:
-    """Pinned sha256 of stdout for three verdict commands.
+    """Pinned sha256 of stdout for five verdict commands.
 
     A change that keeps the verdicts must keep these bytes; a deliberate
     schema change updates the hashes together with the schema version.
@@ -236,3 +236,21 @@ class TestGoldenOutput:
                            "--orientable", "--genus", "2", "--class", "4",
                            "--format", "json") == (
             "689c191cc3035d957eb839740ce05d0fc56d4c148f1176a5e94b434b084afd2d")
+
+    def test_check_genus_three_witness_class_four(self, capsys, tmp_path):
+        # the 280x280 zero det at degree 4, after 24759631762948096 at degree 3
+        code, out, _ = run(capsys, "witness", "--orientable", "--genus", "3",
+                           "--format", "json")
+        assert code == 0
+        path = tmp_path / "s3.txt"
+        path.write_text(json.loads(out)["matrix_text"])
+        assert self.digest(capsys, "check", "--matrix", str(path),
+                           "--orientable", "--genus", "3", "--class", "4",
+                           "--format", "json") == (
+            "9b2e53087f4be57c26b9e17f5767edce08482b2b3e1355a245dd4cf6c0935b32")
+
+    def test_nonorientable_genus_four_degree(self, capsys):
+        # Sylvester resultants with entries of about 3,400 bits
+        assert self.digest(capsys, "degree", "--nonorientable", "--genus", "4",
+                           "--format", "json") == (
+            "9b666647cb86ecf23453dd615fdc399797895e30f5b09752b0e07790ef9dca75")

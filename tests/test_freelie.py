@@ -5,7 +5,7 @@ import pytest
 from rinfty.errors import ResourceLimitError
 from rinfty.freelie import (MetabelianTable, apply_matrix_to_vector,
                             build_hall_basis, eigenvalue_one_first_degree,
-                            ideal_quotient, induced_tower,
+                            fixed_point_dets, ideal_quotient, induced_tower,
                             metabelian_truncation, orientable_relator,
                             witt_dimension)
 from rinfty.intlinalg import IntMatrix, charpoly
@@ -167,6 +167,18 @@ class TestIdealQuotient:
     def test_zero_generator_rejected(self, table_g2):
         with pytest.raises(ValueError):
             ideal_quotient(table_g2, {}, 4)
+
+    def test_zero_rank_degree_projects_to_empty_matrix(self):
+        # On the torus the relator [a, b] spans degree 2 and all of
+        # degree 3, so nothing is left there to act on.
+        table = build_hall_basis(2, 3)
+        quotient = ideal_quotient(table, orientable_relator(1, table), 3)
+        tower = induced_tower(table, IntMatrix([[2, 1], [1, 1]]))
+        for d in (2, 3):
+            assert quotient.rank(d) == 0
+            assert quotient.project(tower.matrix(d), d) == IntMatrix([])
+        assert list(fixed_point_dets(tower, quotient, (1, 2, 3))) == \
+            [(1, -1), (2, 1), (3, 1)]
 
 
 class TestMetabelian:

@@ -31,11 +31,17 @@ class TestIntMatrix:
     def test_matmul_shapes(self):
         with pytest.raises(ValueError):
             IntMatrix.zeros(2, 3) @ IntMatrix.zeros(2, 3)
+        with pytest.raises(ValueError):
+            IntMatrix.identity(2) @ IntMatrix([])
 
     def test_det_examples(self):
         assert IntMatrix([[0, 1], [1, 1]]).det() == -1
         assert IntMatrix.identity(5).det() == 1
         assert IntMatrix.zeros(3, 3).det() == 0
+        assert IntMatrix([]).det() == 1
+        assert IntMatrix([[0]]).det() == 0
+        assert IntMatrix([[-7]]).det() == -7
+        assert IntMatrix([[2 ** 300 + 1]]).det() == 2 ** 300 + 1
 
     def test_det_multiplicative(self):
         rng = random.Random(1)
@@ -54,6 +60,130 @@ class TestIntMatrix:
         with pytest.raises(ValueError):
             IntMatrix.from_text("2 2\n1 2 3")
 
+
+def fraction_det(m):
+    """Reference determinant: Gaussian elimination over the rationals."""
+    a = [[Fraction(x) for x in row] for row in m.entries]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            for j in range(k, n):
+                a[i][j] -= f * a[k][j]
+    assert det.denominator == 1
+    return det.numerator
+
+
+def naive_product(a, b):
+    return [[sum(a[i, k] * b[k, j] for k in range(a.cols))
+             for j in range(b.cols)] for i in range(a.rows)]
+
+
+@st.composite
+def sparse_square_matrices(draw, max_n=12, lo=-30, hi=30):
+    """Mostly-zero square matrices: up to 2n + 2 placed entries and some unit diagonal."""
+    n = draw(st.integers(0, max_n))
+    rows = [[0] * n for _ in range(n)]
+    if n:
+        cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                         st.integers(lo, hi))
+        for i, j, x in draw(st.lists(cell, max_size=2 * n + 2)):
+            rows[i][j] = x
+        for i in range(n):  # a unit diagonal keeps many samples nonsingular
+            if draw(st.booleans()):
+                rows[i][i] = draw(st.sampled_from((1, -1)))
+    return IntMatrix(rows)
+
+
+class TestDet:
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_square_matrices())
+    def test_sparse_matches_fraction_reference(self, m):
+        assert m.det() == fraction_det(m)
+
+    def test_singular_cases(self):
+        rng = random.Random(3)
+        for n in (2, 5, 9):
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            repeated = [list(r) for r in rows]
+            repeated[-1] = list(repeated[0])
+            assert IntMatrix(repeated).det() == 0
+            zero_col = [r[:n - 2] + [0] + r[n - 1:] for r in rows]
+            assert IntMatrix(zero_col).det() == 0
+            a = IntMatrix([[rng.randint(-9, 9) for _ in range(n - 1)]
+                           for _ in range(n)])
+            b = IntMatrix([[rng.randint(-9, 9) for _ in range(n)]
+                           for _ in range(n - 1)])
+            assert (a @ b).det() == 0
+
+    def test_mixed_bit_sizes(self):
+        rng = random.Random(5)
+        for n in (3, 6, 10):
+            rows = [[rng.choice((0, 0, 1, -1, rng.getrandbits(1000) - 2 ** 999))
+                     for _ in range(n)] for _ in range(n)]
+            m = IntMatrix(rows)
+            assert m.det() == fraction_det(m)
+
+    def test_sylvester_matrices_with_wide_coefficients(self):
+        rng = random.Random(11)
+        for deg_f, deg_g in ((3, 2), (5, 4), (7, 6)):
+            f = IntPoly([rng.getrandbits(120) - 2 ** 119 for _ in range(deg_f)]
+                        + [2 ** 100 + rng.getrandbits(20)])
+            g = IntPoly([rng.getrandbits(110) - 2 ** 109 for _ in range(deg_g)]
+                        + [1])
+            s = sylvester_matrix(f, g)
+            assert s.det() == fraction_det(s)
+
+    def test_permutation_sign(self):
+        rng = random.Random(2)
+        for n in range(1, 9):
+            for _ in range(10):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                inversions = sum(1 for i in range(n) for j in range(i + 1, n)
+                                 if perm[i] > perm[j])
+                m = IntMatrix([[1 if perm[i] == j else 0 for j in range(n)]
+                               for i in range(n)])
+                assert m.det() == (-1) ** inversions
+                assert (3 * m).det() == (-1) ** inversions * 3 ** n
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError):
+            IntMatrix.zeros(2, 3).det()
+
+
+class TestMatmul:
+    def test_rectangular_against_naive_sum(self):
+        rng = random.Random(7)
+        for n, k, m in ((1, 1, 1), (2, 5, 3), (6, 1, 4), (4, 7, 1), (5, 5, 5)):
+            a = IntMatrix([[rng.choice((0, 0, rng.randint(-5, 5)))
+                            for _ in range(k)] for _ in range(n)])
+            b = IntMatrix([[rng.choice((0, rng.randint(-5, 5)))
+                            for _ in range(m)] for _ in range(k)])
+            assert (a @ b).entries == tuple(map(tuple, naive_product(a, b)))
+
+    def test_zero_rows_and_columns(self):
+        a = IntMatrix([[0, 0, 0], [1, 0, 2], [0, 0, 0]])
+        b = IntMatrix([[3, 0], [0, 0], [-1, 0]])
+        assert a @ b == IntMatrix([[0, 0], [1, 0], [0, 0]])
+        assert IntMatrix.zeros(2, 3) @ IntMatrix.zeros(3, 4) == \
+            IntMatrix.zeros(2, 4)
+
+    def test_wide_negative_entries(self):
+        rng = random.Random(9)
+        a = IntMatrix([[-(rng.getrandbits(200) | 2 ** 199) for _ in range(4)]
+                       for _ in range(3)])
+        b = IntMatrix([[-(rng.getrandbits(200) | 2 ** 199) if (i + j) % 2 else 0
+                        for j in range(5)] for i in range(4)])
+        assert (a @ b).entries == tuple(map(tuple, naive_product(a, b)))
 
 class TestCharpoly:
     def test_rotation_block(self):
