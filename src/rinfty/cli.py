@@ -254,7 +254,8 @@ def padding(rank, klass, n, fmt):
               required=True)
 @click.option("--rank", type=int, default=2, show_default=True)
 @click.option("--class", "klass", type=int, default=2, show_default=True)
-@click.option("--count", type=int, default=10, show_default=True,
+@click.option("--count", type=click.IntRange(min=1), default=10,
+              show_default=True,
               help="random matrices for the spectrum mode")
 @click.option("--degree", type=int, default=None,
               help="tower degree for the spectrum mode (default: class)")

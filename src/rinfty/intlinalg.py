@@ -5,15 +5,19 @@ fraction-free (Bareiss) and sparse, pivoting on the sparsest column and
 the smallest entry in it, characteristic polynomials division-free
 (Berkowitz), and Smith normal forms carry their unimodular transforms so
 results can be re-verified.  Matrix products and determinants only touch
-nonzero entries, since the lattices met here are mostly zero.  No
-floating point is used anywhere.
+nonzero entries, since the lattices met here are mostly zero.
+
+Polynomials are integer-only as well.  Composed spectra (root products)
+are built from monic characteristic polynomials through power sums and
+Newton's identities, and reject non-monic input; every polynomial
+division is one integer pseudo-division.  No fractions and no floating
+point are used anywhere.
 
 All objects are immutable after construction, so values can be shared
 freely between threads; every operation is a pure function.
 """
 
-import json
-from fractions import Fraction
+from math import prod
 
 
 class IntMatrix:
@@ -22,7 +26,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows_of_entries):
-        rows = tuple(tuple(int(x) for x in row) for row in rows_of_entries)
+        rows = tuple(tuple(map(int, row)) for row in rows_of_entries)
         ncols = len(rows[0]) if rows else 0
         for row in rows:
             if len(row) != ncols:
@@ -66,9 +70,6 @@ class IntMatrix:
 
     def row(self, i):
         return self.entries[i]
-
-    def column(self, j):
-        return tuple(row[j] for row in self.entries)
 
     @property
     def is_square(self):
@@ -409,14 +410,6 @@ class IntPoly:
     def __repr__(self):
         return f"IntPoly({list(self.coeffs)!r})"
 
-    def to_json(self):
-        return json.dumps({"coeffs": list(self.coeffs)}, sort_keys=True)
-
-    @staticmethod
-    def from_json(text):
-        data = json.loads(text)
-        return IntPoly(data["coeffs"])
-
 
 # ---------------------------------------------------------------------------
 # characteristic polynomial
@@ -479,15 +472,14 @@ def _xgcd(a, b):
 class SmithDecomposition:
     """U*M*V = D with U, V unimodular and D = diag(d1 | d2 | ... >= 0)."""
 
-    __slots__ = ("matrix", "u", "d", "v", "u_inv", "v_inv", "diagonal", "rank")
+    __slots__ = ("matrix", "u", "d", "v", "u_inv", "diagonal", "rank")
 
-    def __init__(self, matrix, u, d, v, u_inv, v_inv):
+    def __init__(self, matrix, u, d, v, u_inv):
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "u_inv", u_inv)
-        object.__setattr__(self, "v_inv", v_inv)
         diag = tuple(d[i, i] for i in range(min(d.rows, d.cols)))
         object.__setattr__(self, "diagonal", diag)
         object.__setattr__(self, "rank", sum(1 for x in diag if x != 0))
@@ -508,7 +500,7 @@ class SmithDecomposition:
 
 
 def smith_normal_form(m):
-    """Smith normal form with all four transforms tracked and re-verified."""
+    """Smith normal form with U, U^-1 and V tracked and U*M*V = D re-verified."""
     if not isinstance(m, IntMatrix):
         m = IntMatrix(m)
     nrows, ncols = m.rows, m.cols
@@ -516,7 +508,6 @@ def smith_normal_form(m):
     u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
     ui = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
     v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-    vi = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
@@ -529,7 +520,6 @@ def smith_normal_form(m):
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
-        vi[i], vi[j] = vi[j], vi[i]
 
     def row_addmul(i, j, q):
         # row_i += q * row_j ; inverse transform: col_j of Ui -= q * col_i
@@ -549,14 +539,11 @@ def smith_normal_form(m):
             row[i] = -row[i]
 
     def col_addmul(i, j, q):
-        # col_i += q * col_j ; inverse transform: row_j of Vi -= q * row_i
+        # col_i += q * col_j
         for row in a:
             row[i] += q * row[j]
         for row in v:
             row[i] += q * row[j]
-        vii, vij = vi[i], vi[j]
-        for t in range(ncols):
-            vij[t] -= q * vii[t]
 
     def row_combine(i, j, x, y, s, t):
         # (row_i, row_j) <- (x ri + y rj, s ri + t rj), with xt - ys = 1.
@@ -577,9 +564,6 @@ def smith_normal_form(m):
                 ci, cj = row[i], row[j]
                 row[i] = x * ci + y * cj
                 row[j] = s * ci + t * cj
-        ri, rj = vi[i], vi[j]
-        for k in range(ncols):
-            ri[k], rj[k] = t * ri[k] - s * rj[k], -y * ri[k] + x * rj[k]
 
     def clear_position(t):
         while True:
@@ -657,46 +641,42 @@ def smith_normal_form(m):
     vm = IntMatrix(v)
     dm = IntMatrix(a)
     uim = IntMatrix(ui)
-    vim = IntMatrix(vi)
     if (um @ m) @ vm != dm:
         raise AssertionError("Smith reconstruction U*M*V != D")
-    return SmithDecomposition(m, um, dm, vm, uim, vim)
+    return SmithDecomposition(m, um, dm, vm, uim)
 
 
 # ---------------------------------------------------------------------------
 # polynomial gcd / resultant / division helpers
 # ---------------------------------------------------------------------------
 
-def poly_divmod_exact(num, den):
-    """Quotient and remainder over Q, returned as IntPoly when integral.
+def pseudo_divmod(num, den):
+    """Integer pseudo-division: lc(den)^k * num = quo * den + rem.
 
-    Raises ValueError when the division leaves rational coefficients.
+    k = deg num - deg den + 1 when deg num >= deg den and 0 otherwise, and
+    deg rem < deg den.  For monic den this is plain division with
+    remainder; for any den only integer arithmetic occurs.
     """
     if den.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(c) for c in num.coeffs]
-    dc = [Fraction(c) for c in den.coeffs]
-    dn = len(dc) - 1
-    quo = [Fraction(0)] * max(len(rem) - dn, 0)
-    while len(rem) - 1 >= dn and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dn:
-            break
-        shift = len(rem) - 1 - dn
-        factor = rem[-1] / dc[-1]
-        quo[shift] = factor
-        for i, c in enumerate(dc):
-            rem[shift + i] -= factor * c
-        rem.pop()
-    def to_int_poly(fracs):
-        out = []
-        for f in fracs:
-            if f.denominator != 1:
-                raise ValueError("division is not exact over the integers")
-            out.append(f.numerator)
-        return IntPoly(out)
-    return to_int_poly(quo), to_int_poly(rem)
+    dn = den.degree
+    lead = den.leading
+    dc = den.coeffs
+    rem = list(num.coeffs)
+    steps = len(rem) - dn
+    if steps <= 0:
+        return IntPoly.zero(), num
+    quo = [0] * steps
+    # step k cancels the x^(dn+k) term; the k later steps scale by lead
+    for k in range(steps - 1, -1, -1):
+        c = rem.pop()
+        quo[k] = c * lead ** k
+        if lead != 1:
+            rem = [lead * x for x in rem]
+        if c:
+            for j in range(dn):
+                rem[k + j] -= c * dc[j]
+    return IntPoly(quo), IntPoly(rem)
 
 
 def poly_gcd(p, q):
@@ -710,10 +690,7 @@ def poly_gcd(p, q):
     if a.degree < b.degree:
         a, b = b, a
     while not b.is_zero:
-        # pseudo-remainder keeps everything integral
-        delta = a.degree - b.degree
-        r = (b.leading ** (delta + 1)) * a
-        _, rem = poly_divmod_exact(r, b)
+        _, rem = pseudo_divmod(a, b)
         a, b = b, rem.primitive_part()
     cont = igcd(p.content(), q.content())
     return cont * a
@@ -726,8 +703,7 @@ def squarefree_part(p):
     g = poly_gcd(p, p.derivative())
     if g.is_zero or g.degree == 0:
         return p.primitive_part()
-    num = (g.leading ** (p.degree - g.degree + 1)) * p
-    quo, rem = poly_divmod_exact(num, g)
+    quo, rem = pseudo_divmod(p, g)
     if not rem.is_zero:
         raise AssertionError("gcd did not divide its polynomial")
     return quo.primitive_part()
@@ -737,12 +713,7 @@ def poly_divides(d, p):
     """True when d divides p exactly up to rational scaling."""
     if d.is_zero:
         return p.is_zero
-    if p.is_zero:
-        return True
-    if d.degree > p.degree:
-        return False
-    scale = d.leading ** (p.degree - d.degree + 1)
-    _, rem = poly_divmod_exact(scale * p, d)
+    _, rem = pseudo_divmod(p, d)
     return rem.is_zero
 
 
@@ -776,21 +747,21 @@ def resultant(f, g):
 # ---------------------------------------------------------------------------
 # root-product spectra
 # ---------------------------------------------------------------------------
+#
+# Every spectrum composed here is that of an integer matrix, so its
+# polynomial is monic and all of the arithmetic below stays integral.
+
+def _require_monic(*polys):
+    for p in polys:
+        if not p.is_monic:
+            raise ValueError(f"product spectra need monic polynomials, got {p}")
+
 
 def _power_sums(p, count):
-    """Power sums s_1..s_count of the roots of p.
-
-    Integers throughout for monic p; exact rationals otherwise.
-    """
+    """Power sums s_1..s_count of the roots of monic p (s_0 is unused)."""
     n = p.degree
-    lead = p.leading
-    if lead == 1:
-        e = [1] + [(-1) ** i * p.coeffs[n - i] for i in range(1, n + 1)]
-        s = [0] * (count + 1)
-    else:
-        e = [Fraction(1)] + [Fraction((-1) ** i * p.coeffs[n - i], lead)
-                             for i in range(1, n + 1)]
-        s = [Fraction(0)] * (count + 1)
+    e = [1] + [(-1) ** i * p.coeffs[n - i] for i in range(1, n + 1)]
+    s = [0] * (count + 1)
     for k in range(1, count + 1):
         acc = 0
         for i in range(1, min(k, n) + 1):
@@ -803,24 +774,19 @@ def _power_sums(p, count):
 def _monic_from_power_sums(s, n):
     """Monic polynomial (ascending coefficients) with power sums s_1..s_n.
 
-    Newton's identities need one division by k per step; when the power
-    sums are integers coming from a monic integer polynomial the division
-    is exact and everything stays in plain integers.
+    Newton's identities need one division by k per step; the power sums
+    come from monic integer polynomials, so each division is exact.
     """
-    integral = all(isinstance(x, int) for x in s[1:n + 1])
-    e = [1 if integral else Fraction(1)] + [0] * n
+    e = [1] + [0] * n
     for k in range(1, n + 1):
         acc = 0
         for i in range(1, k + 1):
             term = s[i] * e[k - i]
             acc = acc + term if i % 2 == 1 else acc - term
-        if integral:
-            q, r = divmod(acc, k)
-            if r:
-                raise AssertionError("Newton recursion left the integers")
-            e[k] = q
-        else:
-            e[k] = acc / k
+        q, r = divmod(acc, k)
+        if r:
+            raise AssertionError("Newton recursion left the integers")
+        e[k] = q
     return [((-1) ** (n - j)) * e[n - j] for j in range(n + 1)]
 
 
@@ -831,89 +797,46 @@ def _valuation(p):
     return v
 
 
+def _root_products(factors):
+    """Monic polynomial whose roots are the products a_1 * ... * a_k.
+
+    Each a_j runs over the roots of factors[j], with multiplicity.  A
+    product with a zero root is zero, so the zero roots are split off
+    first.  On the nonzero roots, the n-th power sum of the products is
+    the product of the factors' n-th power sums, and Newton's identities
+    turn those back into coefficients without the coefficient blowup of
+    a resultant.
+    """
+    _require_monic(*factors)
+    cores = [IntPoly(f.coeffs[_valuation(f):]) for f in factors]
+    big = prod(core.degree for core in cores)
+    s = [1] * (big + 1)
+    for core in cores:
+        for k, x in enumerate(_power_sums(core, big)):
+            s[k] *= x
+    total = prod(f.degree for f in factors)
+    return IntPoly(_monic_from_power_sums(s, big)).shift(total - big)
+
+
 def product_spectrum(p, q):
-    """Polynomial whose root multiset is {a*b : a root of p, b root of q}.
+    """Monic polynomial whose root multiset is {a*b : a root of p, b root of q}.
 
     This is the composed product classically written as the resultant
-    Res_y(p(y), y^m q(x/y)); it is evaluated here through power sums
-    (s_k of the product polynomial factor as s_k(p) * s_k(q)), which gives
-    the identical integer polynomial without coefficient blowup.  The
-    result is normalized to lc(p)^deg(q) * lc(q)^deg(p) * prod (x - a*b).
+    Res_y(p(y), y^m q(x/y)), evaluated through power sums.  p and q must
+    be monic.
     """
-    if p.is_zero or q.is_zero:
-        raise ValueError("product spectrum of the zero polynomial")
-    n, m = p.degree, q.degree
-    u, v = _valuation(p), _valuation(q)
-    zero_mult = u * m + v * n - u * v
-    ph = IntPoly(p.coeffs[u:])
-    qh = IntPoly(q.coeffs[v:])
-    nh, mh = ph.degree, qh.degree
-    big = nh * mh
-    if big == 0:
-        core = [Fraction(1)]
-    else:
-        sp = _power_sums(ph, big)
-        sq = _power_sums(qh, big)
-        s = [Fraction(0)] * (big + 1)
-        for k in range(1, big + 1):
-            s[k] = sp[k] * sq[k]
-        core = _monic_from_power_sums(s, big)
-    scale = Fraction(p.leading ** m * q.leading ** n)
-    out = []
-    for c in core:
-        val = scale * c
-        if val.denominator != 1:
-            raise AssertionError("composed product produced a non-integer")
-        out.append(val.numerator)
-    return IntPoly(out).shift(zero_mult)
+    return _root_products((p, q))
 
 
 def kfold_product_spectrum(p, i):
-    """Roots are all products over ordered i-tuples of roots of p.
+    """Roots are all products over ordered i-tuples of roots of monic p.
 
-    Equal to iterating the pairwise composed product; for monic p the
-    power sums of the result are the pointwise i-th powers of the power
-    sums of p, which avoids the intermediate coefficient blowup.
+    Equal to iterating the pairwise composed product; the power sums of
+    the result are the pointwise i-th powers of the power sums of p.
     """
     if i < 1:
         raise ValueError("need i >= 1")
-    if i == 1:
-        return p
-    if p.is_zero:
-        raise ValueError("product spectrum of the zero polynomial")
-    if not p.is_monic:
-        result = p
-        for _ in range(i - 1):
-            result = product_spectrum(result, p)
-        return result
-    u = _valuation(p)
-    ph = IntPoly(p.coeffs[u:])
-    nh = ph.degree
-    big = nh ** i
-    zero_mult = p.degree ** i - big
-    if big == 0:
-        core = [1]
-    else:
-        sp = _power_sums(ph, big)
-        s = [0] * (big + 1)
-        for k in range(1, big + 1):
-            s[k] = sp[k] ** i
-        core = _monic_from_power_sums(s, big)
-    return IntPoly(core).shift(zero_mult)
-
-
-def _mod_monic(f_coeffs, g):
-    """Remainder of the polynomial with the given ascending coeffs modulo monic g."""
-    rem = list(f_coeffs)
-    dn = g.degree
-    gc = g.coeffs
-    for k in range(len(rem) - 1, dn - 1, -1):
-        c = rem[k]
-        if c:
-            rem[k] = 0
-            for j in range(dn):
-                rem[k - dn + j] -= c * gc[j]
-    return IntPoly(rem[:dn])
+    return _root_products((p,) * i)
 
 
 def spectrum_value_at_one(p, q):
@@ -921,20 +844,14 @@ def spectrum_value_at_one(p, q):
 
     Requires monic inputs.  Zero roots contribute unit factors; the rest
     is the norm of the reversed polynomial, evaluated as a resultant
-    against a small modular remainder.
+    against its remainder modulo p.
     """
-    if not (p.is_monic and q.is_monic):
-        return product_spectrum(p, q)(1)
+    _require_monic(p, q)
     ph = IntPoly(p.coeffs[_valuation(p):])
     qh = IntPoly(q.coeffs[_valuation(q):])
     if ph.degree == 0 or qh.degree == 0:
         return 1
-    reversed_q = tuple(reversed(qh.coeffs))
-    r = _mod_monic(reversed_q, ph)
-    if r.is_zero:
-        return 0
-    if r.degree == 0:
-        return r.coeffs[0] ** ph.degree
+    _, r = pseudo_divmod(IntPoly(reversed(qh.coeffs)), ph)
     return resultant(ph, r)
 
 
@@ -943,14 +860,13 @@ def kfold_value_at_one(p, i):
 
     Ordered i-tuples factor as (a-tuple, b-tuple) pairs for a + b = i, so
     the value is the pairwise composed-product value of the two smaller
-    spectra.
+    spectra.  p must be monic.
     """
     if i < 1:
         raise ValueError("need i >= 1")
     if i == 1:
+        _require_monic(p)
         return p(1)
-    if not p.is_monic:
-        return kfold_product_spectrum(p, i)(1)
     a = i // 2
     b = i - a
     qa = kfold_product_spectrum(p, a)

@@ -16,7 +16,6 @@ polynomials q_i with u^m = prod a_i^(m x_i + q_i(x_1..x_{i-1}, m)), and
 the padding exponents f(n, c) with x^n y^f = (x z)^n.
 """
 
-import json
 from fractions import Fraction
 from math import lcm
 
@@ -401,16 +400,6 @@ class MalcevElement:
 
     def __repr__(self):
         return f"MalcevElement(r={self.ambient.r}, c={self.ambient.c}, {list(self.coords)})"
-
-    def to_json(self):
-        return json.dumps({"rank": self.ambient.r, "class": self.ambient.c,
-                           "coords": list(self.coords)}, sort_keys=True)
-
-    @staticmethod
-    def from_json(text):
-        data = json.loads(text)
-        amb = free_nilpotent_group(data["rank"], data["class"])
-        return amb.element(data["coords"])
 
 
 def multiply(u, v):

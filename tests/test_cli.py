@@ -194,6 +194,8 @@ class TestRejectedArguments:
         ("degree", "--orientable", "--genus", "2", "--samples", "0"),
         ("degree", "--orientable", "--genus", "2", "--samples", "-3"),
         ("sample", "--genus", "2", "--sign", "plus", "--length", "-5"),
+        ("crosscheck", "--what", "spectrum", "--count", "0"),
+        ("crosscheck", "--what", "spectrum", "--count", "-3"),
     ])
     def test_out_of_range_count_is_exit_one(self, capsys, args):
         code, out, err = run(capsys, *args)

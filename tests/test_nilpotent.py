@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rinfty.mvpoly import MPoly
-from rinfty.nilpotent import (MalcevElement, build_power_table,
+from rinfty.nilpotent import (build_power_table,
                               free_nilpotent_group, free_rank_certificate,
                               multiply, nth_root, padding_data,
                               padding_exponent, power, power_padding, ser_exp,
@@ -91,10 +91,6 @@ class TestNormalForm:
     def test_ambient_mismatch_rejected(self):
         with pytest.raises(ValueError):
             G22.generator(0) * G23.generator(0)
-
-    def test_json_roundtrip(self):
-        el = G23.element([1, -2, 0, 3, 0])
-        assert MalcevElement.from_json(el.to_json()) == el
 
 
 class TestSeries:
