@@ -37,9 +37,9 @@ for d in (1, 2, 3):
     det = (IntMatrix.identity(mat.rows) - mat).det()
     print(f"  degree {d}: det(I - M_{d}) on the quotient = {det}")
 
+# the truncation is a quotient of the same free ring, so the same tower acts
 met = metabelian_truncation(quotient)
-met_tower = induced_tower(met.ring, witness)
-proj = met.project(met_tower.matrix(4), 4)
+proj = met.project(tower.matrix(4), 4)
 det4 = (IntMatrix.identity(proj.rows) - proj).det()
 print(f"  degree 4 on the metabelian truncation: det(I - M_4) = {det4}")
 

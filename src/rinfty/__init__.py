@@ -15,11 +15,10 @@ from .intlinalg import (IntMatrix, IntPoly, ReciprocalSymmetry,
                         reciprocal_symmetry_check, resultant,
                         smith_normal_form, spectrum_value_at_one,
                         squarefree_part, sylvester_matrix)
-from .freelie import (GradedQuotient, HallWord, InducedTower, MetabelianTable,
-                      StructureTable, build_hall_basis,
-                      eigenvalue_one_first_degree, fixed_point_dets,
-                      ideal_quotient,
-                      induced_tower, metabelian_truncation, orientable_relator,
+from .freelie import (GradedQuotient, HallWord, InducedTower, StructureTable,
+                      build_hall_basis, eigenvalue_one_first_degree,
+                      fixed_point_dets, ideal_quotient, induced_tower,
+                      metabelian_truncation, orientable_relator,
                       witt_dimension)
 from .nilpotent import (FreeNilpotentGroup, MalcevElement,
                         PowerPolynomialTable, build_power_table,

@@ -346,16 +346,34 @@ class RinfVerdict:
         return verdict
 
     def reverify(self):
-        """Recompute the witness determinant lists from the embedded matrix."""
+        """Recompute every certificate field from the embedded witness and seed."""
+        expected = 4 if self.spec.orientable else 2 * (self.spec.genus - 1)
+        if self.degree != expected:
+            raise ValueError(f"degree {self.degree!r} is not the verdict {expected}")
+        if (self.witness_class != expected - 1
+                or self.structural["class"] != expected):
+            raise ValueError("certificate classes do not match the degree")
         if self.spec.orientable:
+            g = self.spec.genus
+            ctx = orientable_context(g)
             dets, met_det = _orientable_witness_dets(
-                self.spec.genus, self.witness_matrix, self.witness_class)
+                g, self.witness_matrix, self.witness_class, ctx)
             if dets != self.witness_dets:
                 raise ValueError("witness determinants fail re-verification")
             if met_det != self.structural["witness_metabelian_det"]:
                 raise ValueError("metabelian determinant fails re-verification")
+            if (_sample_reports(g, self.samples, self.seed, ctx)
+                    != self.structural["sample_reports"]):
+                raise ValueError("sample reports fail re-verification")
         else:
             g = self.spec.genus - 1
+            if not isinstance(self.witness_m, int):
+                raise ValueError("witness twist exponent m is missing")
+            el, a = nonorientable_base_matrices(g, self.witness_m)
+            if self.witness_matrix != el @ a ** (g - 1):
+                raise ValueError("witness matrix is not L A^(g-1) for its m")
+            if self.structural["witness_determinant"] != self.witness_matrix.det():
+                raise ValueError("witness determinant fails re-verification")
             dets, kfold_vals, final_det = _nonorientable_witness_dets(
                 g, self.witness_matrix, self.witness_class)
             if dets != self.witness_dets:
@@ -369,10 +387,9 @@ class RinfVerdict:
 
 def _orientable_witness_dets(g, witness, up_to_class, context=None):
     table, quotient, met = orientable_context(g, context)
-    dets = dict(fixed_point_dets(induced_tower(table, witness), quotient,
-                                 range(1, up_to_class + 1)))
-    _, met_det = next(fixed_point_dets(induced_tower(met.ring, witness), met,
-                                       [4]))
+    tower = induced_tower(table, witness)
+    dets = dict(fixed_point_dets(tower, quotient, range(1, up_to_class + 1)))
+    _, met_det = next(fixed_point_dets(tower, met, [4]))
     return dets, met_det
 
 
@@ -409,11 +426,10 @@ def structural_sample_report(s, g, context):
     sign = admissibility(s, g)
     if sign == "none":
         raise ValueError("matrix is not admissible")
-    met_tower = induced_tower(met.ring, s)
-    first = eigenvalue_one_first_degree(met_tower, met, 4)
+    tower = induced_tower(table, s)
+    first = eigenvalue_one_first_degree(tower, met, 4)
     report = {"sign": sign, "first_eigenvalue_one_degree": first}
     if sign == "plus":
-        tower = induced_tower(table, s)
         proj = quotient.project(tower.matrix(2), 2)
         report["degree2_multiplicity"] = _multiplicity_of_one(charpoly(proj))
     else:
@@ -431,8 +447,24 @@ def _multiplicity_of_one(p):
     return mult
 
 
-def rinf_degree(spec, max_class=None, samples=20, seed=0, max_m=DEFAULT_MAX_M,
-                context=None):
+def _sample_reports(g, samples, seed, context):
+    """Structural reports on ``samples`` seeded admissible matrices."""
+    if samples < 1:
+        raise ValueError("the structural certificate needs at least one "
+                         f"sample, got {samples}")
+    reports = []
+    for idx in range(samples):
+        sign = "plus" if idx % 2 == 0 else "minus"
+        s = sample_admissible(g, sign, seed=(seed, idx), length=8)
+        rep = structural_sample_report(s, g, context)
+        if rep["first_eigenvalue_one_degree"] is None:
+            raise AssertionError("sampled admissible matrix escaped "
+                                 "eigenvalue 1 through degree 4")
+        reports.append(rep)
+    return reports
+
+
+def rinf_degree(spec, samples=20, seed=0, max_m=DEFAULT_MAX_M, context=None):
     """Degree verdict with witness and structural certificates.
 
     Orientable: verdict 4, from (a) the explicit witness free of
@@ -442,21 +474,11 @@ def rinf_degree(spec, max_class=None, samples=20, seed=0, max_m=DEFAULT_MAX_M,
     determinant at degree 4).  Non-orientable genus g+1: verdict 2g, from
     a witness passing the exact no-i-fold-product test through 2g-1 and
     the determinant-squared product criterion at degree 2g.
-
-    ``max_class`` caps the classes the computation may touch; the default
-    allows exactly what the verdict needs (4 orientable, 2g otherwise).
     """
-    if max_class is None:
-        max_class = 4 if spec.orientable else 2 * (spec.genus - 1)
     if spec.orientable:
         if spec.genus > ORIENTABLE_GENUS_CAP:
             raise ResourceLimitError(
                 f"orientable genus capped at {ORIENTABLE_GENUS_CAP}")
-        if max_class < 4:
-            raise ResourceLimitError("orientable verdicts need class budget >= 4")
-        if samples < 1:
-            raise ValueError("the structural certificate needs at least one "
-                             f"sample, got {samples}")
         g = spec.genus
         ctx = orientable_context(g, context)
         witness = orientable_witness(g)
@@ -465,20 +487,11 @@ def rinf_degree(spec, max_class=None, samples=20, seed=0, max_m=DEFAULT_MAX_M,
             raise AssertionError("witness unexpectedly hit eigenvalue 1 early")
         if met_det != 0:
             raise AssertionError("witness metabelian determinant must vanish")
-        reports = []
-        for idx in range(samples):
-            sign = "plus" if idx % 2 == 0 else "minus"
-            s = sample_admissible(g, sign, seed=(seed, idx), length=8)
-            rep = structural_sample_report(s, g, ctx)
-            if rep["first_eigenvalue_one_degree"] is None:
-                raise AssertionError("sampled admissible matrix escaped "
-                                     "eigenvalue 1 through degree 4")
-            reports.append(rep)
         structural = {
             "kind": "structural-rinf",
             "class": 4,
             "witness_metabelian_det": met_det,
-            "sample_reports": reports,
+            "sample_reports": _sample_reports(g, samples, seed, ctx),
             "claim": "every admissible abelianized action acquires eigenvalue "
                      "1 by degree 4 (degree 2 in the symplectic case, the "
                      "metabelian four-step truncation otherwise)",
@@ -490,8 +503,6 @@ def rinf_degree(spec, max_class=None, samples=20, seed=0, max_m=DEFAULT_MAX_M,
     if spec.genus > NONORIENTABLE_GENUS_CAP:
         raise ResourceLimitError(
             f"non-orientable genus capped at {NONORIENTABLE_GENUS_CAP}")
-    if max_class < 2 * g:
-        raise ResourceLimitError("non-orientable verdicts need class budget >= 2g")
     witness, m = nonorientable_witness(g, 2 * g - 1, max_m=max_m)
     table = context if context is not None else build_hall_basis(g, 2 * g)
     dets, kfold_vals, final_det = _nonorientable_witness_dets(

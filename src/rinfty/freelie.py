@@ -1,4 +1,4 @@
-"""Graded free Lie rings over Z via Hall bases, and their relator quotients.
+"""Graded free Lie rings over Z via Hall bases, and their quotients.
 
 The free Lie ring on r generators truncated at class c is presented by a
 Hall set: bracketed words [u, v] with u > v and (u a generator or
@@ -7,10 +7,11 @@ words rewrite into the basis by antisymmetry and the Jacobi identity;
 everything downstream (ideals, quotients, induced endomorphism towers)
 is exact integer linear algebra on the per-degree coordinate lattices.
 
-A parallel table implements the free metabelian ring truncated at class
-four, whose basis is the left-normed words (i1, i2, i3, ..., ik) with
-i1 > i2 <= i3 <= ... <= ik; its degree >= 4 rewriting uses the identity
-[[w, x], y] = [[w, y], x] valid once w lies in the derived subring.
+Every quotient is a quotient of this one ring by an ideal with given
+homogeneous generators: the relator ideal of a surface group, and, for
+the metabelian four-step truncation, that ideal plus the second derived
+ideal, which through class four is spanned by the brackets of pairs of
+degree-2 words.
 
 Tables are built once and immutable afterwards; towers and quotients are
 pure derivations, so per-degree work can be farmed out freely.
@@ -78,55 +79,21 @@ class HallWord:
         return f"HallWord({self.tree!r})"
 
 
-class _GradedLieRing:
-    """Per-degree bases plus the bilinear bracket built on ``bracket_words``.
-
-    Subclasses set ``c`` and ``_by_degree`` (degree -> tuple of words) and
-    define ``bracket_words`` on single basis words.
-    """
-
-    def dim(self, d):
-        if d < 1 or d > self.c:
-            return 0
-        return len(self._by_degree[d])
-
-    def dims(self):
-        return [self.dim(d) for d in range(1, self.c + 1)]
-
-    def words(self, d):
-        return self._by_degree[d]
-
-    def bracket(self, va, da, vb, db):
-        """Bilinear bracket of coordinate vectors (dicts local -> coeff)."""
-        if da + db > self.c:
-            return {}
-        out = {}
-        words_a = self._by_degree[da]
-        words_b = self._by_degree[db]
-        for ia, ca in va.items():
-            wa = words_a[ia]
-            for ib, cb in vb.items():
-                expansion = self.bracket_words(wa, words_b[ib])
-                if expansion:
-                    _vec_add(out, expansion, ca * cb)
-        return out
-
-
-class StructureTable(_GradedLieRing):
+class StructureTable:
     """Hall basis of the free Lie ring on ``r`` generators up to class ``c``.
 
     Bracket expansions are memoized per word pair, so the table fills in
     lazily and acts as the structure-constant store.
     """
 
-    def __init__(self, r, c, order="lex", max_size=DEFAULT_TABLE_CAP):
+    def __init__(self, r, c, order="lex"):
         if r < 1 or c < 1:
             raise ValueError("need r >= 1 and c >= 1")
         if order not in HALL_ORDERS:
             raise ValueError(f"unknown hall order {order!r}")
-        if r ** c > max_size:
+        if r ** c > DEFAULT_TABLE_CAP:
             raise ResourceLimitError(
-                f"hall table for r={r}, c={c} exceeds cap {max_size}")
+                f"hall table for r={r}, c={c} exceeds cap {DEFAULT_TABLE_CAP}")
         self.r = r
         self.c = c
         self.order = order
@@ -171,6 +138,17 @@ class StructureTable(_GradedLieRing):
 
     # -- basis access --------------------------------------------------
 
+    def dim(self, d):
+        if d < 1 or d > self.c:
+            return 0
+        return len(self._by_degree[d])
+
+    def dims(self):
+        return [self.dim(d) for d in range(1, self.c + 1)]
+
+    def words(self, d):
+        return self._by_degree[d]
+
     def split(self, d, local):
         """Bracket decomposition (degree, local) pairs of a degree-d word."""
         w = self._by_degree[d][local]
@@ -179,6 +157,21 @@ class StructureTable(_GradedLieRing):
         return (w.left.degree, w.left.local), (w.right.degree, w.right.local)
 
     # -- bracket rewriting ----------------------------------------------
+
+    def bracket(self, va, da, vb, db):
+        """Bilinear bracket of coordinate vectors (dicts local -> coeff)."""
+        if da + db > self.c:
+            return {}
+        out = {}
+        words_a = self._by_degree[da]
+        words_b = self._by_degree[db]
+        for ia, ca in va.items():
+            wa = words_a[ia]
+            for ib, cb in vb.items():
+                expansion = self.bracket_words(wa, words_b[ib])
+                if expansion:
+                    _vec_add(out, expansion, ca * cb)
+        return out
 
     def bracket_words(self, wa, wb):
         key = (wa.index, wb.index)
@@ -208,91 +201,13 @@ class StructureTable(_GradedLieRing):
         return res
 
 
-class MetabelianTable(_GradedLieRing):
-    """Free metabelian Lie ring on ``r`` generators truncated at class ``c``.
-
-    Basis words are index tuples (i1, i2, ..., ik), k = degree, with
-    i1 > i2 <= i3 <= ... <= ik, meaning the left-normed bracket
-    [[x_i1, x_i2], x_i3, ..., x_ik].
-    """
-
-    def __init__(self, r, c=4):
-        if r < 1 or c < 2:
-            raise ValueError("need r >= 1 and c >= 2")
-        self.r = r
-        self.c = c
-        by_degree = [(), tuple((i,) for i in range(r))]
-        for d in range(2, c + 1):
-            level = []
-            for i2 in range(r):
-                for i1 in range(i2 + 1, r):
-                    level.extend((i1, i2) + tail
-                                 for tail in _sorted_tuples(i2, r, d - 2))
-            by_degree.append(tuple(level))
-        self._by_degree = by_degree
-        self._index = [dict() for _ in range(c + 1)]
-        for d in range(1, c + 1):
-            self._index[d] = {w: i for i, w in enumerate(by_degree[d])}
-
-    def index(self, d, word):
-        return self._index[d][word]
-
-    def split(self, d, local):
-        w = self._by_degree[d][local]
-        if d == 2:
-            return (1, w[0]), (1, w[1])
-        return (d - 1, self._index[d - 1][w[:-1]]), (1, w[-1])
-
-    def _bracket_word_gen(self, w, j):
-        """[w, x_j] for a basis word w of degree >= 2, as local-index vector."""
-        d = len(w) + 1
-        if d > self.c:
-            return {}
-        i1, i2, tail = w[0], w[1], w[2:]
-        if j >= i2:
-            new = (i1, i2) + tuple(sorted(tail + (j,)))
-            return {self._index[d][new]: 1}
-        first = (i1, j) + tuple(sorted(tail + (i2,)))
-        second = (i2, j) + tuple(sorted(tail + (i1,)))
-        out = {self._index[d][first]: 1}
-        _vec_add(out, {self._index[d][second]: -1})
-        return out
-
-    def bracket_words(self, wa, wb):
-        da, db = len(wa), len(wb)
-        if da + db > self.c:
-            return {}
-        if da >= 2 and db >= 2:
-            return {}
-        if da == 1 and db == 1:
-            a, b = wa[0], wb[0]
-            if a == b:
-                return {}
-            if a > b:
-                return {self._index[2][(a, b)]: 1}
-            return {self._index[2][(b, a)]: -1}
-        if db == 1:
-            return self._bracket_word_gen(wa, wb[0])
-        return {k: -v for k, v in self._bracket_word_gen(wb, wa[0]).items()}
-
-
-def _sorted_tuples(lo, hi, length):
-    """Weakly increasing tuples of the given length with entries in [lo, hi)."""
-    if length == 0:
-        yield ()
-        return
-    for first in range(lo, hi):
-        for rest in _sorted_tuples(first, hi, length - 1):
-            yield (first,) + rest
-
-
-def build_hall_basis(r, c, order="lex", max_size=DEFAULT_TABLE_CAP):
+def build_hall_basis(r, c, order="lex"):
     """Construct the Hall-basis structure table for the free Lie ring."""
-    return StructureTable(r, c, order=order, max_size=max_size)
+    return StructureTable(r, c, order=order)
 
 
 class InducedTower:
-    """Degree-wise endomorphisms induced on a graded Lie ring by a matrix.
+    """Degree-wise endomorphisms induced on the free Lie ring by a matrix.
 
     The degree-1 action is the matrix itself; the degree-d action sends a
     basis word [u, v] to the bracket of the images of u and v, so the
@@ -352,28 +267,28 @@ class _DegreeData:
 
 
 class GradedQuotient:
-    """Per-degree presentation of a graded Lie ring modulo a relator ideal.
+    """Per-degree presentation of a graded Lie ring modulo a homogeneous ideal.
 
-    The ideal generated by a homogeneous vector is spanned, degree by
-    degree, by brackets of earlier spans with degree-1 (and degree-2)
-    basis words; each degree then carries the Smith normal form of its
-    span matrix, from which ranks, torsion and the induced quotient maps
-    are read off.
+    ``generators`` maps a degree to the ideal generators sitting there.
+    The ideal is spanned, degree by degree, by those generators plus the
+    brackets of the previous degree's span with each degree-1 word; this
+    suffices over Z because ad [x, y] = [ad x, ad y].  Each degree then
+    carries the Smith normal form of its span matrix, from which ranks,
+    torsion and the induced quotient maps are read off.
     """
 
-    def __init__(self, ring, gen_vec, gen_degree, up_to,
-                 is_metabelian_truncation=False):
-        if gen_degree < 1 or gen_degree > up_to:
-            raise ValueError("generator degree outside the requested range")
+    def __init__(self, ring, generators, up_to):
         if up_to > ring.c:
             raise ValueError(f"quotient degree {up_to} exceeds ring class {ring.c}")
-        if not gen_vec:
-            raise ValueError("relator vector is zero")
+        for d, vecs in generators.items():
+            if d < 1 or d > up_to:
+                raise ValueError("generator degree outside the requested range")
+            if not all(vecs):
+                raise ValueError("relator vector is zero")
         self.ring = ring
-        self.gen_vec = dict(gen_vec)
-        self.gen_degree = gen_degree
+        self.generators = {d: [dict(v) for v in vecs]
+                           for d, vecs in generators.items()}
         self.up_to = up_to
-        self.is_metabelian_truncation = is_metabelian_truncation
         self._data = {}
 
     # -- ideal spans ------------------------------------------------------
@@ -383,32 +298,11 @@ class GradedQuotient:
         return self._degree_data(d).generators
 
     def _generators(self, d):
-        if d < self.gen_degree:
-            return []
-        if d == self.gen_degree:
-            return [dict(self.gen_vec)]
-        ring = self.ring
-        out = []
-        if self.is_metabelian_truncation:
-            # symmetric tails: [[..[r, e_{j1}], ..], e_{jk}] with j1 <= ... <= jk
-            for tail in _sorted_tuples(0, ring.r, d - self.gen_degree):
-                vec = dict(self.gen_vec)
-                deg = self.gen_degree
-                for j in tail:
-                    vec = ring.bracket(vec, deg, {j: 1}, 1)
-                    deg += 1
-                if vec:
-                    out.append(vec)
-            return out
-        for vec in self._degree_data(d - 1).generators:
-            for j in range(ring.dim(1)):
-                w = ring.bracket(vec, d - 1, {j: 1}, 1)
-                if w:
-                    out.append(w)
-        if d - 2 >= self.gen_degree and ring.dim(2):
-            for vec in self._degree_data(d - 2).generators:
-                for j in range(ring.dim(2)):
-                    w = ring.bracket(vec, d - 2, {j: 1}, 2)
+        out = list(self.generators.get(d, ()))
+        if d > 1:
+            for vec in self._degree_data(d - 1).generators:
+                for j in range(self.ring.r):
+                    w = self.ring.bracket(vec, d - 1, {j: 1}, 1)
                     if w:
                         out.append(w)
         return out
@@ -490,25 +384,25 @@ def orientable_relator(g, table):
 
 def ideal_quotient(table, gen_vec, up_to, gen_degree=2):
     """Quotient of the free ring by the ideal generated by one homogeneous vector."""
-    return GradedQuotient(table, gen_vec, gen_degree, up_to)
+    return GradedQuotient(table, {gen_degree: [gen_vec]}, up_to)
 
 
 def metabelian_truncation(quotient):
-    """Metabelian four-step truncation of an orientable relator quotient."""
+    """Metabelian four-step truncation of an orientable relator quotient.
+
+    This is L / (I + L'') on the same free table: through class four the
+    second derived ideal L'' is spanned by the brackets [u, v] of pairs of
+    degree-2 Hall words u > v.
+    """
     ring = quotient.ring
-    if not isinstance(ring, StructureTable):
-        raise ValueError("metabelian truncation expects a free-ring quotient")
     if ring.c < 4:
         raise ValueError("parent class too small: need class >= 4")
-    if quotient.gen_degree != 2:
+    if list(quotient.generators) != [2]:
         raise ValueError("relator must sit in degree 2")
-    met = MetabelianTable(ring.r, 4)
-    vec = {}
-    for local, coeff in quotient.gen_vec.items():
-        word = ring.words(2)[local]
-        pair = (word.left.tree, word.right.tree)
-        vec[met.index(2, pair)] = coeff
-    return GradedQuotient(met, vec, 2, 4, is_metabelian_truncation=True)
+    pairs = ring.words(2)
+    derived = [ring.bracket_words(u, v)
+               for i, v in enumerate(pairs) for u in pairs[i + 1:]]
+    return GradedQuotient(ring, {2: quotient.generators[2], 4: derived}, 4)
 
 
 def fixed_point_dets(tower, quotient, degrees):

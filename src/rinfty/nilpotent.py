@@ -337,14 +337,13 @@ def free_nilpotent_group(r, c):
 class MalcevElement:
     """Group element as its integer Malcev coordinate vector."""
 
-    __slots__ = ("ambient", "coords", "_series")
+    __slots__ = ("ambient", "coords")
 
     def __init__(self, ambient, coords):
         if len(coords) != ambient.k:
             raise ValueError(f"need {ambient.k} coordinates, got {len(coords)}")
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "coords", tuple(int(x) for x in coords))
-        object.__setattr__(self, "_series", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MalcevElement is immutable")
@@ -356,12 +355,6 @@ class MalcevElement:
                     and (other.ambient.r, other.ambient.c) == (amb.r, amb.c)):
                 return
             raise ValueError("elements live in different ambient groups")
-
-    def series(self):
-        if self._series is None:
-            object.__setattr__(self, "_series",
-                               self.ambient.series_from_coords(self.coords))
-        return self._series
 
     def __mul__(self, other):
         self._check_same(other)

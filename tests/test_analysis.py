@@ -22,6 +22,12 @@ S2 = orientable_witness(2)
 S_PM_I = IntMatrix([[0, 0, -1, 1], [0, -1, -2, 3], [2, 1, 2, -2], [1, 0, 1, -1]])
 
 
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
 class TestSurfaceSpec:
     def test_torus_excluded(self):
         with pytest.raises(ValueError):
@@ -224,6 +230,33 @@ class TestRinfDegree:
         with pytest.raises(ValueError):
             RinfVerdict.from_json_dict(tampered, verify=True)
 
+    @pytest.mark.parametrize("path, value", [
+        (("degree",), 3),
+        (("structural", "class"), 3),
+        (("structural", "sample_reports", 1, "first_eigenvalue_one_degree"),
+         None),
+        (("samples",), 1),
+    ], ids=["degree", "structural-class", "sample-report", "samples"])
+    def test_tampered_orientable_verdict_rejected(self, path, value):
+        data = rinf_degree(SurfaceSpec(True, 2), samples=2, seed=5).to_json_dict()
+        _set(data, path, value)
+        with pytest.raises(ValueError):
+            RinfVerdict.from_json_dict(data, verify=True)
+
+    @pytest.mark.parametrize("path, value", [
+        (("degree",), 9),
+        (("structural", "class"), 5),
+        (("structural", "witness_determinant"), 5),
+        (("witness", "m"), 1),
+        (("witness", "m"), None),
+    ], ids=["degree", "structural-class", "witness-determinant", "m",
+            "m-missing"])
+    def test_tampered_nonorientable_verdict_rejected(self, path, value):
+        data = rinf_degree(SurfaceSpec(False, 3)).to_json_dict()
+        _set(data, path, value)
+        with pytest.raises(ValueError):
+            RinfVerdict.from_json_dict(data, verify=True)
+
     def test_nonorientable_genus_three(self):
         verdict = rinf_degree(SurfaceSpec(False, 3))
         assert verdict.degree == 4
@@ -242,8 +275,6 @@ class TestRinfDegree:
     def test_resource_guards(self):
         with pytest.raises(ResourceLimitError):
             rinf_degree(SurfaceSpec(True, 4))
-        with pytest.raises(ResourceLimitError):
-            rinf_degree(SurfaceSpec(True, 2), max_class=3)
 
     def test_structural_claim_needs_a_sample(self):
         for samples in (0, -3):

@@ -207,7 +207,7 @@ class TestRejectedArguments:
 
 
 class TestGoldenOutput:
-    """Pinned sha256 of stdout for five verdict commands.
+    """Pinned sha256 of stdout for six verdict commands.
 
     A change that keeps the verdicts must keep these bytes; a deliberate
     schema change updates the hashes together with the schema version.
@@ -222,6 +222,11 @@ class TestGoldenOutput:
         assert self.digest(capsys, "degree", "--orientable", "--genus", "2",
                            "--samples", "2", "--format", "json") == (
             "a11fad66d49178a48d4dc01c99aaa8345dc93d886efc92a77268ebc4e683ca16")
+
+    def test_orientable_genus_three_degree(self, capsys):
+        assert self.digest(capsys, "degree", "--orientable", "--genus", "3",
+                           "--samples", "4", "--format", "json") == (
+            "1ccacba00f1b7a8e7cb1a533d4c188c1177ad845f007af1f57a588776519059c")
 
     def test_nonorientable_degree(self, capsys):
         assert self.digest(capsys, "degree", "--nonorientable", "--genus", "3",

@@ -1,10 +1,10 @@
 import random
+from math import comb
 
 import pytest
 
 from rinfty.errors import ResourceLimitError
-from rinfty.freelie import (MetabelianTable, apply_matrix_to_vector,
-                            build_hall_basis, eigenvalue_one_first_degree,
+from rinfty.freelie import (apply_matrix_to_vector, build_hall_basis, eigenvalue_one_first_degree,
                             fixed_point_dets, ideal_quotient, induced_tower,
                             metabelian_truncation, orientable_relator,
                             witt_dimension)
@@ -34,7 +34,7 @@ class TestHallBasis:
 
     def test_resource_guard(self):
         with pytest.raises(ResourceLimitError):
-            build_hall_basis(10, 9, max_size=10 ** 6)
+            build_hall_basis(10, 9)
 
     def test_antisymmetry_and_jacobi_exhaustive(self):
         # full sweep within the class budget at r <= 4, c <= 5
@@ -182,61 +182,33 @@ class TestIdealQuotient:
 
 
 class TestMetabelian:
-    def test_dims_two_generators(self):
-        assert MetabelianTable(2, 4).dims() == [2, 1, 2, 3]
-
-    def test_degree_four_tuples_two_generators(self):
-        words = MetabelianTable(2, 4).words(4)
-        assert len(words) == 3
-        # i1 > i2 <= i3 <= i4 over two generators
-        assert set(words) == {(1, 0, 0, 0), (1, 0, 0, 1), (1, 0, 1, 1)}
-
-    def test_dims_formula(self):
-        # degree k rank is (k-1) * C(n+k-2, k)
-        from math import comb
-        for n in (2, 3, 4, 6):
-            table = MetabelianTable(n, 4)
-            for k in (2, 3, 4):
-                assert table.dim(k) == (k - 1) * comb(n + k - 2, k)
-
-    def test_brackets_antisymmetric_and_metabelian(self):
-        table = MetabelianTable(3, 4)
-        for da in (1, 2, 3):
-            for wa in table.words(da):
-                for db in (1, 2, 3):
-                    if da + db > 4:
-                        continue
-                    for wb in table.words(db):
-                        ab = table.bracket_words(wa, wb)
-                        ba = table.bracket_words(wb, wa)
-                        assert vec_add(ab, ba) == {}
-                        if da >= 2 and db >= 2:
-                            assert ab == {}
-
-    def test_jacobi_on_generators(self):
-        table = MetabelianTable(4, 4)
-        gens = table.words(1)
-        for wa in gens:
-            for wb in gens:
-                for wc in gens:
-                    ab = table.bracket_words(wa, wb)
-                    t1 = table.bracket(ab, 2, {table.index(1, wc): 1}, 1)
-                    bc = table.bracket_words(wb, wc)
-                    t2 = table.bracket(bc, 2, {table.index(1, wa): 1}, 1)
-                    ca = table.bracket_words(wc, wa)
-                    t3 = table.bracket(ca, 2, {table.index(1, wb): 1}, 1)
-                    assert vec_add(vec_add(t1, t2), t3) == {}
-
-    def test_truncation_ideal_span_counts(self, metabelian_g2):
-        # [[r, Y_i], Y_j] with i <= j over 4 generators: 10 raw spanning vectors
-        assert len(metabelian_g2.ideal_generators(4)) == 10
-        assert metabelian_g2.is_metabelian_truncation
+    def test_truncation_ranks_closed_form(self):
+        # free metabelian ranks (d-1) C(n+d-2, d) on n = 2g generators,
+        # less the relator ideal, whose degree-d part is C(n+d-3, d-2)
+        ranks = {}
+        for g in (2, 3, 4):
+            n = 2 * g
+            table = build_hall_basis(n, 4)
+            met = metabelian_truncation(
+                ideal_quotient(table, orientable_relator(g, table), 4))
+            ranks[g] = [met.rank(d) for d in range(1, 5)]
+            assert ranks[g] == [n] + [
+                (d - 1) * comb(n + d - 2, d) - comb(n + d - 3, d - 2)
+                for d in range(2, 5)]
+            assert all(met.torsion_free(d) for d in range(1, 5))
+        assert ranks == {2: [4, 5, 16, 35], 3: [6, 14, 64, 189],
+                         4: [8, 27, 160, 594]}
 
     def test_truncation_needs_class_four(self):
         table = build_hall_basis(4, 3)
         quotient = ideal_quotient(table, orientable_relator(2, table), 3)
         with pytest.raises(ValueError):
             metabelian_truncation(quotient)
+
+    def test_truncation_needs_degree_two_relator(self, table_g2):
+        relator = table_g2.bracket(orientable_relator(2, table_g2), 2, {0: 1}, 1)
+        with pytest.raises(ValueError):
+            metabelian_truncation(ideal_quotient(table_g2, relator, 4, 3))
 
 
 class TestEigenvalueOneDegrees:
@@ -245,9 +217,9 @@ class TestEigenvalueOneDegrees:
         tower = induced_tower(table_g2, s)
         assert eigenvalue_one_first_degree(tower, quotient_g2, 3) is None
 
-    def test_witness_hits_four_on_metabelian(self, metabelian_g2):
+    def test_witness_hits_four_on_metabelian(self, table_g2, metabelian_g2):
         s = IntMatrix.block_diag([IntMatrix([[1, 2], [1, 1]])] * 2)
-        tower = induced_tower(metabelian_g2.ring, s)
+        tower = induced_tower(table_g2, s)
         assert eigenvalue_one_first_degree(tower, metabelian_g2, 4) == 4
 
     def test_identity_hits_degree_one(self, table_g2, quotient_g2):
@@ -258,10 +230,9 @@ class TestEigenvalueOneDegrees:
                                                metabelian_g2):
         # eigenvalue 1 on the metabelian quotient lattice persists upstairs
         s = IntMatrix.block_diag([IntMatrix([[1, 2], [1, 1]])] * 2)
-        met_tower = induced_tower(metabelian_g2.ring, s)
-        proj = metabelian_g2.project(met_tower.matrix(4), 4)
-        assert (IntMatrix.identity(proj.rows) - proj).det() == 0
         tower = induced_tower(table_g2, s)
+        proj = metabelian_g2.project(tower.matrix(4), 4)
+        assert (IntMatrix.identity(proj.rows) - proj).det() == 0
         full = quotient_g2.project(tower.matrix(4), 4)
         assert (IntMatrix.identity(full.rows) - full).det() == 0
         free = tower.matrix(4)
@@ -287,10 +258,9 @@ class TestHallOrderInvariance:
                 (IntMatrix.identity(quotient.rank(d)) -
                  quotient.project(tower.matrix(d), d)).det()
                 for d in (1, 2, 3))
-            met_tower = induced_tower(met.ring, s)
             results.append((dets,
                             eigenvalue_one_first_degree(tower, quotient, 3),
-                            eigenvalue_one_first_degree(met_tower, met, 4),
+                            eigenvalue_one_first_degree(tower, met, 4),
                             tuple(quotient.rank(d) for d in (1, 2, 3, 4))))
         assert results[0] == results[1]
 

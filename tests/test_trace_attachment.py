@@ -2,9 +2,12 @@
 
 ``perfbench/tracer.py`` patches rinfty functions by name from outside;
 a kernel that is renamed or moved would silently drop its per-layer
-metrics.  This runs one traced benchmark request end to end.
+metrics.  One test resolves every wrapped name without patching, the
+other runs one traced benchmark request end to end.
 """
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -14,6 +17,23 @@ from rinfty.analysis import orientable_witness
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKER = os.path.join(ROOT, "perfbench", "worker.py")
+
+
+def test_every_traced_name_resolves():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", os.path.join(ROOT, "perfbench", "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = [(owner, attr) for _, owner, attr, _ in tracer.SPANS]
+    targets += [(owner, attr) for _, owner, attr in tracer.COUNTERS]
+    for owner, attr in targets:
+        module = importlib.import_module(owner)
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            found = getattr(module, cls_name).__dict__.get(meth)
+        else:
+            found = getattr(module, attr, None)
+        assert callable(found), f"{owner}.{attr}"
 
 
 def test_traced_check_records_every_kernel_span(tmp_path):
