@@ -49,7 +49,7 @@ from rinfty.analysis import structural_sample_report
 for i in range(4):
     sign = "plus" if i % 2 == 0 else "minus"
     s = sample_admissible(g, sign, seed=("demo", i), length=8)
-    rep = structural_sample_report(s, g, (table, quotient, met))
+    rep = structural_sample_report(s, g)
     print(f"  sample {i} ({sign}): first eigenvalue-1 degree = "
           f"{rep['first_eigenvalue_one_degree']}")
 

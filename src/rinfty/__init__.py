@@ -16,7 +16,8 @@ from .intlinalg import (IntMatrix, IntPoly, ReciprocalSymmetry,
                         smith_normal_form, spectrum_value_at_one,
                         squarefree_part, sylvester_matrix)
 from .freelie import (GradedQuotient, HallWord, InducedTower, StructureTable,
-                      build_hall_basis, eigenvalue_one_first_degree,
+                      SurfaceCharacter, build_hall_basis,
+                      eigenvalue_one_first_degree,
                       fixed_point_dets, ideal_quotient, induced_tower,
                       metabelian_truncation, orientable_relator,
                       witt_dimension)
@@ -28,7 +29,7 @@ from .analysis import (RinfVerdict, SurfaceSpec, admissibility,
                        bigcondition_equivalence, is_automorphism_matrix,
                        nonorientable_witness, omega, orientable_witness,
                        rinf_degree, sample_admissible,
-                       solvability_quotient_check)
+                       solvability_quotient_check, surface_character)
 from .oracle import (FiniteTwistedSetup, abelian_reidemeister_count,
                      brute_force_twisted_classes, spectrum_crosscheck)
 

@@ -11,6 +11,10 @@ matrix (block diagonal [[1,2],[1,1]]) induces towers free of eigenvalue
 1 through degree 3 on the relator quotient, while degree 4 always
 acquires eigenvalue 1 - at degree 2 with multiplicity >= g-1 in the
 symplectic case, or on a metabelian four-step truncation otherwise.
+These determinants come from charpoly(S) alone: the relator is inert,
+so the equivariant Labute character fixes the characteristic polynomial
+of every degree (``freelie.SurfaceCharacter``), and no tower, Smith form
+or large determinant is built on an orientable verdict path.
 
 Non-orientable surfaces of genus h = g+1 >= 3: the answer is 2g.  An
 explicit composition of a generator rotation with a twisted shift gives
@@ -28,9 +32,9 @@ import json
 import random
 
 from .errors import ResourceLimitError
-from .freelie import (apply_matrix_to_vector, build_hall_basis,
-                      eigenvalue_one_first_degree, fixed_point_dets,
-                      ideal_quotient, induced_tower, metabelian_truncation,
+from .freelie import (SurfaceCharacter, apply_matrix_to_vector,
+                      build_hall_basis, fixed_point_dets, ideal_quotient,
+                      induced_tower, metabelian_truncation,
                       orientable_relator)
 from .intlinalg import (IntMatrix, IntPoly, charpoly, dominance_root_test,
                         kfold_value_at_one, poly_divides, pseudo_divmod)
@@ -44,7 +48,7 @@ SAMPLING_NOTE = ("universal statements over all automorphisms are certified "
                  "of this certificate and no exhaustive claim is made")
 
 DEFAULT_MAX_M = 10 ** 40
-ORIENTABLE_GENUS_CAP = 3
+ORIENTABLE_GENUS_CAP = 4
 NONORIENTABLE_GENUS_CAP = 5  # surface genus g+1 with g <= 4
 
 
@@ -355,14 +359,13 @@ class RinfVerdict:
             raise ValueError("certificate classes do not match the degree")
         if self.spec.orientable:
             g = self.spec.genus
-            ctx = orientable_context(g)
             dets, met_det = _orientable_witness_dets(
-                g, self.witness_matrix, self.witness_class, ctx)
+                g, self.witness_matrix, self.witness_class)
             if dets != self.witness_dets:
                 raise ValueError("witness determinants fail re-verification")
             if met_det != self.structural["witness_metabelian_det"]:
                 raise ValueError("metabelian determinant fails re-verification")
-            if (_sample_reports(g, self.samples, self.seed, ctx)
+            if (_sample_reports(g, self.samples, self.seed)
                     != self.structural["sample_reports"]):
                 raise ValueError("sample reports fail re-verification")
         else:
@@ -385,12 +388,19 @@ class RinfVerdict:
         return True
 
 
-def _orientable_witness_dets(g, witness, up_to_class, context=None):
-    table, quotient, met = orientable_context(g, context)
-    tower = induced_tower(table, witness)
-    dets = dict(fixed_point_dets(tower, quotient, range(1, up_to_class + 1)))
-    _, met_det = next(fixed_point_dets(tower, met, [4]))
-    return dets, met_det
+def surface_character(s, g):
+    """Admissibility sign of S and its ``SurfaceCharacter``."""
+    sign = admissibility(s, g)
+    if sign == "none":
+        raise ValueError("matrix is not admissible: S*Omega*S^T equals "
+                         "neither Omega nor -Omega")
+    return sign, SurfaceCharacter(charpoly(s), 1 if sign == "plus" else -1)
+
+
+def _orientable_witness_dets(g, witness, up_to_class):
+    _, char = surface_character(witness, g)
+    dets = {d: char.det(d) for d in range(1, up_to_class + 1)}
+    return dets, char.metabelian_det()
 
 
 def _nonorientable_witness_dets(g, witness, up_to_class, context=None):
@@ -404,37 +414,36 @@ def _nonorientable_witness_dets(g, witness, up_to_class, context=None):
     return dets, kfold_vals, final_det
 
 
-def orientable_context(g, context=None):
-    """(table, relator quotient, metabelian truncation) for genus g."""
-    if context is not None:
-        return context
-    table = build_hall_basis(2 * g, 4)
+def orientable_context(g, order="lex"):
+    """(table, relator quotient, metabelian truncation) for genus g.
+
+    The verdicts read the same charpolys off ``SurfaceCharacter``; these
+    towers and quotients, on a Hall table of either order, are its oracle.
+    """
+    table = build_hall_basis(2 * g, 4, order=order)
     quotient = ideal_quotient(table, orientable_relator(g, table), 4)
     met = metabelian_truncation(quotient)
     return table, quotient, met
 
 
-def structural_sample_report(s, g, context):
+def structural_sample_report(s, g):
     """Eigenvalue-1 bookkeeping for one admissible matrix at class <= 4.
 
     The symplectic (plus) case must show eigenvalue 1 at degree 2 with
     multiplicity >= g-1 on the relator quotient; the minus case shows it
     at degree 2 when x^2+1 divides the characteristic polynomial and on
-    the metabelian four-step truncation at degree 4 otherwise.
+    the metabelian four-step truncation at degree 4 otherwise.  Degrees
+    are evaluated in order and stop at the first zero.
     """
-    table, quotient, met = context
-    sign = admissibility(s, g)
-    if sign == "none":
-        raise ValueError("matrix is not admissible")
-    tower = induced_tower(table, s)
-    first = eigenvalue_one_first_degree(tower, met, 4)
+    sign, char = surface_character(s, g)
+    first = next((d for d in range(1, 5)
+                  if (char.metabelian_det() if d == 4 else char.det(d)) == 0),
+                 None)
     report = {"sign": sign, "first_eigenvalue_one_degree": first}
     if sign == "plus":
-        proj = quotient.project(tower.matrix(2), 2)
-        report["degree2_multiplicity"] = _multiplicity_of_one(charpoly(proj))
+        report["degree2_multiplicity"] = _multiplicity_of_one(char.charpoly(2))
     else:
-        report["has_i_eigenvalue"] = poly_divides(IntPoly([1, 0, 1]),
-                                                  charpoly(s))
+        report["has_i_eigenvalue"] = poly_divides(IntPoly([1, 0, 1]), char.p)
     return report
 
 
@@ -447,7 +456,7 @@ def _multiplicity_of_one(p):
     return mult
 
 
-def _sample_reports(g, samples, seed, context):
+def _sample_reports(g, samples, seed):
     """Structural reports on ``samples`` seeded admissible matrices."""
     if samples < 1:
         raise ValueError("the structural certificate needs at least one "
@@ -456,7 +465,7 @@ def _sample_reports(g, samples, seed, context):
     for idx in range(samples):
         sign = "plus" if idx % 2 == 0 else "minus"
         s = sample_admissible(g, sign, seed=(seed, idx), length=8)
-        rep = structural_sample_report(s, g, context)
+        rep = structural_sample_report(s, g)
         if rep["first_eigenvalue_one_degree"] is None:
             raise AssertionError("sampled admissible matrix escaped "
                                  "eigenvalue 1 through degree 4")
@@ -471,18 +480,19 @@ def rinf_degree(spec, samples=20, seed=0, max_m=DEFAULT_MAX_M, context=None):
     eigenvalue 1 through degree 3 on the relator quotient and (b)
     eigenvalue 1 at degree <= 4 for the witness and every sampled
     admissible matrix (symplectic multiplicity at degree 2, metabelian
-    determinant at degree 4).  Non-orientable genus g+1: verdict 2g, from
-    a witness passing the exact no-i-fold-product test through 2g-1 and
-    the determinant-squared product criterion at degree 2g.
+    determinant at degree 4), all read off ``SurfaceCharacter``.
+    Non-orientable genus g+1: verdict 2g, from a witness passing the
+    exact no-i-fold-product test through 2g-1 and the determinant-squared
+    product criterion at degree 2g; ``context`` may supply the rank-g Hall
+    table for its towers.
     """
     if spec.orientable:
         if spec.genus > ORIENTABLE_GENUS_CAP:
             raise ResourceLimitError(
                 f"orientable genus capped at {ORIENTABLE_GENUS_CAP}")
         g = spec.genus
-        ctx = orientable_context(g, context)
         witness = orientable_witness(g)
-        dets, met_det = _orientable_witness_dets(g, witness, 3, ctx)
+        dets, met_det = _orientable_witness_dets(g, witness, 3)
         if any(v == 0 for v in dets.values()):
             raise AssertionError("witness unexpectedly hit eigenvalue 1 early")
         if met_det != 0:
@@ -491,7 +501,7 @@ def rinf_degree(spec, samples=20, seed=0, max_m=DEFAULT_MAX_M, context=None):
             "kind": "structural-rinf",
             "class": 4,
             "witness_metabelian_det": met_det,
-            "sample_reports": _sample_reports(g, samples, seed, ctx),
+            "sample_reports": _sample_reports(g, samples, seed),
             "claim": "every admissible abelianized action acquires eigenvalue "
                      "1 by degree 4 (degree 2 in the symplectic case, the "
                      "metabelian four-step truncation otherwise)",
@@ -524,7 +534,7 @@ def rinf_degree(spec, samples=20, seed=0, max_m=DEFAULT_MAX_M, context=None):
                        0, seed, witness_m=m, witness_kfold_at_one=kfold_vals)
 
 
-def solvability_quotient_check(g, samples=10, seed=0, context=None):
+def solvability_quotient_check(g, samples=10, seed=0):
     """Eigenvalue 1 by degree 4 on the metabelian truncation, for all samples.
 
     This is the computational content of the solvability-degree-2 claim:
@@ -533,11 +543,10 @@ def solvability_quotient_check(g, samples=10, seed=0, context=None):
     """
     if g < 2:
         raise ValueError("need g >= 2")
-    ctx = orientable_context(g, context)
     for idx in range(samples):
         sign = "plus" if idx % 2 == 0 else "minus"
         s = sample_admissible(g, sign, seed=(seed, "solv", idx), length=8)
-        rep = structural_sample_report(s, g, ctx)
+        rep = structural_sample_report(s, g)
         if rep["first_eigenvalue_one_degree"] is None:
             return False
     return True

@@ -14,10 +14,9 @@ import click
 
 from .analysis import (SurfaceSpec, admissibility, is_automorphism_matrix,
                        nonorientable_witness, orientable_witness, rinf_degree,
-                       sample_admissible)
+                       sample_admissible, surface_character)
 from .errors import ResourceLimitError
-from .freelie import (build_hall_basis, fixed_point_dets, ideal_quotient,
-                      induced_tower, orientable_relator)
+from .freelie import build_hall_basis, fixed_point_dets, induced_tower
 from .intlinalg import IntMatrix, charpoly
 from .nilpotent import free_nilpotent_group, power_padding
 from .oracle import (FiniteTwistedSetup, abelian_reidemeister_count,
@@ -113,23 +112,16 @@ def check(matrix_path, orientable, genus, klass, fmt):
         raise click.ClickException(
             f"matrix must be {n}x{n} for this surface, got {s.rows}x{s.cols}")
     if orientable:
-        sign = admissibility(s, genus)
-        if sign == "none":
-            raise click.ClickException(
-                "matrix is not admissible: S*Omega*S^T equals neither "
-                "Omega nor -Omega")
         computed = min(klass, 4)
-        table = build_hall_basis(n, computed)
-        quotient = ideal_quotient(table, orientable_relator(genus, table),
-                                  computed)
+        sign, char = surface_character(s, genus)
+        dets = {d: char.det(d) for d in range(1, computed + 1)}
         extra = {"admissibility": sign}
     else:
         computed = min(klass, 2 * n)
         table = build_hall_basis(n, computed)
-        quotient = None
         extra = {"unimodular": is_automorphism_matrix(s)}
-    dets = dict(fixed_point_dets(induced_tower(table, s), quotient,
-                                 range(1, computed + 1)))
+        dets = dict(fixed_point_dets(induced_tower(table, s), None,
+                                     range(1, computed + 1)))
     first = next((d for d, v in dets.items() if v == 0), None)
     if first is not None:
         verdict = f"R infinite (degree {first})"

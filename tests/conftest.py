@@ -57,8 +57,3 @@ def quotient_g3(table_g3):
 @pytest.fixture(scope="session")
 def metabelian_g2(quotient_g2):
     return metabelian_truncation(quotient_g2)
-
-
-@pytest.fixture(scope="session")
-def metabelian_g3(quotient_g3):
-    return metabelian_truncation(quotient_g3)

@@ -8,12 +8,12 @@ from rinfty.analysis import (RinfVerdict, SurfaceSpec, admissibility,
                              relator_image_sign, rinf_degree,
                              sample_admissible, sample_nonadmissible,
                              orientable_context, solvability_quotient_check,
-                             structural_sample_report)
+                             structural_sample_report, surface_character)
 from rinfty.errors import ResourceLimitError
-from rinfty.freelie import build_hall_basis
+from rinfty.freelie import induced_tower
 from rinfty.intlinalg import (IntMatrix, IntPoly, charpoly,
                               dominance_root_test, kfold_value_at_one,
-                              reciprocal_symmetry_check)
+                              poly_divides, reciprocal_symmetry_check)
 from rinfty.nilpotent import padding_exponent
 
 S2 = orientable_witness(2)
@@ -184,18 +184,16 @@ class TestNonorientableWitness:
 
 class TestStructuralReports:
     def test_plus_case_multiplicity(self):
-        ctx = orientable_context(2)
         for i in range(6):
             s = sample_admissible(2, "plus", seed=("case1", i), length=8)
-            rep = structural_sample_report(s, 2, ctx)
+            rep = structural_sample_report(s, 2)
             assert rep["sign"] == "plus"
             # degree 1 can already hit when S itself fixes a vector
             assert rep["first_eigenvalue_one_degree"] in (1, 2)
             assert rep["degree2_multiplicity"] >= 1
 
     def test_minus_generic_hits_four_or_earlier(self):
-        ctx = orientable_context(2)
-        rep = structural_sample_report(S2, 2, ctx)
+        rep = structural_sample_report(S2, 2)
         assert rep["sign"] == "minus"
         assert rep["first_eigenvalue_one_degree"] == 4
         assert rep["has_i_eigenvalue"] is False
@@ -203,8 +201,7 @@ class TestStructuralReports:
     def test_minus_with_i_eigenvalue_hits_degree_two(self):
         assert admissibility(S_PM_I, 2) == "minus"
         assert charpoly(S_PM_I) == IntPoly([1, 0, 1]) ** 2
-        ctx = orientable_context(2)
-        rep = structural_sample_report(S_PM_I, 2, ctx)
+        rep = structural_sample_report(S_PM_I, 2)
         assert rep["has_i_eigenvalue"] is True
         assert rep["first_eigenvalue_one_degree"] == 2
 
@@ -274,26 +271,12 @@ class TestRinfDegree:
 
     def test_resource_guards(self):
         with pytest.raises(ResourceLimitError):
-            rinf_degree(SurfaceSpec(True, 4))
+            rinf_degree(SurfaceSpec(True, 5))
 
     def test_structural_claim_needs_a_sample(self):
         for samples in (0, -3):
             with pytest.raises(ValueError):
                 rinf_degree(SurfaceSpec(True, 2), samples=samples)
-
-    def test_verdict_stable_across_hall_orders(self):
-        results = []
-        for order in ("lex", "alt"):
-            table = build_hall_basis(4, 4, order=order)
-            from rinfty.freelie import ideal_quotient, metabelian_truncation, \
-                orientable_relator
-            quotient = ideal_quotient(table, orientable_relator(2, table), 4)
-            met = metabelian_truncation(quotient)
-            verdict = rinf_degree(SurfaceSpec(True, 2), samples=2, seed=9,
-                                  context=(table, quotient, met))
-            results.append((verdict.degree, verdict.witness_dets,
-                            verdict.structural["witness_metabelian_det"]))
-        assert results[0] == results[1]
 
 
 class TestSolvability:
@@ -301,6 +284,73 @@ class TestSolvability:
         assert solvability_quotient_check(2, samples=4, seed=1)
 
     def test_witness_is_covered(self):
-        ctx = orientable_context(2)
-        rep = structural_sample_report(S2, 2, ctx)
+        rep = structural_sample_report(S2, 2)
         assert rep["first_eigenvalue_one_degree"] is not None
+
+
+def _oracle_cases(g):
+    """Matrices for the tower oracle, both signs and every zero pattern."""
+    return {
+        "witness": orientable_witness(g),
+        "identity": IntMatrix.identity(2 * g),
+        "minus-identity": -IntMatrix.identity(2 * g),
+        "det-zero": sample_admissible(g, "minus", seed=("det0", 0), length=8),
+        "i-eigenvalue": S_PM_I if g == 2 else IntMatrix.block_diag(
+            [S_PM_I] + [IntMatrix([[1, 2], [1, 1]])] * (g - 2)),
+        "length-20": sample_admissible(g, "plus", seed="length-20",
+                                       length=20),
+    }
+
+
+def _assert_charpoly_of(p, mat, where):
+    """p == charpoly(mat), by Berkowitz up to 64 rows.
+
+    Above that Berkowitz takes minutes, so p(1) = det(I - M) and the two
+    top coefficients -tr M and (tr(M)^2 - tr(M^2)) / 2 are compared.
+    """
+    n = mat.rows
+    assert p.degree == n, where
+    if n <= 64:
+        assert p == charpoly(mat), where
+        return
+    e = mat.entries
+    tr = mat.trace()
+    tr2 = sum(e[i][j] * e[j][i] for i in range(n) for j in range(n))
+    assert (p(1), p.coeffs[n - 1], p.coeffs[n - 2]) == (
+        (IntMatrix.identity(n) - mat).det(), -tr, (tr * tr - tr2) // 2), where
+
+
+class TestSurfaceCharacter:
+    """The equivariant Labute character against the projected towers."""
+
+    @pytest.mark.parametrize("order", ["lex", "alt"])
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_matches_projected_towers(self, g, order):
+        table, quotient, met = orientable_context(g, order)
+        cases = _oracle_cases(g)
+        assert charpoly(cases["det-zero"])(1) == 0
+        assert poly_divides(IntPoly([1, 0, 1]), charpoly(cases["i-eigenvalue"]))
+        signs = set()
+        for name, s in cases.items():
+            sign, char = surface_character(s, g)
+            signs.add(sign)
+            tower = induced_tower(table, s)
+            for d in range(1, 5):
+                assert char.ranks[d] == quotient.rank(d)
+                _assert_charpoly_of(char.charpoly(d),
+                                    quotient.project(tower.matrix(d), d),
+                                    (name, d))
+            _assert_charpoly_of(char.metabelian_charpoly(),
+                                met.project(tower.matrix(4), 4), (name, "met"))
+        assert signs == {"plus", "minus"}
+
+    def test_ranks_ignore_the_sign(self):
+        # D_d is the character at S = I with eps = +1 whatever the sign
+        _, plus = surface_character(IntMatrix.identity(4), 2)
+        _, minus = surface_character(S2, 2)
+        assert plus.ranks == minus.ranks == {1: 4, 2: 5, 3: 16, 4: 45}
+        assert minus.metabelian_charpoly().degree == 35
+
+    def test_inadmissible_matrix_rejected(self):
+        with pytest.raises(ValueError, match="not admissible"):
+            surface_character(2 * IntMatrix.identity(4), 2)

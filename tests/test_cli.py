@@ -3,6 +3,10 @@ import json
 
 import pytest
 
+import rinfty.analysis
+import rinfty.cli
+import rinfty.freelie
+from rinfty.analysis import SurfaceSpec
 from rinfty.cli import main
 from rinfty.intlinalg import IntMatrix
 
@@ -113,6 +117,23 @@ class TestCheckCommand:
         assert code == 0
         assert "R infinite (degree 4)" in out
 
+    def test_orientable_paths_build_no_hall_table(self, capsys, witness_file,
+                                                  monkeypatch):
+        # the orientable verdicts read the Labute character, never a tower
+        def refuse(*args, **kwargs):
+            raise AssertionError("orientable path built a Hall table")
+
+        for module in (rinfty.freelie, rinfty.analysis, rinfty.cli):
+            monkeypatch.setattr(module, "build_hall_basis", refuse)
+        verdict = rinfty.analysis.rinf_degree(SurfaceSpec(True, 3), samples=4)
+        assert verdict.degree == 4
+        for args in (("degree", "--orientable", "--genus", "2",
+                      "--samples", "4"),
+                     ("check", "--matrix", witness_file, "--orientable",
+                      "--genus", "2", "--class", "4")):
+            code, _, err = run(capsys, *args)
+            assert code == 0, err
+
     def test_degree_certificate_reverifies_through_check(self, capsys, tmp_path):
         code, out, _ = run(capsys, "degree", "--orientable", "--genus", "2",
                            "--samples", "2", "--format", "json")
@@ -207,7 +228,7 @@ class TestRejectedArguments:
 
 
 class TestGoldenOutput:
-    """Pinned sha256 of stdout for six verdict commands.
+    """Pinned sha256 of stdout for nine verdict commands.
 
     A change that keeps the verdicts must keep these bytes; a deliberate
     schema change updates the hashes together with the schema version.
@@ -227,6 +248,19 @@ class TestGoldenOutput:
         assert self.digest(capsys, "degree", "--orientable", "--genus", "3",
                            "--samples", "4", "--format", "json") == (
             "1ccacba00f1b7a8e7cb1a533d4c188c1177ad845f007af1f57a588776519059c")
+
+    def test_orientable_genus_two_many_samples(self, capsys):
+        # 100 minus samples, most of them decided by the metabelian det
+        assert self.digest(capsys, "degree", "--orientable", "--genus", "2",
+                           "--samples", "200", "--seed", "12345",
+                           "--format", "json") == (
+            "f37cadb3f9151e4a89e358b1a24051f99597deb71264ec5962dc80f3646dcca5")
+
+    def test_orientable_genus_four_degree(self, capsys):
+        # the bytes of the tower path with its genus cap raised to 4
+        assert self.digest(capsys, "degree", "--orientable", "--genus", "4",
+                           "--samples", "2", "--format", "json") == (
+            "7d1b10e6b3628aef1528f54725d005dcee49b28dafd49b57c0579188942df1b6")
 
     def test_nonorientable_degree(self, capsys):
         assert self.digest(capsys, "degree", "--nonorientable", "--genus", "3",
@@ -255,6 +289,18 @@ class TestGoldenOutput:
                            "--orientable", "--genus", "3", "--class", "4",
                            "--format", "json") == (
             "9b2e53087f4be57c26b9e17f5767edce08482b2b3e1355a245dd4cf6c0935b32")
+
+    def test_check_genus_three_plus_sample_class_four(self, capsys, tmp_path):
+        # plus sign: eigenvalue 1 at degree 2, dets -4, 0, 1961738743910400, 0
+        code, out, _ = run(capsys, "sample", "--genus", "3", "--sign", "plus",
+                           "--seed", "7", "--format", "json")
+        assert code == 0
+        path = tmp_path / "p3.txt"
+        path.write_text(json.loads(out)["matrix_text"])
+        assert self.digest(capsys, "check", "--matrix", str(path),
+                           "--orientable", "--genus", "3", "--class", "4",
+                           "--format", "json") == (
+            "c77fbd6ef4f1646f014ff7381931f470582c009e904e67ac300dfe7d84c5b229")
 
     def test_nonorientable_genus_four_degree(self, capsys):
         # Sylvester resultants with entries of about 3,400 bits

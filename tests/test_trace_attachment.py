@@ -3,7 +3,9 @@
 ``perfbench/tracer.py`` patches rinfty functions by name from outside;
 a kernel that is renamed or moved would silently drop its per-layer
 metrics.  One test resolves every wrapped name without patching, the
-other runs one traced benchmark request end to end.
+other runs traced benchmark requests end to end: a non-orientable
+``check`` that must record the tower and determinant spans, and an
+orientable one that must record none of the tower kernels.
 """
 
 import importlib
@@ -13,7 +15,7 @@ import os
 import subprocess
 import sys
 
-from rinfty.analysis import orientable_witness
+from rinfty.analysis import nonorientable_witness, orientable_witness
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKER = os.path.join(ROOT, "perfbench", "worker.py")
@@ -36,19 +38,36 @@ def test_every_traced_name_resolves():
         assert callable(found), f"{owner}.{attr}"
 
 
-def test_traced_check_records_every_kernel_span(tmp_path):
-    path = tmp_path / "s2.txt"
-    path.write_text(orientable_witness(2).to_text())
+KERNEL_SPANS = ("intlinalg.det", "intlinalg.snf", "freelie.project",
+                "freelie.tower")
+
+
+def _traced_check(path, *args):
     request = {"id": 0, "trace": 1,
-               "argv": ["check", "--matrix", str(path), "--orientable",
-                        "--genus", "2", "--class", "4", "--format", "json"]}
+               "argv": ["check", "--matrix", str(path), *args,
+                        "--format", "json"]}
     proc = subprocess.run([sys.executable, WORKER, json.dumps(request)],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["rc"] == 0
-    assert json.loads(report["stdout"])["verdict"] == "R infinite (degree 4)"
-    names = {span[0] for span in report["spans"]}
-    for layer in ("intlinalg.det", "intlinalg.snf", "freelie.project",
-                  "freelie.tower"):
-        assert layer in names
+    return json.loads(report["stdout"]), {span[0] for span in report["spans"]}
+
+
+def test_traced_check_records_every_kernel_span(tmp_path):
+    # towers and determinants run on the non-orientable path only
+    path = tmp_path / "w3.txt"
+    path.write_text(nonorientable_witness(2, 3)[0].to_text())
+    payload, names = _traced_check(path, "--nonorientable", "--genus", "3",
+                                   "--class", "4")
+    assert payload["verdict"] == "R infinite (degree 4)"
+    assert {"intlinalg.det", "freelie.tower"} <= names
+
+    # the orientable check reads the Labute character: no tower, no quotient
+    path = tmp_path / "s2.txt"
+    path.write_text(orientable_witness(2).to_text())
+    payload, names = _traced_check(path, "--orientable", "--genus", "2",
+                                   "--class", "4")
+    assert payload["verdict"] == "R infinite (degree 4)"
+    assert "intlinalg.charpoly" in names
+    assert not names & set(KERNEL_SPANS)
