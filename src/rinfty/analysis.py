@@ -388,13 +388,14 @@ class RinfVerdict:
         return True
 
 
-def surface_character(s, g):
-    """Admissibility sign of S and its ``SurfaceCharacter``."""
+def surface_character(s, g, degree=4):
+    """Admissibility sign of S and its ``SurfaceCharacter`` through ``degree``."""
     sign = admissibility(s, g)
     if sign == "none":
         raise ValueError("matrix is not admissible: S*Omega*S^T equals "
                          "neither Omega nor -Omega")
-    return sign, SurfaceCharacter(charpoly(s), 1 if sign == "plus" else -1)
+    return sign, SurfaceCharacter(charpoly(s), 1 if sign == "plus" else -1,
+                                  degree)
 
 
 def _orientable_witness_dets(g, witness, up_to_class):
@@ -473,7 +474,7 @@ def _sample_reports(g, samples, seed):
     return reports
 
 
-def rinf_degree(spec, samples=20, seed=0, max_m=DEFAULT_MAX_M, context=None):
+def rinf_degree(spec, samples=20, seed=0, max_m=DEFAULT_MAX_M):
     """Degree verdict with witness and structural certificates.
 
     Orientable: verdict 4, from (a) the explicit witness free of
@@ -483,8 +484,7 @@ def rinf_degree(spec, samples=20, seed=0, max_m=DEFAULT_MAX_M, context=None):
     determinant at degree 4), all read off ``SurfaceCharacter``.
     Non-orientable genus g+1: verdict 2g, from a witness passing the
     exact no-i-fold-product test through 2g-1 and the determinant-squared
-    product criterion at degree 2g; ``context`` may supply the rank-g Hall
-    table for its towers.
+    product criterion at degree 2g.
     """
     if spec.orientable:
         if spec.genus > ORIENTABLE_GENUS_CAP:
@@ -514,7 +514,7 @@ def rinf_degree(spec, samples=20, seed=0, max_m=DEFAULT_MAX_M, context=None):
         raise ResourceLimitError(
             f"non-orientable genus capped at {NONORIENTABLE_GENUS_CAP}")
     witness, m = nonorientable_witness(g, 2 * g - 1, max_m=max_m)
-    table = context if context is not None else build_hall_basis(g, 2 * g)
+    table = build_hall_basis(g, 2 * g)
     dets, kfold_vals, final_det = _nonorientable_witness_dets(
         g, witness, 2 * g - 1, table)
     if any(v == 0 for v in dets.values()) or any(v == 0 for v in kfold_vals.values()):

@@ -113,7 +113,7 @@ def check(matrix_path, orientable, genus, klass, fmt):
             f"matrix must be {n}x{n} for this surface, got {s.rows}x{s.cols}")
     if orientable:
         computed = min(klass, 4)
-        sign, char = surface_character(s, genus)
+        sign, char = surface_character(s, genus, computed)
         dets = {d: char.det(d) for d in range(1, computed + 1)}
         extra = {"admissibility": sign}
     else:

@@ -453,37 +453,61 @@ class SurfaceCharacter:
     metabelian truncation at degree 4 is L_4 / [L_2, L_2], and over Q
     [L_2, L_2] is Lambda^2 L_2.  The quotients are torsion-free, so these
     are the charpolys of the projected integer towers, with no tower,
-    Smith form or determinant built.  Degrees 1 through 4 are covered, the
-    classes every orientable verdict needs.
+    Smith form or determinant built.  Degrees 1 through ``degree`` (at most
+    4, the classes every orientable verdict needs) are covered; power sums
+    are computed only as far as the degrees asked for, and the same cap as
+    a rank-2g Hall table of class ``degree`` bounds the work.
     """
 
-    def __init__(self, p, eps):
+    def __init__(self, p, eps, degree=4):
         if eps not in (1, -1):
             raise ValueError("the relator sign must be +1 or -1")
+        if not 1 <= degree <= 4:
+            raise ValueError("degrees 1 through 4 are covered")
+        if p.degree ** degree > DEFAULT_TABLE_CAP:
+            raise ResourceLimitError(
+                f"surface character for r={p.degree}, degree {degree} "
+                f"exceeds cap {DEFAULT_TABLE_CAP}")
         self.p = p
         self.eps = eps
         self.ranks = {d: _surface_trace([p.degree] * (d + 1), 1, d, 1)
-                      for d in range(1, 5)}
-        self._t = _power_sums(p, 4 * self.ranks[4])
+                      for d in range(1, degree + 1)}
+        self._t = [0]
+        self._charpolys = {}
+
+    def _rank(self, d):
+        if d not in self.ranks:
+            raise ValueError(f"degree {d} is above the character's "
+                             f"degree {len(self.ranks)}")
+        return self.ranks[d]
+
+    def _sums(self, count):
+        if len(self._t) <= count:
+            self._t = _power_sums(self.p, count)
+        return self._t
 
     def trace(self, d, n):
         """tr(M_d^n) on the degree-d quotient."""
-        return _surface_trace(self._t, self.eps, d, n)
+        return _surface_trace(self._sums(d * n), self.eps, d, n)
 
-    @staticmethod
-    def _from_traces(rank, trace):
+    def _from_traces(self, rank, top, trace):
+        # trace(n) reads power sums up to top * n: compute them in one pass
+        self._sums(top * rank)
         s = [0] + [trace(n) for n in range(1, rank + 1)]
         return IntPoly(_monic_from_power_sums(s, rank))
 
     def charpoly(self, d):
         """charpoly(M_d) on the degree-d relator quotient."""
-        return self._from_traces(self.ranks[d], lambda n: self.trace(d, n))
+        if d not in self._charpolys:
+            self._charpolys[d] = self._from_traces(
+                self._rank(d), d, lambda n: self.trace(d, n))
+        return self._charpolys[d]
 
     def metabelian_charpoly(self):
         """charpoly(M_4) on the metabelian four-step truncation."""
-        r2 = self.ranks[2]
+        r2 = self._rank(2)
         return self._from_traces(
-            self.ranks[4] - r2 * (r2 - 1) // 2,
+            self._rank(4) - r2 * (r2 - 1) // 2, 4,
             lambda n: self.trace(4, n) - _exact_div(
                 self.trace(2, n) ** 2 - self.trace(2, 2 * n), 2))
 

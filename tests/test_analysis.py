@@ -351,6 +351,22 @@ class TestSurfaceCharacter:
         assert plus.ranks == minus.ranks == {1: 4, 2: 5, 3: 16, 4: 45}
         assert minus.metabelian_charpoly().degree == 35
 
+    def test_power_sums_stop_at_the_requested_degree(self):
+        _, char = surface_character(S2, 2, 2)
+        assert char.ranks == {1: 4, 2: 5}
+        assert char.charpoly(2) is char.charpoly(2)
+        assert len(char._t) == 2 * char.ranks[2] + 1
+        with pytest.raises(ValueError, match="above"):
+            char.det(3)
+        with pytest.raises(ValueError, match="above"):
+            char.metabelian_det()
+
+    def test_table_cap_guards_the_character(self):
+        identity = IntMatrix.identity(58)
+        assert surface_character(identity, 29, 2)[1].ranks[2] == 1652
+        with pytest.raises(ResourceLimitError):
+            surface_character(identity, 29, 4)
+
     def test_inadmissible_matrix_rejected(self):
         with pytest.raises(ValueError, match="not admissible"):
             surface_character(2 * IntMatrix.identity(4), 2)

@@ -134,6 +134,26 @@ class TestCheckCommand:
             code, _, err = run(capsys, *args)
             assert code == 0, err
 
+    def test_large_genus_hits_the_table_cap(self, capsys, tmp_path):
+        # (2g)^class above the Hall-table cap exits 2 before any arithmetic
+        path = tmp_path / "id.txt"
+        path.write_text(IntMatrix.identity(58).to_text())
+        code, _, err = run(capsys, "check", "--matrix", str(path),
+                           "--orientable", "--genus", "29", "--class", "4")
+        assert code == 2
+        assert "cap" in err
+
+    @pytest.mark.parametrize("klass,dets", [("1", "1: 0"),
+                                            ("2", "1: 0, 2: 0")])
+    def test_low_class_at_large_genus(self, capsys, tmp_path, klass, dets):
+        # only the power sums of the requested degrees are computed
+        path = tmp_path / "id.txt"
+        path.write_text(IntMatrix.identity(58).to_text())
+        code, out, err = run(capsys, "check", "--matrix", str(path),
+                             "--orientable", "--genus", "29", "--class", klass)
+        assert code == 0, err
+        assert f"det(I - M_i) by degree: {dets}\n" in out
+
     def test_degree_certificate_reverifies_through_check(self, capsys, tmp_path):
         code, out, _ = run(capsys, "degree", "--orientable", "--genus", "2",
                            "--samples", "2", "--format", "json")
