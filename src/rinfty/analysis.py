@@ -25,7 +25,10 @@ degree 2g for every automorphism.
 
 Randomized admissibility samples substitute for quantification over all
 automorphisms; every certificate records its seed and sample count and
-says so.
+says so.  A verdict is a deterministic function of its surface, sample
+count and seed, so re-verifying a certificate means recomputing it:
+``RinfVerdict.from_json_dict`` rebuilds the verdict through
+``rinf_degree`` and accepts only the identical document.
 """
 
 import json
@@ -260,7 +263,11 @@ def sample_nonadmissible(g, seed, bound=3):
 # ---------------------------------------------------------------------------
 
 class RinfVerdict:
-    """Degree verdict with its witness and structural certificates."""
+    """Degree verdict with its witness and structural certificates.
+
+    ``to_json_dict`` is the one certificate layout; ``from_json_dict``
+    re-verifies every field of a document by rebuilding the verdict.
+    """
 
     def __init__(self, spec, degree, witness_matrix, witness_class,
                  witness_dets, structural, samples, seed, witness_m=None,
@@ -280,14 +287,6 @@ class RinfVerdict:
         self.witness_kfold_at_one = dict(witness_kfold_at_one or {})
         self.note = SAMPLING_NOTE
 
-    @property
-    def witness_kind(self):
-        return "witness-not-rinf"
-
-    @property
-    def structural_kind(self):
-        return self.structural["kind"]
-
     def claim(self):
         if self.spec.orientable:
             return (f"the class-c quotients of the orientable genus-"
@@ -305,7 +304,7 @@ class RinfVerdict:
             "degree": self.degree,
             "claim": self.claim(),
             "witness": {
-                "kind": self.witness_kind,
+                "kind": "witness-not-rinf",
                 "class": self.witness_class,
                 "matrix": [list(r) for r in self.witness_matrix.entries],
                 "matrix_text": self.witness_matrix.to_text(),
@@ -324,68 +323,41 @@ class RinfVerdict:
                 str(i): v for i, v in sorted(self.witness_kfold_at_one.items())}
         return out
 
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True) + "\n"
-
     @staticmethod
-    def from_json_dict(data, verify=True):
-        if data.get("schema") != SCHEMA_VERDICT:
-            raise ValueError("not a verdict document")
-        spec = SurfaceSpec(data["surface"]["orientable"], data["surface"]["genus"])
-        verdict = RinfVerdict(
-            spec=spec,
-            degree=data["degree"],
-            witness_matrix=IntMatrix(data["witness"]["matrix"]),
-            witness_class=data["witness"]["class"],
-            witness_dets={int(k): v for k, v in data["witness"]["dets"].items()},
-            structural=data["structural"],
-            samples=data["samples"],
-            seed=data["seed"],
-            witness_m=data["witness"].get("m"),
-            witness_kfold_at_one={int(k): v for k, v in
-                                  data["witness"].get("kfold_at_one", {}).items()},
-        )
-        if verify:
-            verdict.reverify()
-        return verdict
+    def from_json_dict(data):
+        """The verdict rebuilt by ``rinf_degree`` from the document's surface,
+        samples and seed; ``ValueError`` unless its document equals ``data``.
 
-    def reverify(self):
-        """Recompute every certificate field from the embedded witness and seed."""
-        expected = 4 if self.spec.orientable else 2 * (self.spec.genus - 1)
-        if self.degree != expected:
-            raise ValueError(f"degree {self.degree!r} is not the verdict {expected}")
-        if (self.witness_class != expected - 1
-                or self.structural["class"] != expected):
-            raise ValueError("certificate classes do not match the degree")
-        if self.spec.orientable:
-            g = self.spec.genus
-            dets, met_det = _orientable_witness_dets(
-                g, self.witness_matrix, self.witness_class)
-            if dets != self.witness_dets:
-                raise ValueError("witness determinants fail re-verification")
-            if met_det != self.structural["witness_metabelian_det"]:
-                raise ValueError("metabelian determinant fails re-verification")
-            if (_sample_reports(g, self.samples, self.seed)
-                    != self.structural["sample_reports"]):
-                raise ValueError("sample reports fail re-verification")
-        else:
-            g = self.spec.genus - 1
-            if not isinstance(self.witness_m, int):
-                raise ValueError("witness twist exponent m is missing")
-            el, a = nonorientable_base_matrices(g, self.witness_m)
-            if self.witness_matrix != el @ a ** (g - 1):
-                raise ValueError("witness matrix is not L A^(g-1) for its m")
-            if self.structural["witness_determinant"] != self.witness_matrix.det():
-                raise ValueError("witness determinant fails re-verification")
-            dets, kfold_vals, final_det = _nonorientable_witness_dets(
-                g, self.witness_matrix, self.witness_class)
-            if dets != self.witness_dets:
-                raise ValueError("witness determinants fail re-verification")
-            if kfold_vals != self.witness_kfold_at_one:
-                raise ValueError("composed-spectrum values fail re-verification")
-            if final_det != self.structural["det_at_degree_2g"]:
-                raise ValueError("degree-2g determinant fails re-verification")
-        return True
+        An orientable document must hold one sample report per sample, so
+        its own size bounds the recomputation.
+        """
+        if not isinstance(data, dict) or data.get("schema") != SCHEMA_VERDICT:
+            raise ValueError("not a verdict document")
+        try:
+            orientable = data["surface"]["orientable"]
+            genus = data["surface"]["genus"]
+            samples, seed = data["samples"], data["seed"]
+            reports = (len(data["structural"]["sample_reports"]) if orientable
+                       else samples)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed verdict document: {exc!r}") from None
+        if not (isinstance(orientable, bool)
+                and all(type(v) is int for v in (genus, samples))):
+            raise ValueError("malformed verdict document: orientable must be "
+                             "a boolean, genus and samples integers")
+        if samples != reports:
+            raise ValueError(f"{samples} samples but {reports} sample reports")
+        rebuilt = rinf_degree(SurfaceSpec(orientable, genus), samples=samples,
+                              seed=seed)
+        try:  # as JSON text, so false is not 0 and 4.0 is not 4
+            identical = (json.dumps(data, sort_keys=True) == json.dumps(
+                rebuilt.to_json_dict(), sort_keys=True))
+        except (TypeError, ValueError):
+            identical = False
+        if not identical:
+            raise ValueError("document differs from the verdict recomputed "
+                             "from its surface, samples and seed")
+        return rebuilt
 
 
 def surface_character(s, g, degree=4):
@@ -404,9 +376,8 @@ def _orientable_witness_dets(g, witness, up_to_class):
     return dets, char.metabelian_det()
 
 
-def _nonorientable_witness_dets(g, witness, up_to_class, context=None):
-    table = context if context is not None else build_hall_basis(g, 2 * g)
-    tower = induced_tower(table, witness)
+def _nonorientable_witness_dets(g, witness, up_to_class):
+    tower = induced_tower(build_hall_basis(g, 2 * g), witness)
     dets = dict(fixed_point_dets(tower, None, range(1, up_to_class + 1)))
     p = charpoly(witness)
     kfold_vals = {i: kfold_value_at_one(p, i)
@@ -457,15 +428,21 @@ def _multiplicity_of_one(p):
     return mult
 
 
+def _alternating_samples(g, count, *key):
+    """``count`` admissible matrices, plus and minus in turn; sample ``idx``
+    is drawn with seed ``(*key, idx)``."""
+    for idx in range(count):
+        sign = "plus" if idx % 2 == 0 else "minus"
+        yield sample_admissible(g, sign, seed=(*key, idx), length=8)
+
+
 def _sample_reports(g, samples, seed):
     """Structural reports on ``samples`` seeded admissible matrices."""
     if samples < 1:
         raise ValueError("the structural certificate needs at least one "
                          f"sample, got {samples}")
     reports = []
-    for idx in range(samples):
-        sign = "plus" if idx % 2 == 0 else "minus"
-        s = sample_admissible(g, sign, seed=(seed, idx), length=8)
+    for s in _alternating_samples(g, samples, seed):
         rep = structural_sample_report(s, g)
         if rep["first_eigenvalue_one_degree"] is None:
             raise AssertionError("sampled admissible matrix escaped "
@@ -514,9 +491,8 @@ def rinf_degree(spec, samples=20, seed=0, max_m=DEFAULT_MAX_M):
         raise ResourceLimitError(
             f"non-orientable genus capped at {NONORIENTABLE_GENUS_CAP}")
     witness, m = nonorientable_witness(g, 2 * g - 1, max_m=max_m)
-    table = build_hall_basis(g, 2 * g)
     dets, kfold_vals, final_det = _nonorientable_witness_dets(
-        g, witness, 2 * g - 1, table)
+        g, witness, 2 * g - 1)
     if any(v == 0 for v in dets.values()) or any(v == 0 for v in kfold_vals.values()):
         raise AssertionError("witness unexpectedly hit eigenvalue 1 early")
     if final_det != 0:
@@ -543,10 +519,6 @@ def solvability_quotient_check(g, samples=10, seed=0):
     """
     if g < 2:
         raise ValueError("need g >= 2")
-    for idx in range(samples):
-        sign = "plus" if idx % 2 == 0 else "minus"
-        s = sample_admissible(g, sign, seed=(seed, "solv", idx), length=8)
-        rep = structural_sample_report(s, g)
-        if rep["first_eigenvalue_one_degree"] is None:
-            return False
-    return True
+    return all(structural_sample_report(s, g)["first_eigenvalue_one_degree"]
+               is not None
+               for s in _alternating_samples(g, samples, seed, "solv"))

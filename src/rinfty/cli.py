@@ -158,17 +158,18 @@ def witness(orientable, genus, klass, max_m, fmt):
     spec = _surface(orientable, genus)
     if orientable:
         w = orientable_witness(genus)
+        p = charpoly(w)
         payload = {"schema": SCHEMA_REPORT, "command": "witness",
                    "config": {"orientable": True, "genus": genus},
                    "matrix": [list(r) for r in w.entries],
                    "matrix_text": w.to_text(),
-                   "charpoly_coeffs": list(charpoly(w).coeffs),
+                   "charpoly_coeffs": list(p.coeffs),
                    "admissibility": admissibility(w, genus),
                    "claim": "no eigenvalue 1 through degree 3 on the "
                             "relator quotient"}
         lines = ["witness matrix:"]
         lines += ["  " + " ".join(str(x) for x in row) for row in w.entries]
-        lines.append(f"characteristic polynomial: {charpoly(w)}")
+        lines.append(f"characteristic polynomial: {p}")
         _emit(payload, fmt, lines)
         return
     g = genus - 1
@@ -177,22 +178,23 @@ def witness(orientable, genus, klass, max_m, fmt):
     if not 1 <= klass < 2 * g:
         raise click.ClickException(f"class must satisfy 1 <= class < {2 * g}")
     w, m = nonorientable_witness(g, klass, max_m=max_m)
+    p, det = charpoly(w), w.det()
     payload = {"schema": SCHEMA_REPORT, "command": "witness",
                "config": {"orientable": False, "genus": genus,
                           "class": klass, "max_m": max_m},
                "matrix": [list(r) for r in w.entries],
                "matrix_text": w.to_text(),
                "m": m,
-               "determinant": w.det(),
-               "charpoly_coeffs": list(charpoly(w).coeffs),
+               "determinant": det,
+               "charpoly_coeffs": list(p.coeffs),
                "claim": f"no i-fold product of eigenvalues equals 1 for "
                         f"i <= {klass}, so the class-{klass} quotient "
                         f"admits a finite-Reidemeister automorphism"}
     lines = ["witness matrix:"]
     lines += ["  " + " ".join(str(x) for x in row) for row in w.entries]
     lines += [f"twist exponent m: {m}",
-              f"determinant: {w.det()}",
-              f"characteristic polynomial: {charpoly(w)}"]
+              f"determinant: {det}",
+              f"characteristic polynomial: {p}"]
     _emit(payload, fmt, lines)
 
 

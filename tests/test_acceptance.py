@@ -44,7 +44,7 @@ def test_criterion_01_orientable_degree(capsys):
     assert all(v != 0 for v in dets.values())                 # (a)
     assert doc["witness"]["first_eigenvalue_one_degree"] is None
     assert doc["structural"]["witness_metabelian_det"] == 0   # (b)
-    assert elapsed_g2 < 60.0
+    assert elapsed_g2 < 5.0
 
     start = time.monotonic()
     code, out = _run_cli(capsys, "degree", "--orientable", "--genus", "3",
@@ -55,7 +55,7 @@ def test_criterion_01_orientable_degree(capsys):
     assert doc["degree"] == 4
     assert all(v != 0 for v in doc["witness"]["dets"].values())
     assert doc["structural"]["witness_metabelian_det"] == 0
-    assert elapsed_g3 < 600.0
+    assert elapsed_g3 < 5.0
     print(f"\ncriterion 1: PASS -- orientable degree 4 for genus 2 "
           f"({elapsed_g2:.1f}s) and genus 3 ({elapsed_g3:.1f}s)")
 
@@ -77,7 +77,7 @@ def test_criterion_02_nonorientable_degree(capsys):
         kfold = {int(k): v for k, v in witness["kfold_at_one"].items()}
         assert set(kfold) == set(range(1, 2 * g))
         assert all(v != 0 for v in kfold.values())
-        assert times[genus] < 60.0
+        assert times[genus] < 15.0
     print(f"\ncriterion 2: PASS -- non-orientable degrees 4 and 6 "
           f"({times[3]:.1f}s, {times[4]:.1f}s), witnesses exact")
 

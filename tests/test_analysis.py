@@ -1,6 +1,7 @@
 import pytest
 
-from rinfty.analysis import (RinfVerdict, SurfaceSpec, admissibility,
+from rinfty.analysis import (RinfVerdict, SurfaceSpec,
+                             _nonorientable_witness_dets, admissibility,
                              bigcondition_equivalence, is_automorphism_matrix,
                              nonorientable_base_matrices,
                              nonorientable_charpoly_formula,
@@ -22,10 +23,40 @@ S2 = orientable_witness(2)
 S_PM_I = IntMatrix([[0, 0, -1, 1], [0, -1, -2, 3], [2, 1, 2, -2], [1, 0, 1, -1]])
 
 
-def _set(doc, path, value):
-    for key in path[:-1]:
-        doc = doc[key]
-    doc[path[-1]] = value
+_DROP = object()
+
+
+def _edit(*changes):
+    """Document mutator setting each (path, value); ``_DROP`` deletes the key."""
+    def apply(doc):
+        for path, value in changes:
+            target = doc
+            for key in path[:-1]:
+                target = target[key]
+            if value is _DROP:
+                del target[path[-1]]
+            else:
+                target[path[-1]] = value
+        return doc
+    return apply
+
+
+def _twist(m):
+    """Mutator giving the genus-3 document a self-consistent witness of twist m."""
+    def apply(doc):
+        el, a = nonorientable_base_matrices(2, m)
+        w = el @ a
+        dets, kfold_vals, final_det = _nonorientable_witness_dets(2, w, 3)
+        return _edit(
+            (("witness", "m"), m),
+            (("witness", "matrix"), [list(r) for r in w.entries]),
+            (("witness", "matrix_text"), w.to_text()),
+            (("witness", "dets"), {str(d): v for d, v in dets.items()}),
+            (("witness", "kfold_at_one"),
+             {str(i): v for i, v in kfold_vals.items()}),
+            (("structural", "witness_determinant"), w.det()),
+            (("structural", "det_at_degree_2g"), final_det))(doc)
+    return apply
 
 
 class TestSurfaceSpec:
@@ -220,39 +251,69 @@ class TestRinfDegree:
     def test_verdict_json_roundtrip_and_reverify(self):
         verdict = rinf_degree(SurfaceSpec(True, 2), samples=2, seed=5)
         data = verdict.to_json_dict()
-        back = RinfVerdict.from_json_dict(data, verify=True)
+        back = RinfVerdict.from_json_dict(data)
         assert back.degree == 4
         tampered = verdict.to_json_dict()
         tampered["witness"]["dets"]["2"] = 7
         with pytest.raises(ValueError):
-            RinfVerdict.from_json_dict(tampered, verify=True)
+            RinfVerdict.from_json_dict(tampered)
 
-    @pytest.mark.parametrize("path, value", [
-        (("degree",), 3),
-        (("structural", "class"), 3),
-        (("structural", "sample_reports", 1, "first_eigenvalue_one_degree"),
-         None),
-        (("samples",), 1),
-    ], ids=["degree", "structural-class", "sample-report", "samples"])
-    def test_tampered_orientable_verdict_rejected(self, path, value):
+    @pytest.mark.parametrize("tamper", [
+        _edit((("degree",), 3)),
+        _edit((("structural", "class"), 3)),
+        _edit((("structural", "sample_reports", 1,
+                "first_eigenvalue_one_degree"), None)),
+        _edit((("samples",), 1)),
+        # the identity certifies nothing, yet its dets are self-consistent
+        _edit((("witness", "matrix"),
+               [list(r) for r in IntMatrix.identity(4).entries]),
+              (("witness", "matrix_text"), IntMatrix.identity(4).to_text()),
+              (("witness", "dets"), {"1": 0, "2": 0, "3": 0}),
+              (("witness", "first_eigenvalue_one_degree"), 1)),
+        _edit((("structural", "kind"), "made-up")),
+        _edit((("claim",), "the class-c quotients have R-infinity for c >= 2")),
+        _edit((("structural", "claim"), "every action is covered")),
+        _edit((("note",), "exhaustive")),
+        _edit((("structural", "witness_metabelian_det"), False)),
+        # two reports cannot back 10**9 samples; rejected without sampling
+        _edit((("samples",), 10 ** 9)),
+        _edit((("surface",), _DROP)),
+        _edit((("samples",), "2")),
+        lambda doc: [doc],
+    ], ids=["degree", "structural-class", "sample-report", "samples",
+            "identity-witness", "structural-kind", "claim", "structural-claim",
+            "note", "metabelian-det-false", "samples-1e9", "surface-missing",
+            "samples-string", "list-document"])
+    def test_tampered_orientable_verdict_rejected(self, tamper):
         data = rinf_degree(SurfaceSpec(True, 2), samples=2, seed=5).to_json_dict()
-        _set(data, path, value)
         with pytest.raises(ValueError):
-            RinfVerdict.from_json_dict(data, verify=True)
+            RinfVerdict.from_json_dict(tamper(data))
 
-    @pytest.mark.parametrize("path, value", [
-        (("degree",), 9),
-        (("structural", "class"), 5),
-        (("structural", "witness_determinant"), 5),
-        (("witness", "m"), 1),
-        (("witness", "m"), None),
+    @pytest.mark.parametrize("tamper", [
+        _edit((("degree",), 9)),
+        _edit((("structural", "class"), 5)),
+        _edit((("structural", "witness_determinant"), 5)),
+        _edit((("witness", "m"), 1)),
+        _edit((("witness", "m"), None)),
+        # the search yields only m = (k f(2,3))^3, the first accepted is 512
+        _twist(1), _twist(2), _twist(3), _twist(4),
+        _edit((("structural", "kind"), "made-up")),
+        _edit((("claim",), "the class-c quotients have R-infinity for c >= 2")),
+        _edit((("structural", "claim"), "every action is covered")),
+        _edit((("note",), "exhaustive")),
+        _edit((("structural", "det_at_degree_2g"), 0.0)),
+        _edit((("surface",), _DROP)),
+        _edit((("samples",), "0")),
+        lambda doc: [doc],
     ], ids=["degree", "structural-class", "witness-determinant", "m",
-            "m-missing"])
-    def test_tampered_nonorientable_verdict_rejected(self, path, value):
+            "m-missing", "twist-1", "twist-2", "twist-3", "twist-4",
+            "structural-kind", "claim", "structural-claim", "note",
+            "det-2g-float", "surface-missing", "samples-string",
+            "list-document"])
+    def test_tampered_nonorientable_verdict_rejected(self, tamper):
         data = rinf_degree(SurfaceSpec(False, 3)).to_json_dict()
-        _set(data, path, value)
         with pytest.raises(ValueError):
-            RinfVerdict.from_json_dict(data, verify=True)
+            RinfVerdict.from_json_dict(tamper(data))
 
     def test_nonorientable_genus_three(self):
         verdict = rinf_degree(SurfaceSpec(False, 3))
@@ -262,7 +323,7 @@ class TestRinfDegree:
         assert verdict.structural["det_at_degree_2g"] == 0
         assert all(v != 0 for v in verdict.witness_dets.values())
         assert all(v != 0 for v in verdict.witness_kfold_at_one.values())
-        RinfVerdict.from_json_dict(verdict.to_json_dict(), verify=True)
+        RinfVerdict.from_json_dict(verdict.to_json_dict())
 
     def test_nonorientable_genus_four(self):
         verdict = rinf_degree(SurfaceSpec(False, 4))
