@@ -20,15 +20,15 @@ print(__doc__)
 for genus in (3, 4):
     g = genus - 1
     c = 2 * g - 1
-    w, m = nonorientable_witness(g, c)
+    w, m, kfold = nonorientable_witness(g, c)
     p = charpoly(w)
     print(f"genus {genus} (rank {g}, witness class {c}): twist exponent m = {m}")
     print(f"  charpoly = {p}")
     assert p == nonorientable_charpoly_formula(g, m)
     print(f"  closed formula check: (1+x)(x-1)^{g-1} + sum (mx)^k (x-1)^...: ok")
     print(f"  det = {w.det()}, dominance test: {dominance_root_test(p)}")
-    for i in range(1, 2 * g + 1):
-        val = kfold_value_at_one(p, i)
+    kfold[2 * g] = kfold_value_at_one(p, 2 * g)
+    for i, val in kfold.items():
         tag = "ZERO (eigenvalue 1 appears)" if val == 0 else "nonzero"
         print(f"  i = {i}: product of all (1 - i-fold root products) is {tag}")
     table = build_hall_basis(g, 2 * g)

@@ -52,7 +52,7 @@ SAMPLING_NOTE = ("universal statements over all automorphisms are certified "
 
 DEFAULT_MAX_M = 10 ** 40
 ORIENTABLE_GENUS_CAP = 4
-NONORIENTABLE_GENUS_CAP = 5  # surface genus g+1 with g <= 4
+NONORIENTABLE_GENUS_CAP = 4  # surface genus g+1 with g <= 3
 
 
 class SurfaceSpec:
@@ -175,13 +175,15 @@ def nonorientable_charpoly_formula(g, m):
 
 
 def nonorientable_witness(g, c, max_m=DEFAULT_MAX_M):
-    """Witness matrix W = L A^(g-1) and its twist exponent m for class c < 2g.
+    """(W, m, kfold): witness W = L A^(g-1), twist exponent m, for class c < 2g.
 
     The exponent is searched over m = (k f(2,c))^c, k = 1, 2, ..., the
     values realizable by the twisted-shift automorphism construction; a
     candidate is accepted once its characteristic polynomial passes the
     coefficient-dominance test and no i-fold product of its roots equals
-    1 for any i <= c (exact composed-spectrum evaluation at 1).
+    1 for any i <= c (exact composed-spectrum evaluation at 1).  ``kfold``
+    maps each i <= c to ``kfold_value_at_one(charpoly(W), i)``; a rejected
+    candidate stops at its first zero.
     """
     if g < 2:
         raise ValueError("need g >= 2")
@@ -201,9 +203,14 @@ def nonorientable_witness(g, c, max_m=DEFAULT_MAX_M):
                                  "the closed formula")
         if w.det() != -1:
             raise AssertionError("witness determinant must be -1")
-        if dominance_root_test(p) and \
-                all(kfold_value_at_one(p, i) != 0 for i in range(1, c + 1)):
-            return w, m
+        if dominance_root_test(p):
+            kfold = {}
+            for i in range(1, c + 1):
+                kfold[i] = kfold_value_at_one(p, i)
+                if kfold[i] == 0:
+                    break
+            else:
+                return w, m, kfold
         k += 1
 
 
@@ -376,16 +383,6 @@ def _orientable_witness_dets(g, witness, up_to_class):
     return dets, char.metabelian_det()
 
 
-def _nonorientable_witness_dets(g, witness, up_to_class):
-    tower = induced_tower(build_hall_basis(g, 2 * g), witness)
-    dets = dict(fixed_point_dets(tower, None, range(1, up_to_class + 1)))
-    p = charpoly(witness)
-    kfold_vals = {i: kfold_value_at_one(p, i)
-                  for i in range(1, up_to_class + 1)}
-    _, final_det = next(fixed_point_dets(tower, None, [2 * g]))
-    return dets, kfold_vals, final_det
-
-
 def orientable_context(g, order="lex"):
     """(table, relator quotient, metabelian truncation) for genus g.
 
@@ -490,10 +487,11 @@ def rinf_degree(spec, samples=20, seed=0, max_m=DEFAULT_MAX_M):
     if spec.genus > NONORIENTABLE_GENUS_CAP:
         raise ResourceLimitError(
             f"non-orientable genus capped at {NONORIENTABLE_GENUS_CAP}")
-    witness, m = nonorientable_witness(g, 2 * g - 1, max_m=max_m)
-    dets, kfold_vals, final_det = _nonorientable_witness_dets(
-        g, witness, 2 * g - 1)
-    if any(v == 0 for v in dets.values()) or any(v == 0 for v in kfold_vals.values()):
+    witness, m, kfold_vals = nonorientable_witness(g, 2 * g - 1, max_m=max_m)
+    tower = induced_tower(build_hall_basis(g, 2 * g), witness)
+    dets = dict(fixed_point_dets(tower, None, range(1, 2 * g + 1)))
+    final_det = dets.pop(2 * g)
+    if 0 in dets.values() or 0 in kfold_vals.values():
         raise AssertionError("witness unexpectedly hit eigenvalue 1 early")
     if final_det != 0:
         raise AssertionError("degree-2g determinant must vanish")

@@ -177,7 +177,7 @@ def witness(orientable, genus, klass, max_m, fmt):
         klass = 2 * g - 1
     if not 1 <= klass < 2 * g:
         raise click.ClickException(f"class must satisfy 1 <= class < {2 * g}")
-    w, m = nonorientable_witness(g, klass, max_m=max_m)
+    w, m, _ = nonorientable_witness(g, klass, max_m=max_m)
     p, det = charpoly(w), w.det()
     payload = {"schema": SCHEMA_REPORT, "command": "witness",
                "config": {"orientable": False, "genus": genus,

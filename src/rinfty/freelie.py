@@ -49,14 +49,7 @@ def _mobius(n):
 
 def witt_dimension(r, d):
     """Rank of degree d of the free Lie ring on r generators."""
-    total = 0
-    e = 1
-    while e <= d:
-        if d % e == 0:
-            total += _mobius(e) * r ** (d // e)
-        e += 1
-    assert total % d == 0
-    return total // d
+    return _surface_trace([r] * (d + 1), 0, d, 1)
 
 
 def _vec_add(acc, vec, scale=1):
@@ -434,7 +427,9 @@ def _surface_trace(t, eps, d, n):
     """tr(M_d^n) on the surface Lie ring from the power sums t[j] = tr(S^j).
 
     d tr(M_d^n) = sum over e | d of mu(e) P_(d/e)(t_(ne), eps^(ne)), the
-    Moebius inversion of log 1/(1 - tr(S^n) t + eps^n t^2).
+    Moebius inversion of log 1/(1 - tr(S^n) t + eps^n t^2).  The free Lie
+    ring is the case eps = 0, since ``_lucas(a, 0, m) = a^m`` for m >= 1: at
+    S = I on r generators it is Witt's formula (``witt_dimension``).
     """
     total = sum(_mobius(e) * _lucas(t[n * e], eps ** (n * e), d // e)
                 for e in range(1, d + 1) if d % e == 0)

@@ -77,7 +77,7 @@ def test_criterion_02_nonorientable_degree(capsys):
         kfold = {int(k): v for k, v in witness["kfold_at_one"].items()}
         assert set(kfold) == set(range(1, 2 * g))
         assert all(v != 0 for v in kfold.values())
-        assert times[genus] < 15.0
+        assert times[genus] < 5.0
     print(f"\ncriterion 2: PASS -- non-orientable degrees 4 and 6 "
           f"({times[3]:.1f}s, {times[4]:.1f}s), witnesses exact")
 

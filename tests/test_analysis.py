@@ -1,7 +1,8 @@
 import pytest
 
-from rinfty.analysis import (RinfVerdict, SurfaceSpec,
-                             _nonorientable_witness_dets, admissibility,
+import rinfty.analysis
+import rinfty.freelie
+from rinfty.analysis import (RinfVerdict, SurfaceSpec, admissibility,
                              bigcondition_equivalence, is_automorphism_matrix,
                              nonorientable_base_matrices,
                              nonorientable_charpoly_formula,
@@ -11,7 +12,7 @@ from rinfty.analysis import (RinfVerdict, SurfaceSpec,
                              orientable_context, solvability_quotient_check,
                              structural_sample_report, surface_character)
 from rinfty.errors import ResourceLimitError
-from rinfty.freelie import induced_tower
+from rinfty.freelie import build_hall_basis, fixed_point_dets, induced_tower
 from rinfty.intlinalg import (IntMatrix, IntPoly, charpoly,
                               dominance_root_test, kfold_value_at_one,
                               poly_divides, reciprocal_symmetry_check)
@@ -46,7 +47,11 @@ def _twist(m):
     def apply(doc):
         el, a = nonorientable_base_matrices(2, m)
         w = el @ a
-        dets, kfold_vals, final_det = _nonorientable_witness_dets(2, w, 3)
+        tower = induced_tower(build_hall_basis(2, 4), w)
+        dets = dict(fixed_point_dets(tower, None, range(1, 5)))
+        final_det = dets.pop(4)
+        p = charpoly(w)
+        kfold_vals = {i: kfold_value_at_one(p, i) for i in (1, 2, 3)}
         return _edit(
             (("witness", "m"), m),
             (("witness", "matrix"), [list(r) for r in w.entries]),
@@ -195,13 +200,13 @@ class TestNonorientableWitness:
                 assert w.det() == -1
 
     def test_search_genus_two(self):
-        w, m = nonorientable_witness(2, 3)
+        w, m, kfold = nonorientable_witness(2, 3)
         f = padding_exponent(2, 3)
         assert m % (f ** 3) == 0 or any(m == (k * f) ** 3 for k in range(1, 5))
         p = charpoly(w)
         assert dominance_root_test(p)
-        for i in (1, 2, 3):
-            assert kfold_value_at_one(p, i) != 0
+        assert kfold == {i: kfold_value_at_one(p, i) for i in (1, 2, 3)}
+        assert 0 not in kfold.values()
         assert kfold_value_at_one(p, 4) == 0
 
     def test_search_cap(self):
@@ -329,6 +334,41 @@ class TestRinfDegree:
         verdict = rinf_degree(SurfaceSpec(False, 4))
         assert verdict.degree == 6
         assert set(verdict.witness_kfold_at_one) == {1, 2, 3, 4, 5}
+
+    def test_nonorientable_verdict_computes_each_quantity_once(self,
+                                                              monkeypatch):
+        # the witness search hands its k-fold values over; one tower pass
+        calls = {"kfold": 0, "tower": 0}
+
+        def counting(key, func):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(rinfty.analysis, "kfold_value_at_one",
+                            counting("kfold", kfold_value_at_one))
+        monkeypatch.setattr(rinfty.freelie.InducedTower, "__init__",
+                            counting("tower",
+                                     rinfty.freelie.InducedTower.__init__))
+        verdict = rinf_degree(SurfaceSpec(False, 4))
+        assert verdict.degree == 6
+        assert calls == {"kfold": 5, "tower": 1}
+
+    def test_nonorientable_genus_cap_stops_before_the_search(self,
+                                                             monkeypatch):
+        # genus 5 is past what finishes: refused before any witness work
+        data = rinf_degree(SurfaceSpec(False, 4)).to_json_dict()
+        data["surface"]["genus"] = 5
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the witness search started")
+
+        monkeypatch.setattr(rinfty.analysis, "nonorientable_witness", refuse)
+        with pytest.raises(ResourceLimitError):
+            rinf_degree(SurfaceSpec(False, 5))
+        with pytest.raises(ResourceLimitError):
+            RinfVerdict.from_json_dict(data)
 
     def test_resource_guards(self):
         with pytest.raises(ResourceLimitError):

@@ -52,6 +52,17 @@ class TestDegreeCommand:
         assert code == 2
         assert "cap" in err
 
+    def test_nonorientable_genus_cap(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the witness search started")
+
+        monkeypatch.setattr(rinfty.analysis, "nonorientable_witness", refuse)
+        code, out, err = run(capsys, "degree", "--nonorientable", "--genus",
+                             "5")
+        assert code == 2
+        assert out == ""
+        assert err == "resource cap: non-orientable genus capped at 4\n"
+
 
 class TestCheckCommand:
     @pytest.fixture()
@@ -248,7 +259,7 @@ class TestRejectedArguments:
 
 
 class TestGoldenOutput:
-    """Pinned sha256 of stdout for nine verdict commands.
+    """Pinned sha256 of stdout for twelve verdict commands.
 
     A change that keeps the verdicts must keep these bytes; a deliberate
     schema change updates the hashes together with the schema version.
@@ -327,3 +338,27 @@ class TestGoldenOutput:
         assert self.digest(capsys, "degree", "--nonorientable", "--genus", "4",
                            "--format", "json") == (
             "9b666647cb86ecf23453dd615fdc399797895e30f5b09752b0e07790ef9dca75")
+
+    def test_nonorientable_genus_four_degree_text(self, capsys):
+        # the text form, with its i-fold product line
+        assert self.digest(capsys, "degree", "--nonorientable", "--genus",
+                           "4") == (
+            "924a9df97ee5b4829e5edda17eaa5cfc0f4a43d85faa9d52be1d3597b51ca117")
+
+    def test_nonorientable_genus_four_witness(self, capsys):
+        assert self.digest(capsys, "witness", "--nonorientable", "--genus",
+                           "4", "--format", "json") == (
+            "1d7f03a684d13001d3aead1bb04454397b6ddde709ec7c9a0e56df57f93de8e7")
+
+    def test_check_nonorientable_genus_four_witness_class_six(self, capsys,
+                                                              tmp_path):
+        # free rank-3 towers through degree 6, the zero at degree 6
+        code, out, _ = run(capsys, "witness", "--nonorientable", "--genus",
+                           "4", "--format", "json")
+        assert code == 0
+        path = tmp_path / "w4.txt"
+        path.write_text(json.loads(out)["matrix_text"])
+        assert self.digest(capsys, "check", "--matrix", str(path),
+                           "--nonorientable", "--genus", "4", "--class", "6",
+                           "--format", "json") == (
+            "757b285518d66d24b053ddb2a15007d8eb619302c8e2f0853d16226005a64c8d")
