@@ -10,11 +10,11 @@ genus g+1 with g >= 2.  See the README for the library tour.
 from .errors import ResourceLimitError
 from .intlinalg import (IntMatrix, IntPoly, ReciprocalSymmetry,
                         SmithDecomposition, charpoly, dominance_root_test,
-                        kfold_product_spectrum, kfold_value_at_one, poly_gcd,
+                        kfold_product_spectrum, kfold_value_at_one,
                         poly_divides, product_spectrum,
                         reciprocal_symmetry_check, resultant,
                         smith_normal_form, spectrum_value_at_one,
-                        squarefree_part, sylvester_matrix)
+                        sylvester_matrix)
 from .freelie import (GradedQuotient, HallWord, InducedTower, StructureTable,
                       SurfaceCharacter, build_hall_basis,
                       eigenvalue_one_first_degree,

@@ -53,6 +53,9 @@ SAMPLING_NOTE = ("universal statements over all automorphisms are certified "
 DEFAULT_MAX_M = 10 ** 40
 ORIENTABLE_GENUS_CAP = 4
 NONORIENTABLE_GENUS_CAP = 4  # surface genus g+1 with g <= 3
+# degree g ** c of the ordered c-fold spectrum in the witness search; at
+# 4 ** 5 it answers in about 6 s on a 2-core machine, at 5 ** 5 in over 60 s
+WITNESS_SPECTRUM_CAP = 4 ** 5
 
 
 class SurfaceSpec:
@@ -189,6 +192,10 @@ def nonorientable_witness(g, c, max_m=DEFAULT_MAX_M):
         raise ValueError("need g >= 2")
     if not 1 <= c < 2 * g:
         raise ValueError(f"class must satisfy 1 <= c < 2g = {2 * g}")
+    if g ** c > WITNESS_SPECTRUM_CAP:
+        raise ResourceLimitError(
+            f"witness search for g={g}, class {c}: ordered spectrum degree "
+            f"{g ** c} exceeds cap {WITNESS_SPECTRUM_CAP}")
     f = padding_exponent(2, c)
     k = 1
     while True:

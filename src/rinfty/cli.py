@@ -33,13 +33,6 @@ def _emit(payload, fmt, text_lines):
             click.echo(line)
 
 
-def _surface(orientable, genus):
-    try:
-        return SurfaceSpec(orientable, genus)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
-
-
 _FORMAT = click.option("--format", "fmt", type=click.Choice(["text", "json"]),
                        default="text", show_default=True)
 
@@ -60,7 +53,7 @@ def cli():
 @_FORMAT
 def degree(orientable, genus, samples, seed, max_m, fmt):
     """Nilpotency degree at which every automorphism forces R-infinity."""
-    spec = _surface(orientable, genus)
+    spec = SurfaceSpec(orientable, genus)
     verdict = rinf_degree(spec, samples=samples, seed=seed, max_m=max_m)
     payload = {"schema": SCHEMA_REPORT, "command": "degree",
                "config": {"samples": samples, "seed": seed, "max_m": max_m},
@@ -99,7 +92,7 @@ def degree(orientable, genus, samples, seed, max_m, fmt):
 @_FORMAT
 def check(matrix_path, orientable, genus, klass, fmt):
     """Per-degree eigenvalue-1 report for one abelianized action."""
-    spec = _surface(orientable, genus)
+    spec = SurfaceSpec(orientable, genus)
     if klass < 1:
         raise click.ClickException("class must be at least 1")
     with open(matrix_path) as fh:
@@ -155,7 +148,7 @@ def check(matrix_path, orientable, genus, klass, fmt):
 @_FORMAT
 def witness(orientable, genus, klass, max_m, fmt):
     """Explicit matrix whose induced tower avoids eigenvalue 1."""
-    spec = _surface(orientable, genus)
+    SurfaceSpec(orientable, genus)  # rejects a genus with no such surface
     if orientable:
         w = orientable_witness(genus)
         p = charpoly(w)

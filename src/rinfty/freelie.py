@@ -13,11 +13,12 @@ the metabelian four-step truncation, that ideal plus the second derived
 ideal, which through class four is spanned by the brackets of pairs of
 degree-2 words.
 
-For the orientable relator quotient the towers are not needed to know
-M_d up to similarity over Q: the relator is inert, so the equivariant
-Labute character gives charpoly(M_d) from charpoly(S) alone
-(``SurfaceCharacter``).  The towers and quotients remain its oracle and
-the engine of the non-orientable zero tests.
+For the free ring and the orientable relator quotient the towers are
+not needed to know M_d up to similarity over Q: the relator is inert,
+so the equivariant Labute character gives charpoly(M_d) from
+charpoly(S) alone (``SurfaceCharacter``), and the free ring is its
+eps = 0 case, the equivariant Witt formula.  The towers and quotients
+remain its oracle and the engine of the non-orientable zero tests.
 
 Tables are built once and immutable afterwards; towers and quotients are
 pure derivations, so per-degree work can be farmed out freely.
@@ -437,35 +438,35 @@ def _surface_trace(t, eps, d, n):
 
 
 class SurfaceCharacter:
-    """Tower charpolys of an admissible S on the orientable relator quotient.
+    """Tower charpolys of S on the free Lie ring or a relator quotient.
 
     The surface relator is inert (Labute 1970), so over Q the enveloping
     algebra of L = L(V) / (relator) has the S-equivariant Hilbert series
     1 / (1 - tr(S) t + eps t^2), where eps = +-1 is the sign S puts on the
-    relator.  That fixes every tr(M_d^n) as a polynomial in the power sums
-    of charpoly(S), and Newton's identities turn the first D_d of them
-    into charpoly(M_d); D_d is the same formula at S = I, eps = +1.  The
-    metabelian truncation at degree 4 is L_4 / [L_2, L_2], and over Q
-    [L_2, L_2] is Lambda^2 L_2.  The quotients are torsion-free, so these
-    are the charpolys of the projected integer towers, with no tower,
-    Smith form or determinant built.  Degrees 1 through ``degree`` (at most
-    4, the classes every orientable verdict needs) are covered; power sums
-    are computed only as far as the degrees asked for, and the same cap as
-    a rank-2g Hall table of class ``degree`` bounds the work.
+    relator; eps = 0 is the free Lie ring L(V) itself, for any S
+    (Reutenauer, Free Lie Algebras, ch. 8).  That fixes every tr(M_d^n)
+    as a polynomial in the power sums of charpoly(S), and Newton's
+    identities turn the first D_d of them into charpoly(M_d); D_d is the
+    same formula at S = I with sign eps^2, Witt's numbers for the free
+    ring and Labute's for the surface.  The metabelian truncation at
+    degree 4 is L_4 / [L_2, L_2], and over Q [L_2, L_2] is Lambda^2 L_2.
+    The quotients are torsion-free, so these are the charpolys of the
+    projected integer towers, with no tower, Smith form or determinant
+    built.  Degrees 1 through ``degree`` are covered; power sums are
+    computed only as far as the degrees asked for, and the same cap as a
+    rank-r Hall table of class ``degree`` bounds the work.
     """
 
     def __init__(self, p, eps, degree=4):
-        if eps not in (1, -1):
-            raise ValueError("the relator sign must be +1 or -1")
-        if not 1 <= degree <= 4:
-            raise ValueError("degrees 1 through 4 are covered")
+        if eps not in (1, 0, -1):
+            raise ValueError("the relator sign must be +1, 0 or -1")
         if p.degree ** degree > DEFAULT_TABLE_CAP:
             raise ResourceLimitError(
                 f"surface character for r={p.degree}, degree {degree} "
                 f"exceeds cap {DEFAULT_TABLE_CAP}")
         self.p = p
         self.eps = eps
-        self.ranks = {d: _surface_trace([p.degree] * (d + 1), 1, d, 1)
+        self.ranks = {d: _surface_trace([p.degree] * (d + 1), eps ** 2, d, 1)
                       for d in range(1, degree + 1)}
         self._t = [0]
         self._charpolys = {}
@@ -522,6 +523,13 @@ def fixed_point_dets(tower, quotient, degrees):
     the oracle for ``SurfaceCharacter``: M_d is projected onto the
     quotient lattice modulo torsion when a quotient is supplied,
     otherwise it acts on the free per-degree lattice.
+
+    The non-orientable tests stay on towers although the free ring has a
+    character (eps = 0): on the genus-4 witness (rank 3, 2-core machine,
+    Python 3.11) degrees 1..6 take 0.08 s here and 0.83 s through the
+    character, and degree 6 alone 0.025 s against 1.07 s.  The sparse
+    det stops at the zero, while Newton runs 116 steps on power sums of
+    about 60,000 bits.
     """
     for d in degrees:
         mat = tower.matrix(d)

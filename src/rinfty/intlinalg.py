@@ -371,23 +371,6 @@ class IntPoly:
             return self
         return IntPoly((0,) * k + self.coeffs)
 
-    def derivative(self):
-        return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def content(self):
-        from math import gcd
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-        return g
-
-    def primitive_part(self):
-        g = self.content()
-        if g == 0:
-            return self
-        sign = 1 if self.leading > 0 else -1
-        return IntPoly([c // (sign * g) for c in self.coeffs])
-
     def __str__(self):
         if self.is_zero:
             return "0"
@@ -647,7 +630,7 @@ def smith_normal_form(m):
 
 
 # ---------------------------------------------------------------------------
-# polynomial gcd / resultant / division helpers
+# polynomial resultant / division helpers
 # ---------------------------------------------------------------------------
 
 def pseudo_divmod(num, den):
@@ -677,36 +660,6 @@ def pseudo_divmod(num, den):
             for j in range(dn):
                 rem[k + j] -= c * dc[j]
     return IntPoly(quo), IntPoly(rem)
-
-
-def poly_gcd(p, q):
-    """Primitive gcd of two integer polynomials (positive leading coeff)."""
-    from math import gcd as igcd
-    if p.is_zero:
-        return q.primitive_part() if not q.is_zero else IntPoly.zero()
-    if q.is_zero:
-        return p.primitive_part()
-    a, b = p.primitive_part(), q.primitive_part()
-    if a.degree < b.degree:
-        a, b = b, a
-    while not b.is_zero:
-        _, rem = pseudo_divmod(a, b)
-        a, b = b, rem.primitive_part()
-    cont = igcd(p.content(), q.content())
-    return cont * a
-
-
-def squarefree_part(p):
-    """Radical of p: product of its distinct irreducible factors, primitive."""
-    if p.is_zero:
-        raise ValueError("zero polynomial has no squarefree part")
-    g = poly_gcd(p, p.derivative())
-    if g.is_zero or g.degree == 0:
-        return p.primitive_part()
-    quo, rem = pseudo_divmod(p, g)
-    if not rem.is_zero:
-        raise AssertionError("gcd did not divide its polynomial")
-    return quo.primitive_part()
 
 
 def poly_divides(d, p):

@@ -9,14 +9,17 @@ p exceeding the class: every denominator in the collection polynomials
 is then invertible, the reduced coordinate maps define an honest finite
 group of order m^k, and twisted classes can be counted by orbit
 enumeration and compared against the exact linear-algebra predictions.
+
+The spectrum check holds each induced tower on the free Lie ring to its
+character: charpoly(M_i) computed from the tower must equal the one the
+equivariant Witt formula reads off charpoly(S), multiplicities included.
 """
 
 from math import gcd, lcm
 
 from .errors import ResourceLimitError
-from .intlinalg import (IntMatrix, charpoly, kfold_product_spectrum,
-                        poly_divides, smith_normal_form, squarefree_part)
-from .freelie import induced_tower
+from .intlinalg import IntMatrix, charpoly, smith_normal_form
+from .freelie import SurfaceCharacter, induced_tower
 from .mvpoly import MPoly
 from .nilpotent import free_nilpotent_group, ser_inv, ser_mul
 
@@ -165,7 +168,6 @@ class FiniteTwistedSetup:
         if len(images) != r or any(len(img) != self.k for img in images):
             raise ValueError(f"need {r} generator images of length {self.k}")
         self.images = tuple(images)
-        self._phi_basis = None
 
     @staticmethod
     def identity_twist(r, c, modulus, max_order=DEFAULT_MAX_ORDER):
@@ -195,37 +197,6 @@ class FiniteTwistedSetup:
         values = tuple(a) + (0,) * self.k
         return tuple(_eval_cleared(cl, values, self.modulus)
                      for cl in self._maps.inv)
-
-    def _phi_on_basis(self):
-        """Images of every Malcev basis element under the endomorphism."""
-        if self._phi_basis is None:
-            amb = self._maps.ambient
-            out = []
-            for (d, local) in amb.basis:
-                word = amb.table.words(d)[local]
-                out.append(self._word_image(word.tree))
-            self._phi_basis = out
-        return self._phi_basis
-
-    def _word_image(self, tree):
-        if isinstance(tree, int):
-            return self.images[tree]
-        u = self._word_image(tree[0])
-        v = self._word_image(tree[1])
-        ui = self.inverse(u)
-        vi = self.inverse(v)
-        return self.multiply(self.multiply(ui, vi), self.multiply(u, v))
-
-    def apply_endomorphism(self, coords):
-        """phi(x) for an arbitrary element, via its normal-form word."""
-        acc = (0,) * self.k
-        basis_images = self._phi_on_basis()
-        for j, e in enumerate(coords):
-            e = e % self.modulus
-            img = basis_images[j]
-            for _ in range(e):
-                acc = self.multiply(acc, img)
-        return acc
 
 
 def brute_force_twisted_classes(setup):
@@ -283,13 +254,12 @@ def brute_force_twisted_classes(setup):
 
 
 def spectrum_crosscheck(s, table, i):
-    """Degree-i tower spectrum divides the i-fold product spectrum.
+    """Degree-i tower charpoly equals the free Lie character's.
 
-    Checks that the squarefree part of charpoly(M_i) divides the
-    squarefree part of the i-fold composed product of charpoly(S): every
-    eigenvalue upstairs must be an i-fold product of base eigenvalues.
+    The free ring is the eps = 0 case of ``SurfaceCharacter``, so the
+    equality checks each eigenvalue of M_i, with its multiplicity,
+    against the i-fold products of base eigenvalues that the equivariant
+    Witt formula assigns to degree i.
     """
-    tower = induced_tower(table, s)
-    upstairs = squarefree_part(charpoly(tower.matrix(i)))
-    downstairs = squarefree_part(kfold_product_spectrum(charpoly(s), i))
-    return poly_divides(upstairs, downstairs)
+    upstairs = charpoly(induced_tower(table, s).matrix(i))
+    return upstairs == SurfaceCharacter(charpoly(s), 0, i).charpoly(i)

@@ -144,8 +144,8 @@ def test_criterion_06_spectrum_crosscheck_suite():
         i = rng.randint(2, 4)
         assert spectrum_crosscheck(s, tables[r], i)
         checked += 1
-    print(f"\ncriterion 6: PASS -- {checked} random matrices, tower spectra "
-          f"divide the i-fold product spectra")
+    print(f"\ncriterion 6: PASS -- {checked} random matrices, tower "
+          f"charpolys equal the free Lie character")
 
 
 def test_criterion_07_free_group_calibration():

@@ -217,6 +217,20 @@ class TestNonorientableWitness:
         with pytest.raises(ValueError):
             nonorientable_witness(2, 4)
 
+    def test_spectrum_degree_cap(self, monkeypatch):
+        # 4 ** 5 = 1024 starts the search, 4 ** 6 = 4096 is refused first
+        class Started(Exception):
+            pass
+
+        def started(*args):
+            raise Started
+
+        monkeypatch.setattr(rinfty.analysis, "padding_exponent", started)
+        with pytest.raises(Started):
+            nonorientable_witness(4, 5)
+        with pytest.raises(ResourceLimitError, match="4096"):
+            nonorientable_witness(4, 6)
+
 
 class TestStructuralReports:
     def test_plus_case_multiplicity(self):

@@ -203,6 +203,26 @@ class TestOtherCommands:
         assert doc["determinant"] == -1
         assert doc["m"] >= 1
 
+    def test_witness_genus_five_default_class_refused(self, capsys,
+                                                      monkeypatch):
+        # class 7 needs a 4 ** 7 ordered spectrum: refused before the search
+        def refuse(*args):
+            raise AssertionError("the witness search started")
+
+        monkeypatch.setattr(rinfty.analysis, "padding_exponent", refuse)
+        code, out, err = run(capsys, "witness", "--nonorientable", "--genus",
+                             "5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("resource cap: ")
+        assert err.count("\n") == 1
+
+    def test_witness_genus_five_class_four(self, capsys):
+        code, out, _ = run(capsys, "witness", "--nonorientable", "--genus",
+                           "5", "--class", "4")
+        assert code == 0
+        assert "determinant: -1" in out
+
     def test_crosscheck_spectrum(self, capsys):
         code, out, _ = run(capsys, "crosscheck", "--what", "spectrum",
                            "--rank", "2", "--class", "3", "--count", "5",
@@ -259,7 +279,7 @@ class TestRejectedArguments:
 
 
 class TestGoldenOutput:
-    """Pinned sha256 of stdout for twelve verdict commands.
+    """Pinned sha256 of stdout for twelve verdict commands and two crosschecks.
 
     A change that keeps the verdicts must keep these bytes; a deliberate
     schema change updates the hashes together with the schema version.
@@ -344,6 +364,16 @@ class TestGoldenOutput:
         assert self.digest(capsys, "degree", "--nonorientable", "--genus",
                            "4") == (
             "924a9df97ee5b4829e5edda17eaa5cfc0f4a43d85faa9d52be1d3597b51ca117")
+
+    def test_crosscheck_spectrum_json(self, capsys):
+        assert self.digest(capsys, "crosscheck", "--what", "spectrum",
+                           "--rank", "3", "--class", "4", "--count", "20",
+                           "--format", "json") == (
+            "39ffa0ddcd992611f8c30fe35074198e5f7a6bcbd1327df31b493f4eef07f12b")
+
+    def test_crosscheck_spectrum_text(self, capsys):
+        assert self.digest(capsys, "crosscheck", "--what", "spectrum") == (
+            "e5593a06d9aae380eb7661c354d92d25cb06b412878947dafffc422691bdffcb")
 
     def test_nonorientable_genus_four_witness(self, capsys):
         assert self.digest(capsys, "witness", "--nonorientable", "--genus",

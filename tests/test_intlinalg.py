@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from rinfty.intlinalg import (IntMatrix, IntPoly, charpoly,
                               dominance_root_test, kfold_product_spectrum,
-                              kfold_value_at_one, poly_divides, poly_gcd,
+                              kfold_value_at_one, poly_divides,
                               product_spectrum, pseudo_divmod,
                               reciprocal_symmetry_check, resultant,
-                              smith_normal_form,
-                              spectrum_value_at_one, squarefree_part,
+                              smith_normal_form, spectrum_value_at_one,
                               sylvester_matrix)
 
 
@@ -474,14 +473,6 @@ class TestDominance:
 
 
 class TestPolyHelpers:
-    def test_gcd_and_squarefree(self):
-        p = IntPoly([1, 1]) ** 2 * IntPoly([-3, 1])
-        q = IntPoly([1, 1]) * IntPoly([5, 1])
-        g = poly_gcd(p, q)
-        assert g == IntPoly([1, 1]) or g == -1 * IntPoly([1, 1])
-        sf = squarefree_part(p)
-        assert sf == IntPoly([1, 1]) * IntPoly([-3, 1])
-
     def test_divides(self):
         assert poly_divides(IntPoly([1, 1]), IntPoly([1, 2, 1]))
         assert not poly_divides(IntPoly([-1, 1]), IntPoly([1, 2, 1]))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import rinfty.oracle
 from rinfty.errors import ResourceLimitError
 from rinfty.freelie import build_hall_basis
 from rinfty.intlinalg import IntMatrix, smith_normal_form
@@ -94,16 +95,13 @@ class TestBruteForce:
             assert brute_force_twisted_classes(setup) == expected
 
     def test_invariance_under_inner_conjugation(self):
+        # under x -> h x h^-1, x ~ z x h z^-1 h^-1 is conjugacy of x h
         setup = FiniteTwistedSetup.identity_twist(2, 2, 3)
         base = brute_force_twisted_classes(setup)
         for h in [(1, 2, 1), (2, 0, 2), (0, 1, 0)]:
             hinv = setup.inverse(h)
-            images = []
-            for i in range(2):
-                gen = setup.images[i]
-                conj_in = setup.multiply(setup.multiply(hinv, gen), h)
-                img = setup.apply_endomorphism(conj_in)
-                images.append(setup.multiply(setup.multiply(h, img), hinv))
+            images = [setup.multiply(setup.multiply(h, gen), hinv)
+                      for gen in setup.images]
             other = FiniteTwistedSetup(2, 2, 3, images)
             assert brute_force_twisted_classes(other) == base
 
@@ -143,6 +141,31 @@ class TestSpectrumCrosscheck:
     def test_fibonacci_degree_three(self):
         table = build_hall_basis(2, 3)
         assert spectrum_crosscheck(IntMatrix([[0, 1], [1, 1]]), table, 3)
+
+    @pytest.mark.parametrize("rows", [
+        [[0, 0], [0, 0]],
+        [[1, 0], [0, 1]],
+        [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+        [[1, 2, 3], [2, 4, 6], [0, 1, -1]],
+    ], ids=["zero", "identity", "three-cycle", "singular"])
+    def test_special_matrices(self, rows):
+        table = build_hall_basis(len(rows), 4)
+        for i in (1, 2, 3, 4):
+            assert spectrum_crosscheck(IntMatrix(rows), table, i)
+
+    def test_wrong_multiplicity_rejected(self, monkeypatch):
+        # the true degree-3 eigenvalues are 2*2*3 = 12 and 2*3*3 = 18, and
+        # diag(12, 12) has the right eigenvalue set, but not its multiset
+        table = build_hall_basis(2, 3)
+        fake = IntMatrix([[12, 0], [0, 12]])
+
+        class FakeTower:
+            def matrix(self, d):
+                return fake
+
+        monkeypatch.setattr(rinfty.oracle, "induced_tower",
+                            lambda ring, base: FakeTower())
+        assert not spectrum_crosscheck(IntMatrix([[2, 0], [0, 3]]), table, 3)
 
     def test_random_suite(self):
         rng = random.Random(3)
