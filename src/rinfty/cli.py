@@ -16,13 +16,17 @@ from .analysis import (SurfaceSpec, admissibility, is_automorphism_matrix,
                        nonorientable_witness, orientable_witness, rinf_degree,
                        sample_admissible, surface_character)
 from .errors import ResourceLimitError
-from .freelie import build_hall_basis, fixed_point_dets, induced_tower
+from .freelie import (build_hall_basis, fixed_point_dets, induced_tower,
+                      witt_dimension)
 from .intlinalg import IntMatrix, charpoly
 from .nilpotent import free_nilpotent_group, power_padding
 from .oracle import (FiniteTwistedSetup, abelian_reidemeister_count,
                      brute_force_twisted_classes, spectrum_crosscheck)
 
 SCHEMA_REPORT = "cli-report/1"
+# rows of the top free tower degree in ``check --nonorientable``: rank 4 at
+# degree 6 (670 rows) answers in about 3 s, degree 7 (2,340) not in 150 s
+FREE_TOWER_ROW_CAP = 1000
 
 
 def _emit(payload, fmt, text_lines):
@@ -111,6 +115,11 @@ def check(matrix_path, orientable, genus, klass, fmt):
         extra = {"admissibility": sign}
     else:
         computed = min(klass, 2 * n)
+        rows = witt_dimension(n, computed)
+        if rows > FREE_TOWER_ROW_CAP:
+            raise ResourceLimitError(
+                f"free tower on rank {n} at degree {computed} has {rows} "
+                f"rows, above the cap {FREE_TOWER_ROW_CAP}")
         table = build_hall_basis(n, computed)
         extra = {"unimodular": is_automorphism_matrix(s)}
         dets = dict(fixed_point_dets(induced_tower(table, s), None,

@@ -10,12 +10,21 @@ is then invertible, the reduced coordinate maps define an honest finite
 group of order m^k, and twisted classes can be counted by orbit
 enumeration and compared against the exact linear-algebra predictions.
 
+The enumeration works with the coordinate maps over Z/m.  Each
+polynomial is reduced once per setup (coefficient times the inverse of
+its denominator mod m), and each generator move x -> z x phi(z)^-1 is
+composed once into k polynomials in the k coordinates of x.  Every
+coefficient lies in Z_(p), reduction Z_(p) -> Z/p^e is a ring map, and
+substitution commutes with ring maps, so the composed move equals
+multiplying step by step and reducing at each step.
+
 The spectrum check holds each induced tower on the free Lie ring to its
 character: charpoly(M_i) computed from the tower must equal the one the
 equivariant Witt formula reads off charpoly(S), multiplicities included.
 """
 
-from math import gcd, lcm
+from itertools import product
+from math import gcd, isqrt, lcm
 
 from .errors import ResourceLimitError
 from .intlinalg import IntMatrix, charpoly, smith_normal_form
@@ -40,25 +49,12 @@ def abelian_reidemeister_count(m):
     return smith_normal_form(delta).cokernel_order()
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _prime_power_base(m):
-    for p in range(2, m + 1):
-        if _is_prime(p) and m % p == 0:
-            q = m
-            while q % p == 0:
-                q //= p
-            return p if q == 1 else None
-    return None
+    """The prime p with m = p^e, or None; trial division up to sqrt(m)."""
+    p = next((d for d in range(2, isqrt(m) + 1) if m % d == 0), m)
+    while m % p == 0:
+        m //= p
+    return p if m == 1 else None
 
 
 class _CoordinateMaps:
@@ -115,19 +111,52 @@ def _coordinate_maps(r, c):
     return maps
 
 
-def _eval_cleared(cleared, values, m):
-    """Evaluate one cleared coordinate polynomial modulo m."""
+def _sparse(poly):
+    """{exps: coeff} as a tuple of (coeff, ((variable, exponent), ...))."""
+    return tuple((coeff, tuple((v, e) for v, e in enumerate(exps) if e))
+                 for exps, coeff in poly.items() if coeff)
+
+
+def _reduce(cleared, m):
+    """One cleared coordinate polynomial with coefficients coeff / den mod m."""
     den, terms = cleared
+    inv = pow(den, -1, m)
+    return _sparse({exps: coeff * inv % m for exps, coeff in terms.items()})
+
+
+def _eval_reduced(poly, values, m):
+    """Evaluate one reduced coordinate polynomial modulo m."""
     acc = 0
-    for exps, coeff in terms.items():
-        val = coeff
-        for x, e in zip(values, exps):
-            if e:
-                val *= x ** e
-        acc += val
-    if den == 1:
-        return acc % m
-    return (acc * pow(den, -1, m)) % m
+    for coeff, factors in poly:
+        for v, e in factors:
+            coeff *= values[v] ** e
+        acc += coeff
+    return acc % m
+
+
+def _poly_mul(a, b, m):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = (out.get(e, 0) + ca * cb) % m
+    return out
+
+
+def _substitute(poly, values, one, m):
+    """poly(values) mod m, where each value is an {exps: coeff} polynomial.
+
+    ``one`` is the exponent tuple of the constant monomial of the values.
+    """
+    out = {}
+    for coeff, factors in poly:
+        term = {one: coeff}
+        for v, e in factors:
+            for _ in range(e):
+                term = _poly_mul(term, values[v], m)
+        for exps, c in term.items():
+            out[exps] = (out.get(exps, 0) + c) % m
+    return out
 
 
 class FiniteTwistedSetup:
@@ -162,6 +191,8 @@ class FiniteTwistedSetup:
         if gcd(self._maps.denominators(), modulus) != 1:
             raise ValueError("collection denominators are not invertible")
         self.k = self._maps.ambient.k
+        self._mult = [_reduce(cl, modulus) for cl in self._maps.mult]
+        self._inv = [_reduce(cl, modulus) for cl in self._maps.inv]
         if images is None:
             images = [self._maps.ambient.generator(i).coords for i in range(r)]
         images = [tuple(x % modulus for x in img) for img in images]
@@ -190,20 +221,46 @@ class FiniteTwistedSetup:
 
     def multiply(self, a, b):
         values = tuple(a) + tuple(b)
-        return tuple(_eval_cleared(cl, values, self.modulus)
-                     for cl in self._maps.mult)
+        return tuple(_eval_reduced(poly, values, self.modulus)
+                     for poly in self._mult)
 
     def inverse(self, a):
         values = tuple(a) + (0,) * self.k
-        return tuple(_eval_cleared(cl, values, self.modulus)
-                     for cl in self._maps.inv)
+        return tuple(_eval_reduced(poly, values, self.modulus)
+                     for poly in self._inv)
+
+    def move_maps(self):
+        """Per generator z_i, the k polynomials of x -> z_i x phi(z_i)^-1.
+
+        Two substitutions into the reduced multiplication polynomials:
+        first z_i into the left factor, then that result and the constant
+        phi(z_i)^-1 into the left and right factors.
+        """
+        k, m = self.k, self.modulus
+        one = (0,) * k
+        xs = [{tuple(int(i == j) for i in range(k)): 1} for j in range(k)]
+
+        def constants(coords):
+            return [{one: x % m} if x % m else {} for x in coords]
+
+        maps = []
+        for i in range(self.r):
+            z = self._maps.ambient.generator(i).coords
+            zx = [_substitute(poly, constants(z) + xs, one, m)
+                  for poly in self._mult]
+            w = constants(self.inverse(self.images[i]))
+            maps.append([_sparse(_substitute(poly, zx + w, one, m))
+                          for poly in self._mult])
+        return maps
 
 
 def brute_force_twisted_classes(setup):
     """Exact orbit count of x ~ z x phi(z)^-1 by generator-move union-find.
 
     The relation is the orbit partition of a group action, so moves by
-    the r generators already connect every orbit.
+    the r generators already connect every orbit.  Each element, walked
+    in index order, is joined to its r images under the composed move
+    maps of ``FiniteTwistedSetup.move_maps``.
     """
     if setup.r == 0:
         return 1
@@ -211,8 +268,7 @@ def brute_force_twisted_classes(setup):
     if order > setup.max_order:
         raise ResourceLimitError(
             f"group order {order} exceeds the bound {setup.max_order}")
-    m = setup.modulus
-    k = setup.k
+    m, k = setup.modulus, setup.k
     parent = list(range(order))
 
     def find(x):
@@ -221,35 +277,17 @@ def brute_force_twisted_classes(setup):
             x = parent[x]
         return x
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    def encode(coords):
-        acc = 0
-        for x in reversed(coords):
-            acc = acc * m + x
-        return acc
-
-    def decode(idx):
-        out = []
-        for _ in range(k):
-            idx, rem = divmod(idx, m)
-            out.append(rem)
-        return tuple(out)
-
-    movers = []
-    for i in range(setup.r):
-        z = tuple(setup._maps.ambient.generator(i).coords)
-        phi_z_inv = setup.inverse(setup.images[i])
-        movers.append((z, phi_z_inv))
-
-    for idx in range(order):
-        x = decode(idx)
-        for z, phi_z_inv in movers:
-            moved = setup.multiply(setup.multiply(z, x), phi_z_inv)
-            union(idx, encode(moved))
+    # element x has index sum_j x_j m^(k-1-j), the order of product()
+    weights = [m ** (k - 1 - j) for j in range(k)]
+    moves = [list(zip(weights, polys)) for polys in setup.move_maps()]
+    for idx, x in enumerate(product(range(m), repeat=k)):
+        for move in moves:
+            target = 0
+            for weight, poly in move:
+                target += weight * _eval_reduced(poly, x, m)
+            rx, ry = find(idx), find(target)
+            if rx != ry:
+                parent[ry] = rx
     return sum(1 for idx in range(order) if find(idx) == idx)
 
 

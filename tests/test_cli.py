@@ -1,12 +1,13 @@
 import hashlib
 import json
+import time
 
 import pytest
 
 import rinfty.analysis
 import rinfty.cli
 import rinfty.freelie
-from rinfty.analysis import SurfaceSpec
+from rinfty.analysis import SurfaceSpec, nonorientable_base_matrices
 from rinfty.cli import main
 from rinfty.intlinalg import IntMatrix
 
@@ -165,6 +166,38 @@ class TestCheckCommand:
         assert code == 0, err
         assert f"det(I - M_i) by degree: {dets}\n" in out
 
+    @pytest.fixture()
+    def genus_five_file(self, tmp_path):
+        # L A^3 at twist exponent m = 1 on the rank-4 lattice
+        el, a = nonorientable_base_matrices(4, 1)
+        path = tmp_path / "la3.txt"
+        path.write_text((el @ a @ a @ a).to_text())
+        return str(path)
+
+    @pytest.mark.parametrize("klass,rows", [("7", 2340), ("8", 8160)])
+    def test_nonorientable_free_tower_cap(self, capsys, genus_five_file,
+                                          monkeypatch, klass, rows):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a Hall table above the row cap")
+
+        monkeypatch.setattr(rinfty.cli, "build_hall_basis", refuse)
+        code, out, err = run(capsys, "check", "--matrix", genus_five_file,
+                             "--nonorientable", "--genus", "5",
+                             "--class", klass)
+        assert code == 2
+        assert out == ""
+        assert err == (f"resource cap: free tower on rank 4 at degree "
+                       f"{klass} has {rows} rows, above the cap 1000\n")
+
+    def test_nonorientable_genus_five_class_six(self, capsys,
+                                                genus_five_file):
+        # 670 rows at degree 6, under the cap: the check still answers
+        code, out, err = run(capsys, "check", "--matrix", genus_five_file,
+                             "--nonorientable", "--genus", "5",
+                             "--class", "6")
+        assert code == 0, err
+        assert out.endswith("R finite (no eigenvalue 1 through degree 6)\n")
+
     def test_degree_certificate_reverifies_through_check(self, capsys, tmp_path):
         code, out, _ = run(capsys, "degree", "--orientable", "--genus", "2",
                            "--samples", "2", "--format", "json")
@@ -278,8 +311,32 @@ class TestRejectedArguments:
         assert "Traceback" not in err
 
 
+class TestCrosscheckModulus:
+    @pytest.mark.parametrize("modulus", ["1000003", "1000000007"])
+    def test_large_prime_modulus_hits_the_order_cap(self, capsys, modulus):
+        # the base prime is found by trial division up to sqrt(modulus)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "crosscheck", "--what", "twisted",
+                             "--rank", "2", "--class", "2",
+                             "--modulus", modulus)
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        assert out == ""
+        assert err.startswith("resource cap: group order ")
+        assert err.count("\n") == 1
+
+    def test_composite_modulus_rejected(self, capsys):
+        modulus = str(1000003 * 1000033)
+        code, out, err = run(capsys, "crosscheck", "--what", "twisted",
+                             "--rank", "2", "--class", "2",
+                             "--modulus", modulus)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: modulus {modulus} is not a prime power\n"
+
+
 class TestGoldenOutput:
-    """Pinned sha256 of stdout for twelve verdict commands and two crosschecks.
+    """Pinned sha256 of stdout for twelve verdict commands and five crosschecks.
 
     A change that keeps the verdicts must keep these bytes; a deliberate
     schema change updates the hashes together with the schema version.
@@ -374,6 +431,26 @@ class TestGoldenOutput:
     def test_crosscheck_spectrum_text(self, capsys):
         assert self.digest(capsys, "crosscheck", "--what", "spectrum") == (
             "e5593a06d9aae380eb7661c354d92d25cb06b412878947dafffc422691bdffcb")
+
+    def test_crosscheck_twisted_json(self, capsys):
+        # the oracle workload's request: 745 classes in a group of order 5^6
+        assert self.digest(capsys, "crosscheck", "--what", "twisted",
+                           "--rank", "3", "--class", "2", "--modulus", "5",
+                           "--format", "json") == (
+            "d6a15c2442500882d987a422549ad6e107b24bc918c0c2ef1fdf2db367e532e9")
+
+    def test_crosscheck_twisted_text(self, capsys):
+        assert self.digest(capsys, "crosscheck", "--what", "twisted",
+                           "--rank", "3", "--class", "2", "--modulus", "5") == (
+            "7e18ac7486195a27494baffc54d462f10b936ab5cb94d22ac1cc19dce62f985a")
+
+    def test_crosscheck_twisted_matrix_json(self, capsys, tmp_path):
+        path = tmp_path / "fib.txt"
+        path.write_text(IntMatrix([[0, 1], [1, 1]]).to_text())
+        assert self.digest(capsys, "crosscheck", "--what", "twisted",
+                           "--matrix", str(path), "--modulus", "5",
+                           "--format", "json") == (
+            "b1bd2c1af2888125b859b30e244c7f0f0d6a1b6e838cee3cbf659ef8f0d2ec4c")
 
     def test_nonorientable_genus_four_witness(self, capsys):
         assert self.digest(capsys, "witness", "--nonorientable", "--genus",

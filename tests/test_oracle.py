@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -6,6 +7,7 @@ import rinfty.oracle
 from rinfty.errors import ResourceLimitError
 from rinfty.freelie import build_hall_basis
 from rinfty.intlinalg import IntMatrix, smith_normal_form
+from rinfty.nilpotent import free_nilpotent_group
 from rinfty.oracle import (FiniteTwistedSetup, abelian_reidemeister_count,
                            brute_force_twisted_classes, spectrum_crosscheck)
 
@@ -118,6 +120,117 @@ class TestBruteForce:
         for d in snf.diagonal:
             abelian *= gcd(d, 5)
         assert abelian == 5  # degree-1 classes; commutator direction is free
+
+
+def stepwise_classes(setup):
+    """Reference count: union-find over z * x * phi(z)^-1, one step at a time.
+
+    Two reduced multiplications per element and generator, the way the
+    oracle counted before its moves were composed into single maps.
+    """
+    if setup.r == 0:
+        return 1
+    m = setup.modulus
+    elements = list(product(range(m), repeat=setup.k))
+    index = {x: i for i, x in enumerate(elements)}
+    parent = list(range(len(elements)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    ambient = free_nilpotent_group(setup.r, setup.c)
+    movers = [(ambient.generator(i).coords, setup.inverse(img))
+              for i, img in enumerate(setup.images)]
+    for x in elements:
+        for z, w in movers:
+            moved = setup.multiply(setup.multiply(z, x), w)
+            rx, ry = find(index[x]), find(index[moved])
+            if rx != ry:
+                parent[ry] = rx
+    return sum(1 for i in range(len(elements)) if find(i) == i)
+
+
+# (rank, class, modulus) with base prime above the class, moduli 3, 5, 7,
+# 9, 25, classes 1-3, ranks 2-3 and group order at most 5^5
+SMALL_CASES = [
+    (r, c, m) for r in (2, 3) for c in (1, 2, 3) for m in (3, 5, 7, 9, 25)
+    if {3: 3, 5: 5, 7: 7, 9: 3, 25: 5}[m] > c
+    and m ** free_nilpotent_group(r, c).k <= 5 ** 5]
+
+
+class TestComposedMoves:
+    def test_case_grid(self):
+        assert len(SMALL_CASES) == 15
+        assert (2, 3, 5) in SMALL_CASES and (3, 2, 3) in SMALL_CASES
+
+    @pytest.mark.parametrize("r,c,m", SMALL_CASES)
+    def test_identity_twist_matches_stepwise(self, r, c, m):
+        setup = FiniteTwistedSetup.identity_twist(r, c, m)
+        assert brute_force_twisted_classes(setup) == stepwise_classes(setup)
+
+    @pytest.mark.parametrize("r,c,m", SMALL_CASES)
+    def test_random_images_match_stepwise(self, r, c, m):
+        rng = random.Random(100 * r + 10 * c + m)
+        k = free_nilpotent_group(r, c).k
+        for _ in range(2):
+            images = [tuple(rng.randrange(m) for _ in range(k))
+                      for _ in range(r)]
+            setup = FiniteTwistedSetup(r, c, m, images)
+            assert (brute_force_twisted_classes(setup)
+                    == stepwise_classes(setup))
+
+    @pytest.mark.parametrize("r,m", [(r, m) for r, c, m in SMALL_CASES
+                                     if c == 1])
+    def test_abelian_matrices_match_stepwise(self, r, m):
+        rng = random.Random(r * m)
+        for _ in range(3):
+            mat = IntMatrix([[rng.randint(-3, 3) for _ in range(r)]
+                             for _ in range(r)])
+            setup = FiniteTwistedSetup.from_abelian_matrix(mat, m)
+            assert (brute_force_twisted_classes(setup)
+                    == stepwise_classes(setup))
+
+    @pytest.mark.parametrize("r,p", [(2, 3), (2, 5), (2, 7), (3, 3), (3, 5)])
+    def test_class_two_closed_form(self, r, p):
+        # conjugacy classes of N_{r,2} mod p: p^m + p^(m+1) - p^(m-r+1)
+        # with m = r(r-1)/2 commutator coordinates
+        m = r * (r - 1) // 2
+        setup = FiniteTwistedSetup.identity_twist(r, 2, p)
+        assert brute_force_twisted_classes(setup) == (
+            p ** m + p ** (m + 1) - p ** (m - r + 1))
+
+    def test_multiply_matches_exact_group_law(self):
+        rng = random.Random(5)
+        for r, c, m in [(2, 3, 5), (3, 2, 9), (2, 4, 25)]:
+            ambient = free_nilpotent_group(r, c)
+            setup = FiniteTwistedSetup.identity_twist(r, c, m)
+            for _ in range(10):
+                a = [rng.randint(-6, 6) for _ in range(ambient.k)]
+                b = [rng.randint(-6, 6) for _ in range(ambient.k)]
+                exact = ambient.multiply_coords(a, b)
+                assert setup.multiply([x % m for x in a], [x % m for x in b]) \
+                    == tuple(x % m for x in exact)
+                assert setup.inverse([x % m for x in a]) == tuple(
+                    x % m for x in ambient.inverse_coords(a))
+
+    def test_few_group_operations_per_count(self, monkeypatch):
+        # the moves are composed once per generator; the parent path made
+        # 2 * 3 * 5^6 = 93,750 multiplications on this setup
+        setup = FiniteTwistedSetup.identity_twist(3, 2, 5)
+        calls = []
+        for name in ("multiply", "inverse"):
+            original = getattr(FiniteTwistedSetup, name)
+
+            def counted(*args, original=original, name=name):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(FiniteTwistedSetup, name, counted)
+        assert brute_force_twisted_classes(setup) == 745
+        assert len(calls) <= 2 * setup.r
 
 
 def _random_unimodular(rng, n):
