@@ -12,21 +12,27 @@ import sys
 
 import click
 
-from .analysis import (SurfaceSpec, admissibility, is_automorphism_matrix,
-                       nonorientable_witness, orientable_witness, rinf_degree,
-                       sample_admissible, surface_character)
+from .analysis import (DEFAULT_MAX_M, SurfaceSpec, admissibility,
+                       is_automorphism_matrix, nonorientable_witness,
+                       orientable_witness, rinf_degree, sample_admissible,
+                       surface_character)
 from .errors import ResourceLimitError
-from .freelie import (build_hall_basis, fixed_point_dets, induced_tower,
-                      witt_dimension)
+from .freelie import (build_hall_basis, check_hall_table, fixed_point_dets,
+                      induced_tower, witt_dimension)
 from .intlinalg import IntMatrix, charpoly
 from .nilpotent import free_nilpotent_group, power_padding
-from .oracle import (FiniteTwistedSetup, abelian_reidemeister_count,
-                     brute_force_twisted_classes, spectrum_crosscheck)
+from .oracle import (DEFAULT_MAX_ORDER, FiniteTwistedSetup,
+                     abelian_reidemeister_count, brute_force_twisted_classes,
+                     spectrum_crosscheck)
 
 SCHEMA_REPORT = "cli-report/1"
 # rows of the top free tower degree in ``check --nonorientable``: rank 4 at
 # degree 6 (670 rows) answers in about 3 s, degree 7 (2,340) not in 150 s
 FREE_TOWER_ROW_CAP = 1000
+# rows of the tower matrix in ``crosscheck --what spectrum``: one charpoly
+# of 70 rows (rank 6, degree 3) takes about 1.2 s, 99 rows 2.1 s, 112 rows
+# 7.2 s (2-core x86, Python 3.11)
+SPECTRUM_ROW_CAP = 70
 
 
 def _emit(payload, fmt, text_lines):
@@ -52,7 +58,7 @@ def cli():
 @click.option("--samples", type=click.IntRange(min=1), default=10,
               show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--max-m", type=int, default=10 ** 40, show_default=False,
+@click.option("--max-m", type=int, default=DEFAULT_MAX_M, show_default=False,
               help="cap for the non-orientable twist-exponent search")
 @_FORMAT
 def degree(orientable, genus, samples, seed, max_m, fmt):
@@ -153,7 +159,7 @@ def check(matrix_path, orientable, genus, klass, fmt):
 @click.option("--genus", type=int, required=True)
 @click.option("--class", "klass", type=int, default=None,
               help="quotient class for the non-orientable witness search")
-@click.option("--max-m", type=int, default=10 ** 40)
+@click.option("--max-m", type=int, default=DEFAULT_MAX_M)
 @_FORMAT
 def witness(orientable, genus, klass, max_m, fmt):
     """Explicit matrix whose induced tower avoids eigenvalue 1."""
@@ -203,17 +209,15 @@ def witness(orientable, genus, klass, max_m, fmt):
 @cli.command("lie-dims")
 @click.option("--rank", type=int, required=True)
 @click.option("--class", "klass", type=int, required=True)
-@click.option("--order", type=click.Choice(["lex", "alt"]), default="lex",
-              show_default=True)
 @_FORMAT
-def lie_dims(rank, klass, order, fmt):
+def lie_dims(rank, klass, fmt):
     """Per-degree ranks of the free Lie ring (Witt numbers)."""
     if rank < 1 or klass < 1:
         raise click.ClickException("rank and class must be at least 1")
-    table = build_hall_basis(rank, klass, order=order)
-    dims = table.dims()
+    check_hall_table(rank, klass)
+    dims = [witt_dimension(rank, d) for d in range(1, klass + 1)]
     payload = {"schema": SCHEMA_REPORT, "command": "lie-dims",
-               "config": {"rank": rank, "class": klass, "order": order},
+               "config": {"rank": rank, "class": klass},
                "dims": dims}
     _emit(payload, fmt, [str(dims)])
 
@@ -260,17 +264,24 @@ def padding(rank, klass, n, fmt):
 @click.option("--matrix", "matrix_path", type=click.Path(exists=True,
               dir_okay=False), default=None,
               help="abelian twist matrix for the twisted mode")
-@click.option("--max-order", type=int, default=10 ** 6, show_default=True)
+@click.option("--max-order", type=int, default=DEFAULT_MAX_ORDER,
+              show_default=True)
 @_FORMAT
 def crosscheck(what, rank, klass, count, degree, seed, modulus, matrix_path,
                max_order, fmt):
     """Brute-force oracles versus the exact linear-algebra pipeline."""
     import random as _random
     if what == "spectrum":
-        table = build_hall_basis(rank, klass)
+        check_hall_table(rank, klass)
         deg = degree if degree is not None else klass
         if not 1 <= deg <= klass:
             raise click.ClickException("degree must lie in 1..class")
+        rows = witt_dimension(rank, deg)
+        if rows > SPECTRUM_ROW_CAP:
+            raise ResourceLimitError(
+                f"free tower on rank {rank} at degree {deg} has {rows} rows, "
+                f"above the spectrum cap {SPECTRUM_ROW_CAP}")
+        table = build_hall_basis(rank, klass)
         rng = _random.Random(seed)
         failures = []
         for idx in range(count):

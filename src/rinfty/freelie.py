@@ -53,6 +53,15 @@ def witt_dimension(r, d):
     return _surface_trace([r] * (d + 1), 0, d, 1)
 
 
+def check_hall_table(r, c):
+    """Refuse a rank-r Hall table of class c that is invalid or over the cap."""
+    if r < 1 or c < 1:
+        raise ValueError("need r >= 1 and c >= 1")
+    if r ** c > DEFAULT_TABLE_CAP:
+        raise ResourceLimitError(
+            f"hall table for r={r}, c={c} exceeds cap {DEFAULT_TABLE_CAP}")
+
+
 def _vec_add(acc, vec, scale=1):
     for k, v in vec.items():
         nv = acc.get(k, 0) + scale * v
@@ -88,13 +97,9 @@ class StructureTable:
     """
 
     def __init__(self, r, c, order="lex"):
-        if r < 1 or c < 1:
-            raise ValueError("need r >= 1 and c >= 1")
+        check_hall_table(r, c)
         if order not in HALL_ORDERS:
             raise ValueError(f"unknown hall order {order!r}")
-        if r ** c > DEFAULT_TABLE_CAP:
-            raise ResourceLimitError(
-                f"hall table for r={r}, c={c} exceeds cap {DEFAULT_TABLE_CAP}")
         self.r = r
         self.c = c
         self.order = order

@@ -470,17 +470,6 @@ class SmithDecomposition:
     def __setattr__(self, name, value):
         raise AttributeError("SmithDecomposition is immutable")
 
-    def cokernel_order(self):
-        """Order of coker(M) as a count, or None when infinite."""
-        if self.rank < self.d.cols:
-            return None
-        prod = 1
-        for x in self.diagonal:
-            if x == 0:
-                return None
-            prod *= x
-        return prod
-
 
 def smith_normal_form(m):
     """Smith normal form with U, U^-1 and V tracked and U*M*V = D re-verified."""

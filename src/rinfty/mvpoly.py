@@ -148,7 +148,7 @@ class MPoly:
 
     def substitute(self, assignment):
         """Substitute values (int/Fraction/MPoly on the same vars) per name."""
-        acc = MPoly.constant(self.vars, 0)
+        acc = {}
         for exps, coeff in self.terms.items():
             term = MPoly.constant(self.vars, coeff)
             for name, e in zip(self.vars, exps):
@@ -160,8 +160,9 @@ class MPoly:
                 elif not isinstance(val, MPoly):
                     val = MPoly.constant(self.vars, val)
                 term = term * (val ** e)
-            acc = acc + term
-        return acc
+            for mono, c in term.terms.items():
+                acc[mono] = acc.get(mono, 0) + c
+        return MPoly(self.vars, acc)
 
     def evaluate(self, assignment):
         """Fully numeric evaluation to a Fraction."""

@@ -174,41 +174,47 @@ class FreeNilpotentGroup:
     # -- Lie coordinate extraction -----------------------------------------
 
     def _solver(self, d):
-        """Pivot monomials and inverse matrix expressing degree-d Lie coords."""
+        """Pivot monomials, inverse matrix and Hall series for degree d.
+
+        The degree-d Hall elements expand over the words as the columns of
+        an integer matrix A.  One Gauss-Jordan pass on [A^T | I] brings
+        A^T to reduced echelon form E A^T.  Its pivot columns P are the
+        pivot monomials, and as E A^T is the identity on P, the appended
+        block E is the transpose of the inverse of A restricted to the
+        rows P.  Lie coordinates are unique, so any pivot set gives them.
+        """
         cached = self._solvers.get(d)
         if cached is not None:
             return cached
         h = self.table.dim(d)
         cols = [self.lie_series(d, local) for local in range(h)]
         monos = sorted({w for col in cols for w in col})
-        rows = [[Fraction(col.get(w, 0)) for col in cols] for w in monos]
+        work = [[Fraction(col.get(w, 0)) for w in monos]
+                + [Fraction(int(i == j)) for j in range(h)]
+                for i, col in enumerate(cols)]
         pivots = []
-        used = set()
-        work = [row[:] for row in rows]
-        for j in range(h):
-            pick = None
+        for j, w in enumerate(monos):
+            rank = len(pivots)
+            pick = next((i for i in range(rank, h) if work[i][j]), None)
+            if pick is None:
+                continue
+            work[rank], work[pick] = work[pick], work[rank]
+            inv = 1 / work[rank][j]
+            work[rank] = [x * inv for x in work[rank]]
             for i, row in enumerate(work):
-                if i not in used and row[j]:
-                    pick = i
-                    break
-            assert pick is not None, "hall expansions are independent"
-            used.add(pick)
-            pivots.append(pick)
-            inv = 1 / work[pick][j]
-            work[pick] = [x * inv for x in work[pick]]
-            for i, row in enumerate(work):
-                if i != pick and row[j]:
+                if i != rank and row[j]:
                     f = row[j]
-                    work[i] = [x - f * y for x, y in zip(row, work[pick])]
-        sub = [[rows[p][j] for j in range(h)] for p in pivots]
-        inverse = _invert_fraction_matrix(sub)
-        solver = ([monos[p] for p in pivots], inverse, cols, monos)
+                    work[i] = [x - f * y for x, y in zip(row, work[rank])]
+            pivots.append(w)
+        assert len(pivots) == h, "hall expansions are independent"
+        inverse = [[row[len(monos) + j] for row in work] for j in range(h)]
+        solver = (pivots, inverse, cols)
         self._solvers[d] = solver
         return solver
 
     def lie_coordinates(self, series, d):
         """Coordinates of the degree-d part of a Lie series in the Hall basis."""
-        pivot_monos, inverse, cols, monos = self._solver(d)
+        pivot_monos, inverse, cols = self._solver(d)
         zero = Fraction(0)
         v = [series.get(w, zero) for w in pivot_monos]
         coords = [sum((row[i] * v[i] for i in range(len(v))), start=zero)
@@ -305,23 +311,6 @@ def _as_int_tuple(fracs):
             raise AssertionError("group arithmetic left the integer lattice")
         out.append(x.numerator)
     return tuple(out)
-
-
-def _invert_fraction_matrix(rows):
-    n = len(rows)
-    work = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0)
-                                          for j in range(n)]
-            for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if work[i][col])
-        work[col], work[piv] = work[piv], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for i in range(n):
-            if i != col and work[i][col]:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    return [row[n:] for row in work]
 
 
 def free_nilpotent_group(r, c):

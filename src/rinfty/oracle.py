@@ -2,8 +2,8 @@
 
 Twisted conjugacy for x, y under an endomorphism phi identifies
 x ~ z * x * phi(z)^-1.  On a finitely generated abelian group the class
-count is the cokernel order of I - M, so the Smith normal form gives it
-directly.  For nilpotent desk-scale checks we reduce the Malcev
+count is the cokernel order of I - M, which is |det(I - M)| when that
+is nonzero.  For nilpotent desk-scale checks we reduce the Malcev
 coordinates of a free nilpotent group modulo a prime power p^e with
 p exceeding the class: every denominator in the collection polynomials
 is then invertible, the reduced coordinate maps define an honest finite
@@ -11,12 +11,13 @@ group of order m^k, and twisted classes can be counted by orbit
 enumeration and compared against the exact linear-algebra predictions.
 
 The enumeration works with the coordinate maps over Z/m.  Each
-polynomial is reduced once per setup (coefficient times the inverse of
-its denominator mod m), and each generator move x -> z x phi(z)^-1 is
-composed once into k polynomials in the k coordinates of x.  Every
-coefficient lies in Z_(p), reduction Z_(p) -> Z/p^e is a ring map, and
-substitution commutes with ring maps, so the composed move equals
-multiplying step by step and reducing at each step.
+generator move x -> z x phi(z)^-1 is composed over Q, as ``MPoly``
+substitutions into the collection polynomials, into k polynomials in
+the k coordinates of x, and reduced mod m once (each coefficient a/b
+becomes a * b^-1 mod m).  Every coefficient lies in Z_(p), reduction
+Z_(p) -> Z/p^e is a ring map, and substitution commutes with ring maps,
+so the composed move equals multiplying step by step and reducing at
+each step.
 
 The spectrum check holds each induced tower on the free Lie ring to its
 character: charpoly(M_i) computed from the tower must equal the one the
@@ -27,8 +28,8 @@ from itertools import product
 from math import gcd, isqrt, lcm
 
 from .errors import ResourceLimitError
-from .intlinalg import IntMatrix, charpoly, smith_normal_form
-from .freelie import SurfaceCharacter, induced_tower
+from .intlinalg import IntMatrix, charpoly
+from .freelie import SurfaceCharacter, induced_tower, witt_dimension
 from .mvpoly import MPoly
 from .nilpotent import free_nilpotent_group, ser_inv, ser_mul
 
@@ -38,15 +39,14 @@ _MAP_CACHE = {}
 
 
 def abelian_reidemeister_count(m):
-    """Twisted class count |coker(I - M)| on Z^n, or None when infinite.
+    """Twisted class count |coker(I - M)| = |det(I - M)| on Z^n.
 
-    Equals |det(I - M)| when that determinant is nonzero; computed as the
-    product of the Smith invariant factors of I - M.
+    None when the determinant is 0: the cokernel, and the count, are then
+    infinite.
     """
     if not m.is_square:
         raise ValueError("endomorphism matrix must be square")
-    delta = IntMatrix.identity(m.rows) - m
-    return smith_normal_form(delta).cokernel_order()
+    return abs((IntMatrix.identity(m.rows) - m).det()) or None
 
 
 def _prime_power_base(m):
@@ -58,11 +58,11 @@ def _prime_power_base(m):
 
 
 class _CoordinateMaps:
-    """Multiplication and inversion of N_{r,c} as integer polynomial maps.
+    """Multiplication and inversion of N_{r,c} as polynomial maps.
 
-    Each output coordinate is a polynomial in the inputs with rational
-    coefficients whose denominators only involve primes <= c; they are
-    stored cleared to integer polynomials plus one denominator each.
+    Each output coordinate is an ``MPoly`` in the 2k inputs u, v with
+    rational coefficients whose denominators only involve primes <= c;
+    ``denominator`` is the lcm of them all.
     """
 
     def __init__(self, r, c):
@@ -76,30 +76,10 @@ class _CoordinateMaps:
         series_v = amb.series_from_coords(vs, one)
         self.ambient = amb
         self.names = names
-        self.mult = self._clear_denominators(
-            amb.peel(ser_mul(series_u, series_v, amb.c), one))
-        self.inv = self._clear_denominators(amb.peel(ser_inv(series_u, amb.c, one), one))
-
-    @staticmethod
-    def _clear_denominators(polys):
-        cleared = []
-        for poly in polys:
-            den = poly.denominator_lcm()
-            terms = {}
-            for exps, coeff in poly.terms.items():
-                val = coeff * den
-                assert val.denominator == 1
-                terms[exps] = val.numerator
-            cleared.append((den, terms))
-        return cleared
-
-    def denominators(self):
-        out = 1
-        for den, _ in self.mult:
-            out = lcm(out, den)
-        for den, _ in self.inv:
-            out = lcm(out, den)
-        return out
+        self.mult = amb.peel(ser_mul(series_u, series_v, amb.c), one)
+        self.inv = amb.peel(ser_inv(series_u, amb.c, one), one)
+        self.denominator = lcm(*(poly.denominator_lcm()
+                                 for poly in self.mult + self.inv))
 
 
 def _coordinate_maps(r, c):
@@ -111,17 +91,17 @@ def _coordinate_maps(r, c):
     return maps
 
 
-def _sparse(poly):
-    """{exps: coeff} as a tuple of (coeff, ((variable, exponent), ...))."""
-    return tuple((coeff, tuple((v, e) for v, e in enumerate(exps) if e))
-                 for exps, coeff in poly.items() if coeff)
+def _reduce(poly, m):
+    """An ``MPoly`` mod m, sparse as (coeff, ((variable, exponent), ...)).
 
-
-def _reduce(cleared, m):
-    """One cleared coordinate polynomial with coefficients coeff / den mod m."""
-    den, terms = cleared
-    inv = pow(den, -1, m)
-    return _sparse({exps: coeff * inv % m for exps, coeff in terms.items()})
+    Each Fraction coefficient a/b becomes a * b^-1 mod m.
+    """
+    out = []
+    for exps, coeff in poly.terms.items():
+        val = coeff.numerator * pow(coeff.denominator, -1, m) % m
+        if val:
+            out.append((val, tuple((v, e) for v, e in enumerate(exps) if e)))
+    return tuple(out)
 
 
 def _eval_reduced(poly, values, m):
@@ -134,37 +114,14 @@ def _eval_reduced(poly, values, m):
     return acc % m
 
 
-def _poly_mul(a, b, m):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = (out.get(e, 0) + ca * cb) % m
-    return out
-
-
-def _substitute(poly, values, one, m):
-    """poly(values) mod m, where each value is an {exps: coeff} polynomial.
-
-    ``one`` is the exponent tuple of the constant monomial of the values.
-    """
-    out = {}
-    for coeff, factors in poly:
-        term = {one: coeff}
-        for v, e in factors:
-            for _ in range(e):
-                term = _poly_mul(term, values[v], m)
-        for exps, c in term.items():
-            out[exps] = (out.get(exps, 0) + c) % m
-    return out
-
-
 class FiniteTwistedSetup:
     """Twisted-conjugacy instance on N_{r,c} reduced modulo a prime power.
 
     The modulus must be p^e with p > c so the reduced coordinate maps are
     well defined; the endomorphism is given by the images of the r
-    generators as coordinate tuples.
+    generators as coordinate tuples.  A group of order above ``max_order``
+    is refused with ``ResourceLimitError`` before the collection maps are
+    built.
     """
 
     def __init__(self, r, c, modulus, images=None, max_order=DEFAULT_MAX_ORDER):
@@ -172,6 +129,16 @@ class FiniteTwistedSetup:
             raise ValueError("modulus must be at least 2")
         if r < 0 or c < 1:
             raise ValueError("need r >= 0 and c >= 1")
+        self.r = r
+        self.c = c
+        self.modulus = modulus
+        self.max_order = max_order
+        self.k = sum(witt_dimension(r, d) for d in range(1, c + 1))
+        # refuse an oversized group before any work; only a modulus that
+        # Fermat's test to base 2 proves composite is factored first, so a
+        # composite with a small factor still reads as no prime power
+        if pow(2, modulus - 1, modulus) == 1:
+            self._check_order()
         p = _prime_power_base(modulus)
         if p is None:
             raise ValueError(f"modulus {modulus} is not a prime power")
@@ -179,26 +146,27 @@ class FiniteTwistedSetup:
             raise ValueError(
                 f"modulus base {p} must exceed the class {c} for the "
                 f"reduction to close")
-        self.r = r
-        self.c = c
-        self.modulus = modulus
-        self.max_order = max_order
+        self._check_order()
         if r == 0:
-            self.k = 0
             self.images = ()
             return
         self._maps = _coordinate_maps(r, c)
-        if gcd(self._maps.denominators(), modulus) != 1:
+        if gcd(self._maps.denominator, modulus) != 1:
             raise ValueError("collection denominators are not invertible")
-        self.k = self._maps.ambient.k
-        self._mult = [_reduce(cl, modulus) for cl in self._maps.mult]
-        self._inv = [_reduce(cl, modulus) for cl in self._maps.inv]
+        self._mult = [_reduce(poly, modulus) for poly in self._maps.mult]
+        self._inv = [_reduce(poly, modulus) for poly in self._maps.inv]
         if images is None:
             images = [self._maps.ambient.generator(i).coords for i in range(r)]
         images = [tuple(x % modulus for x in img) for img in images]
         if len(images) != r or any(len(img) != self.k for img in images):
             raise ValueError(f"need {r} generator images of length {self.k}")
         self.images = tuple(images)
+
+    def _check_order(self):
+        order = self.group_order()
+        if order > self.max_order:
+            raise ResourceLimitError(
+                f"group order {order} exceeds the bound {self.max_order}")
 
     @staticmethod
     def identity_twist(r, c, modulus, max_order=DEFAULT_MAX_ORDER):
@@ -232,25 +200,21 @@ class FiniteTwistedSetup:
     def move_maps(self):
         """Per generator z_i, the k polynomials of x -> z_i x phi(z_i)^-1.
 
-        Two substitutions into the reduced multiplication polynomials:
-        first z_i into the left factor, then that result and the constant
-        phi(z_i)^-1 into the left and right factors.
+        Two ``MPoly.substitute`` calls on the multiplication polynomials:
+        z_i for u with u for v gives z_i x in the variables u, then those
+        results for u with phi(z_i)^-1 for v give the move.  Each move is
+        reduced mod m once, at the end.
         """
-        k, m = self.k, self.modulus
-        one = (0,) * k
-        xs = [{tuple(int(i == j) for i in range(k)): 1} for j in range(k)]
-
-        def constants(coords):
-            return [{one: x % m} if x % m else {} for x in coords]
-
+        names, mult = self._maps.names, self._maps.mult
+        us, vs = names[:self.k], names[self.k:]
+        x = {v: MPoly.variable(names, u) for u, v in zip(us, vs)}
         maps = []
         for i in range(self.r):
-            z = self._maps.ambient.generator(i).coords
-            zx = [_substitute(poly, constants(z) + xs, one, m)
-                  for poly in self._mult]
-            w = constants(self.inverse(self.images[i]))
-            maps.append([_sparse(_substitute(poly, zx + w, one, m))
-                          for poly in self._mult])
+            z = dict(zip(us, self._maps.ambient.generator(i).coords))
+            zx = dict(zip(us, (poly.substitute({**z, **x}) for poly in mult)))
+            w = dict(zip(vs, self.inverse(self.images[i])))
+            maps.append([_reduce(poly.substitute({**zx, **w}), self.modulus)
+                         for poly in mult])
         return maps
 
 
@@ -265,9 +229,6 @@ def brute_force_twisted_classes(setup):
     if setup.r == 0:
         return 1
     order = setup.group_order()
-    if order > setup.max_order:
-        raise ResourceLimitError(
-            f"group order {order} exceeds the bound {setup.max_order}")
     m, k = setup.modulus, setup.k
     parent = list(range(order))
 

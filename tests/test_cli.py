@@ -221,6 +221,41 @@ class TestOtherCommands:
         assert code == 0
         assert "[4, 6, 20]" in out
 
+    @pytest.mark.parametrize("rank,klass", [(1, 4), (2, 9), (3, 5), (4, 6)])
+    def test_lie_dims_without_hall_table(self, capsys, monkeypatch, rank,
+                                         klass):
+        dims = rinfty.freelie.build_hall_basis(rank, klass).dims()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("lie-dims built a Hall table")
+
+        monkeypatch.setattr(rinfty.cli, "build_hall_basis", refuse)
+        monkeypatch.setattr(rinfty.freelie, "StructureTable", refuse)
+        code, out, _ = run(capsys, "lie-dims", "--rank", str(rank),
+                           "--class", str(klass), "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {
+            "schema": "cli-report/1", "command": "lie-dims",
+            "config": {"rank": rank, "class": klass}, "dims": dims}
+
+    def test_lie_dims_keeps_the_table_cap(self, capsys):
+        code, out, _ = run(capsys, "lie-dims", "--rank", "2", "--class", "23")
+        assert code == 0
+        assert out.startswith("[2, 1, 2, 3, 6, 9, 18, 30, 56, 99, ")
+        code, out, err = run(capsys, "lie-dims", "--rank", "2", "--class",
+                             "24")
+        assert code == 2
+        assert out == ""
+        assert err == ("resource cap: hall table for r=2, c=24 exceeds cap "
+                       "10000000\n")
+
+    def test_lie_dims_has_no_order_option(self, capsys):
+        code, out, err = run(capsys, "lie-dims", "--rank", "2", "--class",
+                             "3", "--order", "alt")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_padding(self, capsys):
         code, out, _ = run(capsys, "padding", "--rank", "2", "--class", "2",
                            "--n", "2")
@@ -262,6 +297,29 @@ class TestOtherCommands:
                            "--seed", "1")
         assert code == 0
         assert "5/5 passed" in out
+
+    @pytest.mark.parametrize("rank,klass,rows", [("3", "7", 312),
+                                                 ("2", "10", 99)])
+    def test_crosscheck_spectrum_row_cap(self, capsys, monkeypatch, rank,
+                                         klass, rows):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a Hall table above the row cap")
+
+        monkeypatch.setattr(rinfty.cli, "build_hall_basis", refuse)
+        code, out, err = run(capsys, "crosscheck", "--what", "spectrum",
+                             "--rank", rank, "--class", klass, "--count", "1")
+        assert code == 2
+        assert out == ""
+        assert err == (f"resource cap: free tower on rank {rank} at degree "
+                       f"{klass} has {rows} rows, above the spectrum cap 70\n")
+
+    def test_crosscheck_spectrum_row_cap_reads_the_degree(self, capsys):
+        # class 10 has 99 rows at degree 10, but degree 9 has 56
+        code, out, _ = run(capsys, "crosscheck", "--what", "spectrum",
+                           "--rank", "2", "--class", "10", "--degree", "9",
+                           "--count", "1")
+        assert code == 0
+        assert out == "spectrum crosscheck: 1/1 passed\n"
 
     def test_crosscheck_twisted(self, capsys):
         code, out, _ = run(capsys, "crosscheck", "--what", "twisted",

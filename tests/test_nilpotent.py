@@ -9,8 +9,8 @@ from rinfty.mvpoly import MPoly
 from rinfty.nilpotent import (build_power_table,
                               free_nilpotent_group, free_rank_certificate,
                               multiply, nth_root, padding_data,
-                              padding_exponent, power, power_padding, ser_exp,
-                              ser_inv, ser_log)
+                              padding_exponent, power, power_padding, ser_add,
+                              ser_exp, ser_inv, ser_log)
 
 
 def coords_strategy(group, bound=3):
@@ -59,6 +59,34 @@ class TestGroupLaws:
             w = g.element([rng.randint(-1, 1) for _ in range(g.k)])
             assert (u * v) * w == u * (v * w)
             assert (u * v).inverse() == v.inverse() * u.inverse()
+
+
+@st.composite
+def hall_combinations(draw, group):
+    """A degree d of the group and integer coefficients on its Hall basis."""
+    d = draw(st.integers(1, group.c))
+    h = group.table.dim(d)
+    return d, draw(st.lists(st.integers(-7, 7), min_size=h, max_size=h))
+
+
+G34 = free_nilpotent_group(3, 4)
+G26 = free_nilpotent_group(2, 6)
+
+
+class TestLieCoordinates:
+    @pytest.mark.parametrize("group", [G34, G26], ids=["N34", "N26"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_hall_combinations_round_trip(self, group, data):
+        d, coeffs = data.draw(hall_combinations(group))
+        series = {}
+        for local, x in enumerate(coeffs):
+            series = ser_add(series, group.lie_series(d, local), scale=x)
+        assert group.lie_coordinates(series, d) == coeffs
+
+    def test_non_lie_element_rejected(self):
+        with pytest.raises(AssertionError, match="not a Lie element"):
+            G34.lie_coordinates({(0, 1): Fraction(1)}, 2)
 
 
 class TestNormalForm:

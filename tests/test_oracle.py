@@ -50,9 +50,24 @@ class TestFiniteSetupGuards:
             FiniteTwistedSetup.identity_twist(2, 2, 6)
 
     def test_order_cap(self):
-        setup = FiniteTwistedSetup.identity_twist(2, 2, 5, max_order=100)
         with pytest.raises(ResourceLimitError):
-            brute_force_twisted_classes(setup)
+            FiniteTwistedSetup.identity_twist(2, 2, 5, max_order=100)
+
+    @pytest.mark.parametrize("r,c,modulus,order", [
+        (2, 2, 2 ** 61 - 1, (2 ** 61 - 1) ** 3), (2, 6, 7, 7 ** 23),
+        (3, 4, 5, 5 ** 32)])
+    def test_order_cap_before_any_work(self, monkeypatch, r, c, modulus,
+                                       order):
+        # neither the trial division nor the collection maps may start
+        def refuse(*args):
+            raise AssertionError("work started on an oversized group")
+
+        monkeypatch.setattr(rinfty.oracle, "_prime_power_base", refuse)
+        monkeypatch.setattr(rinfty.oracle, "_coordinate_maps", refuse)
+        with pytest.raises(ResourceLimitError,
+                           match=f"^group order {order} exceeds the bound "
+                                 f"1000000$"):
+            FiniteTwistedSetup.identity_twist(r, c, modulus)
 
     def test_trivial_group(self):
         assert brute_force_twisted_classes(FiniteTwistedSetup(0, 1, 3)) == 1
@@ -206,7 +221,9 @@ class TestComposedMoves:
         rng = random.Random(5)
         for r, c, m in [(2, 3, 5), (3, 2, 9), (2, 4, 25)]:
             ambient = free_nilpotent_group(r, c)
-            setup = FiniteTwistedSetup.identity_twist(r, c, m)
+            # no count is made, so the order cap may admit 25^8 elements
+            setup = FiniteTwistedSetup.identity_twist(
+                r, c, m, max_order=m ** ambient.k)
             for _ in range(10):
                 a = [rng.randint(-6, 6) for _ in range(ambient.k)]
                 b = [rng.randint(-6, 6) for _ in range(ambient.k)]
