@@ -57,7 +57,8 @@ def check_hall_table(r, c):
     """Refuse a rank-r Hall table of class c that is invalid or over the cap."""
     if r < 1 or c < 1:
         raise ValueError("need r >= 1 and c >= 1")
-    if r ** c > DEFAULT_TABLE_CAP:
+    # r >= 2 passes the cap by degree cap.bit_length(), so no huge power
+    if r ** min(c, DEFAULT_TABLE_CAP.bit_length()) > DEFAULT_TABLE_CAP:
         raise ResourceLimitError(
             f"hall table for r={r}, c={c} exceeds cap {DEFAULT_TABLE_CAP}")
 

@@ -25,11 +25,12 @@ equivariant Witt formula reads off charpoly(S), multiplicities included.
 """
 
 from itertools import product
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .errors import ResourceLimitError
 from .intlinalg import IntMatrix, charpoly
-from .freelie import SurfaceCharacter, induced_tower, witt_dimension
+from .freelie import (SurfaceCharacter, check_hall_table, induced_tower,
+                      witt_dimension)
 from .mvpoly import MPoly
 from .nilpotent import free_nilpotent_group, ser_inv, ser_mul
 
@@ -49,12 +50,61 @@ def abelian_reidemeister_count(m):
     return abs((IntMatrix.identity(m.rows) - m).det()) or None
 
 
+# Miller-Rabin to the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, 2017); the bound is itself a strong pseudoprime
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_BOUND = 3317044064679887385961981
+
+
+def _iroot(m, e):
+    """floor(m^(1/e)) for m >= 1, by Newton's method from above."""
+    x = 1 << -(-m.bit_length() // e)
+    while True:
+        y = ((e - 1) * x + m // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
+
+
+def _is_prime(q):
+    """Miller-Rabin to ``_PRIME_BASES``; exact for q < ``_PRIME_TEST_BOUND``.
+
+    A probable prime past the bound is refused with ``ResourceLimitError``.
+    """
+    if q in _PRIME_BASES:
+        return True
+    if q < 2 or any(q % b == 0 for b in _PRIME_BASES):
+        return False
+    d, s = q - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, q)
+        if x in (1, q - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
+            return False
+    if q >= _PRIME_TEST_BOUND:
+        raise ResourceLimitError(
+            f"modulus base {q} is at least {_PRIME_TEST_BOUND}, past which "
+            f"the prime test is not exact")
+    return True
+
+
 def _prime_power_base(m):
-    """The prime p with m = p^e, or None; trial division up to sqrt(m)."""
-    p = next((d for d in range(2, isqrt(m) + 1) if m % d == 0), m)
-    while m % p == 0:
-        m //= p
-    return p if m == 1 else None
+    """The prime p with m = p^e, or None.
+
+    Integer roots, largest exponent first, give the least q with m = q^e;
+    m is a prime power exactly when q is prime.  No trial division.
+    """
+    for e in range(m.bit_length(), 0, -1):
+        q = _iroot(m, e)
+        if q ** e == m:
+            return q if _is_prime(q) else None
 
 
 class _CoordinateMaps:
@@ -119,9 +169,10 @@ class FiniteTwistedSetup:
 
     The modulus must be p^e with p > c so the reduced coordinate maps are
     well defined; the endomorphism is given by the images of the r
-    generators as coordinate tuples.  A group of order above ``max_order``
-    is refused with ``ResourceLimitError`` before the collection maps are
-    built.
+    generators as coordinate tuples.  The checks run cheapest first: the
+    modulus (exact prime-power test, no trial division), the Hall-table
+    cap, then the group order against ``max_order``, all before the
+    collection maps are built.
     """
 
     def __init__(self, r, c, modulus, images=None, max_order=DEFAULT_MAX_ORDER):
@@ -129,16 +180,6 @@ class FiniteTwistedSetup:
             raise ValueError("modulus must be at least 2")
         if r < 0 or c < 1:
             raise ValueError("need r >= 0 and c >= 1")
-        self.r = r
-        self.c = c
-        self.modulus = modulus
-        self.max_order = max_order
-        self.k = sum(witt_dimension(r, d) for d in range(1, c + 1))
-        # refuse an oversized group before any work; only a modulus that
-        # Fermat's test to base 2 proves composite is factored first, so a
-        # composite with a small factor still reads as no prime power
-        if pow(2, modulus - 1, modulus) == 1:
-            self._check_order()
         p = _prime_power_base(modulus)
         if p is None:
             raise ValueError(f"modulus {modulus} is not a prime power")
@@ -146,10 +187,17 @@ class FiniteTwistedSetup:
             raise ValueError(
                 f"modulus base {p} must exceed the class {c} for the "
                 f"reduction to close")
-        self._check_order()
+        self.r = r
+        self.c = c
+        self.modulus = modulus
+        self.max_order = max_order
         if r == 0:
+            self.k = 0
             self.images = ()
             return
+        check_hall_table(r, c)
+        self.k = sum(witt_dimension(r, d) for d in range(1, c + 1))
+        self._check_order()
         self._maps = _coordinate_maps(r, c)
         if gcd(self._maps.denominator, modulus) != 1:
             raise ValueError("collection denominators are not invertible")
@@ -163,10 +211,14 @@ class FiniteTwistedSetup:
         self.images = tuple(images)
 
     def _check_order(self):
-        order = self.group_order()
-        if order > self.max_order:
-            raise ResourceLimitError(
-                f"group order {order} exceeds the bound {self.max_order}")
+        # m >= 2, so m^k exceeds max_order once k exceeds its bit length;
+        # a power too long to print is stated as m^k
+        m, k = self.modulus, self.k
+        if k <= self.max_order.bit_length() and m ** k <= self.max_order:
+            return
+        order = m ** k if k * m.bit_length() <= 4096 else f"{m}^{k}"
+        raise ResourceLimitError(
+            f"group order {order} exceeds the bound {self.max_order}")
 
     @staticmethod
     def identity_twist(r, c, modulus, max_order=DEFAULT_MAX_ORDER):

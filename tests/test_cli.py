@@ -249,6 +249,17 @@ class TestOtherCommands:
         assert err == ("resource cap: hall table for r=2, c=24 exceeds cap "
                        "10000000\n")
 
+    def test_table_cap_on_a_huge_class_exits_at_once(self, capsys):
+        # the cap is decided without forming rank ** class
+        start = time.perf_counter()
+        code, out, err = run(capsys, "lie-dims", "--rank", "2", "--class",
+                             "1000000000")
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err == ("resource cap: hall table for r=2, c=1000000000 "
+                       "exceeds cap 10000000\n")
+
     def test_lie_dims_has_no_order_option(self, capsys):
         code, out, err = run(capsys, "lie-dims", "--rank", "2", "--class",
                              "3", "--order", "alt")
@@ -372,7 +383,6 @@ class TestRejectedArguments:
 class TestCrosscheckModulus:
     @pytest.mark.parametrize("modulus", ["1000003", "1000000007"])
     def test_large_prime_modulus_hits_the_order_cap(self, capsys, modulus):
-        # the base prime is found by trial division up to sqrt(modulus)
         start = time.perf_counter()
         code, out, err = run(capsys, "crosscheck", "--what", "twisted",
                              "--rank", "2", "--class", "2",
@@ -382,6 +392,28 @@ class TestCrosscheckModulus:
         assert out == ""
         assert err.startswith("resource cap: group order ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("rank,klass,modulus,err", [
+        ("2", "40", "7", "error: modulus base 7 must exceed the class 40 "
+                         "for the reduction to close\n"),
+        ("1000", "3", "5", "resource cap: hall table for r=1000, c=3 exceeds "
+                           "cap 10000000\n"),
+        ("2", "2", "341", "error: modulus 341 is not a prime power\n"),
+        ("2", "2", str((2 ** 31 - 1) ** 2),
+         f"resource cap: group order {(2 ** 31 - 1) ** 6} exceeds the "
+         f"bound 1000000\n"),
+        ("2", "16", "17", "resource cap: group order 17^8800 exceeds the "
+                          "bound 1000000\n"),
+    ])
+    def test_refusals_exit_at_once(self, capsys, rank, klass, modulus, err):
+        start = time.perf_counter()
+        code, out, got = run(capsys, "crosscheck", "--what", "twisted",
+                             "--rank", rank, "--class", klass,
+                             "--modulus", modulus)
+        assert time.perf_counter() - start < 5
+        assert code == (1 if err.startswith("error: ") else 2)
+        assert out == ""
+        assert got == err
 
     def test_composite_modulus_rejected(self, capsys):
         modulus = str(1000003 * 1000033)

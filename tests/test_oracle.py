@@ -54,23 +54,62 @@ class TestFiniteSetupGuards:
             FiniteTwistedSetup.identity_twist(2, 2, 5, max_order=100)
 
     @pytest.mark.parametrize("r,c,modulus,order", [
-        (2, 2, 2 ** 61 - 1, (2 ** 61 - 1) ** 3), (2, 6, 7, 7 ** 23),
-        (3, 4, 5, 5 ** 32)])
+        (2, 2, 2 ** 61 - 1, (2 ** 61 - 1) ** 3),
+        (2, 2, (2 ** 31 - 1) ** 2, (2 ** 31 - 1) ** 6),
+        (2, 6, 7, 7 ** 23), (3, 4, 5, 5 ** 32)])
     def test_order_cap_before_any_work(self, monkeypatch, r, c, modulus,
                                        order):
-        # neither the trial division nor the collection maps may start
+        # the collection maps must not start on an oversized group
         def refuse(*args):
             raise AssertionError("work started on an oversized group")
 
-        monkeypatch.setattr(rinfty.oracle, "_prime_power_base", refuse)
         monkeypatch.setattr(rinfty.oracle, "_coordinate_maps", refuse)
         with pytest.raises(ResourceLimitError,
                            match=f"^group order {order} exceeds the bound "
                                  f"1000000$"):
             FiniteTwistedSetup.identity_twist(r, c, modulus)
 
+    def test_long_order_stated_as_power(self):
+        # k = 8800 here: the order is refused without being written out
+        with pytest.raises(ResourceLimitError,
+                           match="^group order 17\\^8800 exceeds"):
+            FiniteTwistedSetup.identity_twist(2, 16, 17)
+
     def test_trivial_group(self):
         assert brute_force_twisted_classes(FiniteTwistedSetup(0, 1, 3)) == 1
+
+
+class TestPrimePowerBase:
+    @pytest.mark.parametrize("m,p", [
+        (2, 2), (9, 3), (2 ** 61 - 1, 2 ** 61 - 1),
+        ((2 ** 31 - 1) ** 2, 2 ** 31 - 1), (7 ** 40, 7), (2 ** 200, 2)])
+    def test_prime_powers(self, m, p):
+        assert rinfty.oracle._prime_power_base(m) == p
+
+    @pytest.mark.parametrize("m", [
+        6, 341, 561, 3215031751, 1000003 * 1000033, 3 ** 5 * 5,
+        318665857834031151167461])
+    def test_composites_and_pseudoprimes(self, m):
+        # 341 fools Fermat to base 2, 561 is a Carmichael number,
+        # 3215031751 is a strong pseudoprime to bases 2, 3, 5 and 7, and
+        # the last one to the first twelve prime bases
+        assert rinfty.oracle._prime_power_base(m) is None
+
+    def test_agrees_with_trial_division(self):
+        for m in range(2, 3000):
+            p = next(d for d in range(2, m + 1) if m % d == 0)
+            rest = m
+            while rest % p == 0:
+                rest //= p
+            expected = p if rest == 1 else None
+            assert rinfty.oracle._prime_power_base(m) == expected
+
+    def test_past_the_exact_bound_refused(self):
+        # the bound is a strong pseudoprime to all thirteen bases
+        bound = rinfty.oracle._PRIME_TEST_BOUND
+        assert bound == 1287836182261 * 2575672364521
+        with pytest.raises(ResourceLimitError):
+            rinfty.oracle._prime_power_base(bound)
 
 
 class TestBruteForce:
