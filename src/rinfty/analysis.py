@@ -21,12 +21,13 @@ explicit composition of a generator rotation with a twisted shift gives
 an abelianized action with one dominant real eigenvalue and determinant
 -1, so no product of fewer than 2g eigenvalues equals 1; the square of
 the full eigenvalue product is (det)^2 = 1, which forces eigenvalue 1 at
-degree 2g for every automorphism.
+degree 2g for every automorphism.  No tower is built: each eigenvalue
+of M_d is a d-fold product of eigenvalues of W (Reutenauer, ch. 8).
 
 Randomized admissibility samples substitute for quantification over all
-automorphisms; every certificate records its seed and sample count and
-says so.  A verdict is a deterministic function of its surface, sample
-count and seed, so re-verifying a certificate means recomputing it:
+orientable automorphisms; that certificate records its seed and sample
+count and says so.  A verdict is a deterministic function of its surface
+(and samples and seed), so re-verifying a certificate means recomputing it:
 ``RinfVerdict.from_json_dict`` rebuilds the verdict through
 ``rinf_degree`` and accepts only the identical document.
 """
@@ -36,19 +37,20 @@ import random
 
 from .errors import ResourceLimitError
 from .freelie import (SurfaceCharacter, apply_matrix_to_vector,
-                      build_hall_basis, fixed_point_dets, ideal_quotient,
-                      induced_tower, metabelian_truncation,
-                      orientable_relator)
+                      build_hall_basis, ideal_quotient, induced_tower,
+                      metabelian_truncation, orientable_relator)
 from .intlinalg import (IntMatrix, IntPoly, charpoly, dominance_root_test,
                         kfold_value_at_one, poly_divides, pseudo_divmod)
 from .nilpotent import padding_exponent
 
-SCHEMA_VERDICT = "rinf-verdict/1"
+SCHEMA_VERDICT = "rinf-verdict/2"
 
 SAMPLING_NOTE = ("universal statements over all automorphisms are certified "
                  "structurally where possible and otherwise by the recorded "
                  "randomized sample suite; sample counts and seeds are part "
                  "of this certificate and no exhaustive claim is made")
+PRODUCT_NOTE = ("the statement over all automorphisms is certified by the "
+                "determinant product criterion; no sampling is involved")
 
 DEFAULT_MAX_M = 10 ** 40
 ORIENTABLE_GENUS_CAP = 4
@@ -291,15 +293,12 @@ class RinfVerdict:
         self.witness_matrix = witness_matrix
         self.witness_class = witness_class
         self.witness_dets = dict(witness_dets)
-        self.witness_first_degree = next(
-            (d for d in sorted(self.witness_dets) if self.witness_dets[d] == 0),
-            None)
         self.structural = structural
         self.samples = samples
         self.seed = seed
         self.witness_m = witness_m
         self.witness_kfold_at_one = dict(witness_kfold_at_one or {})
-        self.note = SAMPLING_NOTE
+        self.note = SAMPLING_NOTE if spec.orientable else PRODUCT_NOTE
 
     def claim(self):
         if self.spec.orientable:
@@ -311,48 +310,51 @@ class RinfVerdict:
                 f"property exactly for c >= {self.degree}")
 
     def to_json_dict(self):
+        witness = {"kind": "witness-not-rinf", "class": self.witness_class,
+                   "matrix": [list(r) for r in self.witness_matrix.entries],
+                   "matrix_text": self.witness_matrix.to_text()}
+        for key, vals in (("dets", self.witness_dets),
+                          ("kfold_at_one", self.witness_kfold_at_one)):
+            if vals:
+                witness[key] = {str(k): v for k, v in sorted(vals.items())}
+        if self.witness_m is not None:
+            witness["m"] = self.witness_m
         out = {
             "schema": SCHEMA_VERDICT,
             "surface": {"orientable": self.spec.orientable,
                         "genus": self.spec.genus},
             "degree": self.degree,
             "claim": self.claim(),
-            "witness": {
-                "kind": "witness-not-rinf",
-                "class": self.witness_class,
-                "matrix": [list(r) for r in self.witness_matrix.entries],
-                "matrix_text": self.witness_matrix.to_text(),
-                "dets": {str(d): v for d, v in sorted(self.witness_dets.items())},
-                "first_eigenvalue_one_degree": self.witness_first_degree,
-            },
+            "witness": witness,
             "structural": self.structural,
-            "samples": self.samples,
-            "seed": self.seed,
             "note": self.note,
         }
-        if self.witness_m is not None:
-            out["witness"]["m"] = self.witness_m
-        if self.witness_kfold_at_one:
-            out["witness"]["kfold_at_one"] = {
-                str(i): v for i, v in sorted(self.witness_kfold_at_one.items())}
+        if self.spec.orientable:
+            out.update(samples=self.samples, seed=self.seed)
         return out
 
     @staticmethod
     def from_json_dict(data):
-        """The verdict rebuilt by ``rinf_degree`` from the document's surface,
-        samples and seed; ``ValueError`` unless its document equals ``data``.
+        """The verdict rebuilt by ``rinf_degree`` from the document's surface
+        (if orientable, samples and seed too); ``ValueError`` unless equal.
 
         An orientable document must hold one sample report per sample, so
-        its own size bounds the recomputation.
+        its own size bounds the recomputation.  ``rinf-verdict/1`` is refused.
         """
-        if not isinstance(data, dict) or data.get("schema") != SCHEMA_VERDICT:
+        schema = data.get("schema") if isinstance(data, dict) else None
+        if schema == "rinf-verdict/1":
+            raise ValueError("rinf-verdict/1 is no longer read; regenerate it "
+                             "with `rinfty degree --orientable|--nonorientable "
+                             "--genus G [--samples N --seed S] --format json`")
+        if schema != SCHEMA_VERDICT:
             raise ValueError("not a verdict document")
         try:
             orientable = data["surface"]["orientable"]
             genus = data["surface"]["genus"]
-            samples, seed = data["samples"], data["seed"]
-            reports = (len(data["structural"]["sample_reports"]) if orientable
-                       else samples)
+            samples = seed = reports = 0  # not read when non-orientable
+            if orientable is True:
+                samples, seed = data["samples"], data["seed"]
+                reports = len(data["structural"]["sample_reports"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed verdict document: {exc!r}") from None
         if not (isinstance(orientable, bool)
@@ -465,7 +467,7 @@ def rinf_degree(spec, samples=20, seed=0, max_m=DEFAULT_MAX_M):
     determinant at degree 4), all read off ``SurfaceCharacter``.
     Non-orientable genus g+1: verdict 2g, from a witness passing the
     exact no-i-fold-product test through 2g-1 and the determinant-squared
-    product criterion at degree 2g.
+    product criterion at degree 2g; ``samples`` and ``seed`` are unread.
     """
     if spec.orientable:
         if spec.genus > ORIENTABLE_GENUS_CAP:
@@ -495,24 +497,18 @@ def rinf_degree(spec, samples=20, seed=0, max_m=DEFAULT_MAX_M):
         raise ResourceLimitError(
             f"non-orientable genus capped at {NONORIENTABLE_GENUS_CAP}")
     witness, m, kfold_vals = nonorientable_witness(g, 2 * g - 1, max_m=max_m)
-    tower = induced_tower(build_hall_basis(g, 2 * g), witness)
-    dets = dict(fixed_point_dets(tower, None, range(1, 2 * g + 1)))
-    final_det = dets.pop(2 * g)
-    if 0 in dets.values() or 0 in kfold_vals.values():
+    if 0 in kfold_vals.values():  # the search also asserts det(W) = -1
         raise AssertionError("witness unexpectedly hit eigenvalue 1 early")
-    if final_det != 0:
-        raise AssertionError("degree-2g determinant must vanish")
     structural = {
         "kind": "product-criterion-rinf",
         "class": 2 * g,
         "witness_determinant": witness.det(),
-        "det_at_degree_2g": final_det,
         "claim": "every automorphism has unimodular abelianized action, so "
                  "the squared product of all its eigenvalues is 1 and appears "
                  f"as an eigenvalue in degree {2 * g}",
     }
-    return RinfVerdict(spec, 2 * g, witness, 2 * g - 1, dets, structural,
-                       0, seed, witness_m=m, witness_kfold_at_one=kfold_vals)
+    return RinfVerdict(spec, 2 * g, witness, 2 * g - 1, {}, structural,
+                       None, None, witness_m=m, witness_kfold_at_one=kfold_vals)
 
 
 def solvability_quotient_check(g, samples=10, seed=0):

@@ -75,8 +75,9 @@ def degree(orientable, genus, samples, seed, max_m, fmt):
               for row in verdict.witness_matrix.entries]
     if verdict.witness_m is not None:
         lines.append(f"witness twist exponent m: {verdict.witness_m}")
-    lines.append("witness det(I - M_i) by degree: " + ", ".join(
-        f"{d}: {v}" for d, v in sorted(verdict.witness_dets.items())))
+    if verdict.witness_dets:
+        lines.append("witness det(I - M_i) by degree: " + ", ".join(
+            f"{d}: {v}" for d, v in sorted(verdict.witness_dets.items())))
     if verdict.witness_kfold_at_one:
         lines.append("i-fold product spectra at 1: " + ", ".join(
             f"{i}: {'0' if v == 0 else 'nonzero'}"

@@ -57,8 +57,8 @@ def check_hall_table(r, c):
     """Refuse a rank-r Hall table of class c that is invalid or over the cap."""
     if r < 1 or c < 1:
         raise ValueError("need r >= 1 and c >= 1")
-    # r >= 2 passes the cap by degree cap.bit_length(), so no huge power
-    if r ** min(c, DEFAULT_TABLE_CAP.bit_length()) > DEFAULT_TABLE_CAP:
+    # rank 1 counts as base 2; base >= 2 passes by degree cap.bit_length()
+    if max(r, 2) ** min(c, DEFAULT_TABLE_CAP.bit_length()) > DEFAULT_TABLE_CAP:
         raise ResourceLimitError(
             f"hall table for r={r}, c={c} exceeds cap {DEFAULT_TABLE_CAP}")
 
@@ -525,14 +525,15 @@ class SurfaceCharacter:
 def fixed_point_dets(tower, quotient, degrees):
     """Lazily yield (d, det(I - M_d)) for each requested degree d.
 
-    This is the tower zero test behind the non-orientable verdicts and
-    the oracle for ``SurfaceCharacter``: M_d is projected onto the
-    quotient lattice modulo torsion when a quotient is supplied,
-    otherwise it acts on the free per-degree lattice.
+    The zero test of ``check --nonorientable``, where a zero i-fold
+    value at 1 does not imply eigenvalue 1, and the test oracle for
+    ``SurfaceCharacter`` and the non-orientable witnesses: M_d is
+    projected onto the quotient lattice modulo torsion when a quotient
+    is supplied, otherwise it acts on the free per-degree lattice.
 
-    The non-orientable tests stay on towers although the free ring has a
-    character (eps = 0): on the genus-4 witness (rank 3, 2-core machine,
-    Python 3.11) degrees 1..6 take 0.08 s here and 0.83 s through the
+    ``check`` stays on towers although the free ring has a character
+    (eps = 0): on the genus-4 witness (rank 3, 2-core machine, Python
+    3.11) degrees 1..6 take 0.08 s here and 0.83 s through the
     character, and degree 6 alone 0.025 s against 1.07 s.  The sparse
     det stops at the zero, while Newton runs 116 steps on power sums of
     about 60,000 bits.

@@ -47,20 +47,15 @@ def _twist(m):
     def apply(doc):
         el, a = nonorientable_base_matrices(2, m)
         w = el @ a
-        tower = induced_tower(build_hall_basis(2, 4), w)
-        dets = dict(fixed_point_dets(tower, None, range(1, 5)))
-        final_det = dets.pop(4)
         p = charpoly(w)
         kfold_vals = {i: kfold_value_at_one(p, i) for i in (1, 2, 3)}
         return _edit(
             (("witness", "m"), m),
             (("witness", "matrix"), [list(r) for r in w.entries]),
             (("witness", "matrix_text"), w.to_text()),
-            (("witness", "dets"), {str(d): v for d, v in dets.items()}),
             (("witness", "kfold_at_one"),
              {str(i): v for i, v in kfold_vals.items()}),
-            (("structural", "witness_determinant"), w.det()),
-            (("structural", "det_at_degree_2g"), final_det))(doc)
+            (("structural", "witness_determinant"), w.det()))(doc)
     return apply
 
 
@@ -260,7 +255,6 @@ class TestRinfDegree:
     def test_orientable_genus_two(self):
         verdict = rinf_degree(SurfaceSpec(True, 2), samples=4, seed=3)
         assert verdict.degree == 4
-        assert verdict.witness_first_degree is None
         assert set(verdict.witness_dets) == {1, 2, 3}
         assert all(v != 0 for v in verdict.witness_dets.values())
         assert verdict.structural["witness_metabelian_det"] == 0
@@ -287,8 +281,7 @@ class TestRinfDegree:
         _edit((("witness", "matrix"),
                [list(r) for r in IntMatrix.identity(4).entries]),
               (("witness", "matrix_text"), IntMatrix.identity(4).to_text()),
-              (("witness", "dets"), {"1": 0, "2": 0, "3": 0}),
-              (("witness", "first_eigenvalue_one_degree"), 1)),
+              (("witness", "dets"), {"1": 0, "2": 0, "3": 0})),
         _edit((("structural", "kind"), "made-up")),
         _edit((("claim",), "the class-c quotients have R-infinity for c >= 2")),
         _edit((("structural", "claim"), "every action is covered")),
@@ -320,14 +313,15 @@ class TestRinfDegree:
         _edit((("claim",), "the class-c quotients have R-infinity for c >= 2")),
         _edit((("structural", "claim"), "every action is covered")),
         _edit((("note",), "exhaustive")),
-        _edit((("structural", "det_at_degree_2g"), 0.0)),
+        # equal in Python, not as JSON text
+        _edit((("structural", "witness_determinant"), -1.0)),
         _edit((("surface",), _DROP)),
-        _edit((("samples",), "0")),
+        _edit((("surface", "genus"), "3")),
         lambda doc: [doc],
     ], ids=["degree", "structural-class", "witness-determinant", "m",
             "m-missing", "twist-1", "twist-2", "twist-3", "twist-4",
             "structural-kind", "claim", "structural-claim", "note",
-            "det-2g-float", "surface-missing", "samples-string",
+            "determinant-float", "surface-missing", "genus-string",
             "list-document"])
     def test_tampered_nonorientable_verdict_rejected(self, tamper):
         data = rinf_degree(SurfaceSpec(False, 3)).to_json_dict()
@@ -339,8 +333,7 @@ class TestRinfDegree:
         assert verdict.degree == 4
         assert verdict.structural["kind"] == "product-criterion-rinf"
         assert verdict.structural["witness_determinant"] == -1
-        assert verdict.structural["det_at_degree_2g"] == 0
-        assert all(v != 0 for v in verdict.witness_dets.values())
+        assert verdict.witness_dets == {}
         assert all(v != 0 for v in verdict.witness_kfold_at_one.values())
         RinfVerdict.from_json_dict(verdict.to_json_dict())
 
@@ -351,7 +344,7 @@ class TestRinfDegree:
 
     def test_nonorientable_verdict_computes_each_quantity_once(self,
                                                               monkeypatch):
-        # the witness search hands its k-fold values over; one tower pass
+        # the witness search hands its k-fold values over; no tower
         calls = {"kfold": 0, "tower": 0}
 
         def counting(key, func):
@@ -367,7 +360,30 @@ class TestRinfDegree:
                                      rinfty.freelie.InducedTower.__init__))
         verdict = rinf_degree(SurfaceSpec(False, 4))
         assert verdict.degree == 6
-        assert calls == {"kfold": 5, "tower": 1}
+        assert calls == {"kfold": 5, "tower": 0}
+
+    @pytest.mark.parametrize("genus", [3, 4])
+    def test_free_tower_agrees_with_the_witness_certificate(self, genus):
+        # the i-fold values stand for det(I - M_i) on the free Lie ring:
+        # nonzero below 2g, and the det(W)^2 = 1 eigenvalue at 2g
+        g = genus - 1
+        verdict = rinf_degree(SurfaceSpec(False, genus))
+        tower = induced_tower(build_hall_basis(g, 2 * g),
+                              verdict.witness_matrix)
+        dets = dict(fixed_point_dets(tower, None, range(1, 2 * g + 1)))
+        assert dets.pop(2 * g) == 0
+        assert set(dets) == set(verdict.witness_kfold_at_one)
+        assert all(v != 0 for v in dets.values())
+
+    @pytest.mark.parametrize("orientable,genus", [(True, 2), (False, 3)])
+    def test_version_one_document_names_the_regenerating_command(
+            self, orientable, genus):
+        data = rinf_degree(SurfaceSpec(orientable, genus),
+                           samples=2).to_json_dict()
+        data["schema"] = "rinf-verdict/1"
+        with pytest.raises(ValueError, match=r"`rinfty degree --orientable"
+                                             r"\|--nonorientable --genus G"):
+            RinfVerdict.from_json_dict(data)
 
     def test_nonorientable_genus_cap_stops_before_the_search(self,
                                                              monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 import rinfty.analysis
 import rinfty.cli
 import rinfty.freelie
+import rinfty.oracle
 from rinfty.analysis import SurfaceSpec, nonorientable_base_matrices
 from rinfty.cli import main
 from rinfty.intlinalg import IntMatrix
@@ -52,6 +53,40 @@ class TestDegreeCommand:
                            "--max-m", "10")
         assert code == 2
         assert "cap" in err
+
+    def test_nonorientable_verdict_ignores_samples_and_seed(self, capsys):
+        # the seed and sample count are echoed in the config and change
+        # nothing in a non-orientable verdict, which records neither
+        verdicts = []
+        for seed, samples in (("1", "10"), ("2", "3")):
+            code, out, _ = run(capsys, "degree", "--nonorientable", "--genus",
+                               "4", "--seed", seed, "--samples", samples,
+                               "--format", "json")
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["config"]["seed"] == int(seed)
+            assert "seed" not in doc["verdict"]
+            assert "samples" not in doc["verdict"]
+            verdicts.append(doc["verdict"])
+        assert verdicts[0] == verdicts[1]
+
+    def test_nonorientable_verdict_builds_no_tower(self, capsys, monkeypatch):
+        # the i-fold values of the witness search are the whole certificate
+        def refuse(*args, **kwargs):
+            raise AssertionError("non-orientable verdict built a tower")
+
+        for module in (rinfty.freelie, rinfty.analysis, rinfty.cli):
+            monkeypatch.setattr(module, "build_hall_basis", refuse)
+        for module in (rinfty.freelie, rinfty.cli):
+            monkeypatch.setattr(module, "fixed_point_dets", refuse)
+        monkeypatch.setattr(rinfty.freelie.InducedTower, "__init__", refuse)
+        verdict = rinfty.analysis.rinf_degree(SurfaceSpec(False, 4))
+        assert verdict.degree == 6
+        code, out, err = run(capsys, "degree", "--nonorientable", "--genus",
+                             "3")
+        assert code == 0, err
+        assert "degree: 4\n" in out
+        assert "det(I - M_i)" not in out
 
     def test_nonorientable_genus_cap(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):
@@ -249,6 +284,24 @@ class TestOtherCommands:
         assert err == ("resource cap: hall table for r=2, c=24 exceeds cap "
                        "10000000\n")
 
+    @pytest.mark.parametrize("args", [
+        ("lie-dims", "--rank", "1", "--class", "100000"),
+        ("crosscheck", "--what", "twisted", "--rank", "1", "--class",
+         "100000", "--modulus", "100003"),
+    ])
+    def test_rank_one_table_cap(self, capsys, monkeypatch, args):
+        # rank 1 is capped on its class too, before any Witt number
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Witt number was computed")
+
+        for module in (rinfty.freelie, rinfty.cli, rinfty.oracle):
+            monkeypatch.setattr(module, "witt_dimension", refuse)
+        code, out, err = run(capsys, *args)
+        assert code == 2
+        assert out == ""
+        assert err == ("resource cap: hall table for r=1, c=100000 exceeds "
+                       "cap 10000000\n")
+
     def test_table_cap_on_a_huge_class_exits_at_once(self, capsys):
         # the cap is decided without forming rank ** class
         start = time.perf_counter()
@@ -440,30 +493,30 @@ class TestGoldenOutput:
     def test_orientable_degree(self, capsys):
         assert self.digest(capsys, "degree", "--orientable", "--genus", "2",
                            "--samples", "2", "--format", "json") == (
-            "a11fad66d49178a48d4dc01c99aaa8345dc93d886efc92a77268ebc4e683ca16")
+            "122ee0a08284e8d9bc3bef7b0ca2aa776c78cb4afa8a54107f968f488cd6fec8")
 
     def test_orientable_genus_three_degree(self, capsys):
         assert self.digest(capsys, "degree", "--orientable", "--genus", "3",
                            "--samples", "4", "--format", "json") == (
-            "1ccacba00f1b7a8e7cb1a533d4c188c1177ad845f007af1f57a588776519059c")
+            "42873a3b800e2c9ab73b37f9492c4e80a6d292e7ea9abb9cfcddef89c9622c8d")
 
     def test_orientable_genus_two_many_samples(self, capsys):
         # 100 minus samples, most of them decided by the metabelian det
         assert self.digest(capsys, "degree", "--orientable", "--genus", "2",
                            "--samples", "200", "--seed", "12345",
                            "--format", "json") == (
-            "f37cadb3f9151e4a89e358b1a24051f99597deb71264ec5962dc80f3646dcca5")
+            "3cf0bc997e782503036d61e580ffd9e0c54f67dbba5cb380e27310f904ecd68b")
 
     def test_orientable_genus_four_degree(self, capsys):
         # the bytes of the tower path with its genus cap raised to 4
         assert self.digest(capsys, "degree", "--orientable", "--genus", "4",
                            "--samples", "2", "--format", "json") == (
-            "7d1b10e6b3628aef1528f54725d005dcee49b28dafd49b57c0579188942df1b6")
+            "0c254ef397ac8653d150193f0beeeb2ecc5f3053af55acd1b46b61aa34d75d03")
 
     def test_nonorientable_degree(self, capsys):
         assert self.digest(capsys, "degree", "--nonorientable", "--genus", "3",
                            "--format", "json") == (
-            "f8fd78f3e72c4636838f49e0a9c433f97a3fc4fa6648e71ea45b542e0e3e68c5")
+            "e06d80ff3bd7c53353db879edb03368c9d174011ab3ae6903dd2036fe8385ed1")
 
     def test_check_witness_class_four(self, capsys, tmp_path):
         code, out, _ = run(capsys, "witness", "--orientable", "--genus", "2",
@@ -504,13 +557,13 @@ class TestGoldenOutput:
         # Sylvester resultants with entries of about 3,400 bits
         assert self.digest(capsys, "degree", "--nonorientable", "--genus", "4",
                            "--format", "json") == (
-            "9b666647cb86ecf23453dd615fdc399797895e30f5b09752b0e07790ef9dca75")
+            "a60f0ca4f1e6f1802d4df6f272894b66c66a993a45939e889e151a145d6219ea")
 
     def test_nonorientable_genus_four_degree_text(self, capsys):
         # the text form, with its i-fold product line
         assert self.digest(capsys, "degree", "--nonorientable", "--genus",
                            "4") == (
-            "924a9df97ee5b4829e5edda17eaa5cfc0f4a43d85faa9d52be1d3597b51ca117")
+            "2c711a318d34eb89260779553eca2b99725938737ca3d2c9f9980686287f63c4")
 
     def test_crosscheck_spectrum_json(self, capsys):
         assert self.digest(capsys, "crosscheck", "--what", "spectrum",
