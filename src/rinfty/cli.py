@@ -33,6 +33,24 @@ FREE_TOWER_ROW_CAP = 1000
 # of 70 rows (rank 6, degree 3) takes about 1.2 s, 99 rows 2.1 s, 112 rows
 # 7.2 s (2-core x86, Python 3.11)
 SPECTRUM_ROW_CAP = 70
+# ``padding`` multiplies dense series over every word of length <= class
+# in the rank-r ambient: rank 2 takes 6.5 s at class 6 (126 words) and
+# 47 s at class 7; rank 3 class 5 (363 words) 4.0 s, rank 7 class 3 (399)
+# 3.4 s, rank 21 class 2 (462) 4.3 s, rank 8 class 3 (584) 6.3 s, rank 9
+# class 3 (819) 21 s (2-core x86, Python 3.11, fresh process)
+PADDING_CLASS_CAP = 6
+PADDING_WORD_CAP = 500
+# genus of ``witness --orientable``: Berkowitz on 2g rows takes 1.9 s at
+# genus 50, 4.4 s at 60 and 33 s at 100; of ``sample`` at the default
+# length 10: 1.5 s at genus 200, 3.6 s at 300 (same machine)
+WITNESS_GENUS_CAP = 50
+SAMPLE_GENUS_CAP = 200
+
+
+def _cap(value, cap, what, name="cap"):
+    """Exit 2, through ``ResourceLimitError``, when value exceeds cap."""
+    if value > cap:
+        raise ResourceLimitError(f"{what}, above the {name} {cap}")
 
 
 def _emit(payload, fmt, text_lines):
@@ -123,10 +141,8 @@ def check(matrix_path, orientable, genus, klass, fmt):
     else:
         computed = min(klass, 2 * n)
         rows = witt_dimension(n, computed)
-        if rows > FREE_TOWER_ROW_CAP:
-            raise ResourceLimitError(
-                f"free tower on rank {n} at degree {computed} has {rows} "
-                f"rows, above the cap {FREE_TOWER_ROW_CAP}")
+        _cap(rows, FREE_TOWER_ROW_CAP,
+             f"free tower on rank {n} at degree {computed} has {rows} rows")
         table = build_hall_basis(n, computed)
         extra = {"unimodular": is_automorphism_matrix(s)}
         dets = dict(fixed_point_dets(induced_tower(table, s), None,
@@ -166,6 +182,8 @@ def witness(orientable, genus, klass, max_m, fmt):
     """Explicit matrix whose induced tower avoids eigenvalue 1."""
     SurfaceSpec(orientable, genus)  # rejects a genus with no such surface
     if orientable:
+        _cap(genus, WITNESS_GENUS_CAP, f"orientable witness of genus {genus}",
+             "genus cap")
         w = orientable_witness(genus)
         p = charpoly(w)
         payload = {"schema": SCHEMA_REPORT, "command": "witness",
@@ -236,6 +254,11 @@ def padding(rank, klass, n, fmt):
         raise click.ClickException("n must be at least 2")
     if klass < 1:
         raise click.ClickException("class must be at least 1")
+    ambient = f"padding on rank {rank}, class {klass}"
+    _cap(klass, PADDING_CLASS_CAP, ambient, "class cap")
+    words = sum(rank ** d for d in range(1, klass + 1))
+    _cap(words, PADDING_WORD_CAP,
+         f"{ambient} multiplies series over {words} words")
     group = free_nilpotent_group(rank, klass)
     x, y = group.generator(0), group.generator(1)
     f, z = power_padding(n, x, y)
@@ -278,10 +301,9 @@ def crosscheck(what, rank, klass, count, degree, seed, modulus, matrix_path,
         if not 1 <= deg <= klass:
             raise click.ClickException("degree must lie in 1..class")
         rows = witt_dimension(rank, deg)
-        if rows > SPECTRUM_ROW_CAP:
-            raise ResourceLimitError(
-                f"free tower on rank {rank} at degree {deg} has {rows} rows, "
-                f"above the spectrum cap {SPECTRUM_ROW_CAP}")
+        _cap(rows, SPECTRUM_ROW_CAP,
+             f"free tower on rank {rank} at degree {deg} has {rows} rows",
+             "spectrum cap")
         table = build_hall_basis(rank, klass)
         rng = _random.Random(seed)
         failures = []
@@ -342,6 +364,7 @@ def sample(genus, sign, seed, length, fmt):
     """Random admissible matrix (S*Omega*S^T = +-Omega), seed-deterministic."""
     if genus < 1:
         raise click.ClickException("genus must be at least 1")
+    _cap(genus, SAMPLE_GENUS_CAP, f"sample of genus {genus}", "genus cap")
     s = sample_admissible(genus, sign, seed, length=length)
     payload = {"schema": SCHEMA_REPORT, "command": "sample",
                "config": {"genus": genus, "sign": sign, "seed": seed,

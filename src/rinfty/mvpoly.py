@@ -15,19 +15,13 @@ class MPoly:
     __slots__ = ("vars", "terms")
 
     def __init__(self, variables, terms):
-        object.__setattr__(self, "vars", tuple(variables))
-        clean = {}
-        width = len(self.vars)
-        for exps, coeff in terms.items():
-            c = Fraction(coeff)
-            if not c:
-                continue
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != width or any(e < 0 for e in exps):
-                raise ValueError("bad exponent tuple")
-            clean[exps] = clean.get(exps, Fraction(0)) + c
-        object.__setattr__(self, "terms",
-                           {e: c for e, c in clean.items() if c})
+        """Wrap ``terms``, {exponent tuple: nonzero Fraction}, as given.
+
+        Only ``constant``, ``variable`` and the ring operations below
+        build an MPoly, and each hands over a clean dict.
+        """
+        object.__setattr__(self, "vars", variables)
+        object.__setattr__(self, "terms", terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
@@ -76,7 +70,11 @@ class MPoly:
             return NotImplemented
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            v = out.get(e, 0) + c
+            if v:
+                out[e] = v
+            else:
+                del out[e]
         return MPoly(self.vars, out)
 
     __radd__ = __add__
@@ -96,7 +94,8 @@ class MPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            return MPoly(self.vars, {e: c * v for e, v in self.terms.items()})
+            return MPoly(self.vars,
+                         {e: c * v for e, v in self.terms.items()} if c else {})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -104,8 +103,8 @@ class MPoly:
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 key = tuple(x + y for x, y in zip(ea, eb))
-                out[key] = out.get(key, Fraction(0)) + ca * cb
-        return MPoly(self.vars, out)
+                out[key] = out.get(key, 0) + ca * cb
+        return MPoly(self.vars, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -162,7 +161,7 @@ class MPoly:
                 term = term * (val ** e)
             for mono, c in term.terms.items():
                 acc[mono] = acc.get(mono, 0) + c
-        return MPoly(self.vars, acc)
+        return MPoly(self.vars, {e: c for e, c in acc.items() if c})
 
     def evaluate(self, assignment):
         """Fully numeric evaluation to a Fraction."""

@@ -7,23 +7,22 @@ basis (a_1 = a, a_2 = b, a_3 = [a,b], ...), with integer exponents as
 the coordinates.  Arithmetic runs inside the rational Malcev completion,
 realized concretely in the degree-truncated free associative algebra:
 group elements are exponential series, multiplication is the truncated
-series product, powers and roots are exp(t * log), and normal-form
-coordinates are peeled off degree by degree.  All coefficients are exact
-rationals; coordinates of group elements are exact integers.
+series product, powers and roots are one map exp(t * log)
+(``ring_power``), and normal-form coordinates are peeled off degree by
+degree.  All coefficients are exact rationals; coordinates of group
+elements are exact integers.
 
-The same machinery run with polynomial coefficients yields the power
+The same map run with polynomial coefficients yields the power
 polynomials q_i with u^m = prod a_i^(m x_i + q_i(x_1..x_{i-1}, m)), and
 the padding exponents f(n, c) with x^n y^f = (x z)^n.
 """
 
 from fractions import Fraction
-from math import lcm
+from functools import cache
+from math import factorial, lcm
 
 from .freelie import build_hall_basis
 from .mvpoly import MPoly
-
-_GROUP_CACHE = {}
-_PADDING_CACHE = {}
 
 
 # ---------------------------------------------------------------------------
@@ -72,44 +71,36 @@ def _unit_tail(e, one):
         raise ValueError("series must have constant term 1")
     return n
 
+def _ser_sum(n, c, one, start, coeff):
+    """start + sum over j >= 1 of coeff(j) * n^j, truncated at length c.
+
+    n has zero constant term, so its powers vanish past n^c.
+    """
+    out = start
+    term = {(): one}
+    for j in range(1, c + 1):
+        term = ser_mul(term, n, c)
+        if not term:
+            break
+        out = ser_add(out, term, scale=coeff(j))
+    return out
+
 def ser_exp(ell, c, one=Fraction(1)):
     """exp of a series with zero constant term."""
     if () in ell:
         raise ValueError("exp needs a series with zero constant term")
-    out = {(): one}
-    term = {(): one}
-    fact = 1
-    for j in range(1, c + 1):
-        term = ser_mul(term, ell, c)
-        if not term:
-            break
-        fact *= j
-        out = ser_add(out, ser_scale(term, Fraction(1, fact)))
-    return out
+    return _ser_sum(ell, c, one, {(): one},
+                    lambda j: Fraction(1, factorial(j)))
 
 def ser_log(e, c, one=Fraction(1)):
     """log of a series with constant term 1."""
-    n = _unit_tail(e, one)
-    out = {}
-    term = {(): one}
-    for j in range(1, c + 1):
-        term = ser_mul(term, n, c)
-        if not term:
-            break
-        out = ser_add(out, ser_scale(term, Fraction((-1) ** (j - 1), j)))
-    return out
+    return _ser_sum(_unit_tail(e, one), c, one, {},
+                    lambda j: Fraction((-1) ** (j - 1), j))
 
 def ser_inv(e, c, one=Fraction(1)):
     """Inverse of a series with constant term 1."""
-    n = _unit_tail(e, one)
-    out = {(): one}
-    term = {(): one}
-    for j in range(1, c + 1):
-        term = ser_mul(term, n, c)
-        if not term:
-            break
-        out = ser_add(out, term, scale=(-1) ** j)
-    return out
+    return _ser_sum(_unit_tail(e, one), c, one, {(): one},
+                    lambda j: (-1) ** j)
 
 def ser_degree_part(e, d):
     """Homogeneous part of word length d."""
@@ -268,15 +259,20 @@ class FreeNilpotentGroup:
         inv = ser_inv(self.series_from_coords(a), self.c)
         return _as_int_tuple(self.peel(inv))
 
+    def ring_power(self, coords, t, one=Fraction(1)):
+        """Coordinates of (prod a_i^{x_i})^t, as peel(exp(t * log(series))).
+
+        The coordinates and t are elements of the ring of ``one``:
+        Fractions for powers and roots, ``MPoly`` for symbolic tables.
+        """
+        log = ser_log(self.series_from_coords(coords, one), self.c, one)
+        return self.peel(ser_exp(ser_scale(log, t), self.c, one), one)
+
     def power_coords(self, a, n):
-        log = ser_log(self.series_from_coords(a), self.c)
-        powered = ser_exp(ser_scale(log, Fraction(n)), self.c)
-        return _as_int_tuple(self.peel(powered))
+        return _as_int_tuple(self.ring_power(a, Fraction(n)))
 
     def root_coords(self, a, s):
-        log = ser_log(self.series_from_coords(a), self.c)
-        rooted = ser_exp(ser_scale(log, Fraction(1, s)), self.c)
-        coords = self.peel(rooted)
+        coords = self.ring_power(a, Fraction(1, s))
         if any(x.denominator != 1 for x in coords):
             return None
         return tuple(x.numerator for x in coords)
@@ -313,14 +309,10 @@ def _as_int_tuple(fracs):
     return tuple(out)
 
 
+@cache
 def free_nilpotent_group(r, c):
     """Shared immutable ambient for N_{r,c}."""
-    key = (r, c)
-    grp = _GROUP_CACHE.get(key)
-    if grp is None:
-        grp = FreeNilpotentGroup(r, c)
-        _GROUP_CACHE[key] = grp
-    return grp
+    return FreeNilpotentGroup(r, c)
 
 
 class MalcevElement:
@@ -446,8 +438,7 @@ def build_power_table(r, c):
     xs = [MPoly.variable(names, f"x{j + 1}") for j in range(amb.k)]
     mv = MPoly.variable(names, "m")
     one = MPoly.constant(names, 1)
-    log = ser_log(amb.series_from_coords(xs, one), amb.c, one)
-    coords = amb.peel(ser_exp(ser_scale(log, mv), amb.c, one), one)
+    coords = amb.ring_power(xs, mv, one)
     polys = []
     for j in range(amb.k):
         q = coords[j] - mv * xs[j]
@@ -466,43 +457,29 @@ def build_power_table(r, c):
 # padding identity: x^n y^f = (x z)^n
 # ---------------------------------------------------------------------------
 
+@cache
 def padding_data(n, c):
     """The exponent f(n, c) and the coordinate polynomials of z in N_{2,c}.
 
-    Solves a^n b^m = (a d)^m-free equation symbolically over Q[m]:
-    d = a^{-1} (a^n b^m)^{1/n} has coordinates polynomial in m with no
-    constant term; f(n, c) is the least common multiple of all their
-    denominators, so substituting m = f(n, c) lands in the integers.
+    Over Q[m], z = a^-1 (a^n b^m)^{1/n} solves a^n b^m = (a z)^n.  The
+    normal form of a^n b^m is (n, m, 0, ..., 0), and a = a_1 leads the
+    normal form, so z has the coordinates of the root with the first
+    lowered by one: polynomials in m with no constant term.  f(n, c) is
+    the lcm of all their denominators, so m = f(n, c) makes z integral.
     """
-    key = (n, c)
-    cached = _PADDING_CACHE.get(key)
-    if cached is not None:
-        return cached
     if n < 2:
         raise ValueError("need n >= 2")
     amb = free_nilpotent_group(2, c)
-    names = ("m",)
-    mv = MPoly.variable(names, "m")
-    one = MPoly.constant(names, 1)
-    log_a = {w: v * one for w, v in amb.log_basis(1, 0).items()}
-    log_b = {w: v * one for w, v in amb.log_basis(1, 1).items()}
-    w = ser_mul(ser_exp(ser_scale(log_a, Fraction(n) * one), c, one),
-                ser_exp(ser_scale(log_b, mv), c, one), c)
-    root = ser_exp(ser_scale(ser_log(w, c, one), Fraction(1, n) * one),
-                   c, one)
-    z_series = ser_mul(ser_exp(ser_scale(log_a, -one), c, one), root, c)
-    coords = amb.peel(z_series, one)
+    one = MPoly.constant(("m",), 1)
+    normal_form = [n * one, MPoly.variable(("m",), "m")] + [0] * (amb.k - 2)
+    root = amb.ring_power(normal_form, Fraction(1, n), one)
+    coords = [root[0] - 1] + root[1:]
     if coords[0]:
         raise AssertionError("z must have no component on the first generator")
     for q in coords:
         if q.constant_term():
             raise AssertionError("z coordinates must vanish at m = 0")
-    f = 1
-    for q in coords:
-        f = lcm(f, q.denominator_lcm())
-    cached = (f, tuple(coords))
-    _PADDING_CACHE[key] = cached
-    return cached
+    return lcm(*(q.denominator_lcm() for q in coords)), tuple(coords)
 
 
 def padding_exponent(n, c):
@@ -521,8 +498,8 @@ def _commutator_image(tree, x, y):
 def power_padding(n, x, y):
     """(f, z) with x^n * y^f = (x * z)^n exactly and z in <y, gamma_2>.
 
-    z is the image of the universal solution d in N_{2,c} under the
-    homomorphism sending the two generators to x and y.
+    z is the image of the universal solution z in N_{2,c} of
+    ``padding_data`` under the homomorphism sending a, b to x, y.
     """
     if n < 2:
         raise ValueError("need n >= 2")

@@ -10,20 +10,22 @@ is then invertible, the reduced coordinate maps define an honest finite
 group of order m^k, and twisted classes can be counted by orbit
 enumeration and compared against the exact linear-algebra predictions.
 
-The enumeration works with the coordinate maps over Z/m.  Each
+The enumeration works with the multiplication map over Z/m.  Each
 generator move x -> z x phi(z)^-1 is composed over Q, as ``MPoly``
-substitutions into the collection polynomials, into k polynomials in
-the k coordinates of x, and reduced mod m once (each coefficient a/b
-becomes a * b^-1 mod m).  Every coefficient lies in Z_(p), reduction
-Z_(p) -> Z/p^e is a ring map, and substitution commutes with ring maps,
-so the composed move equals multiplying step by step and reducing at
-each step.
+substitutions into the multiplication polynomials, into k polynomials
+in the k coordinates of x, and reduced mod m once (each coefficient a/b
+becomes a * b^-1 mod m).  The r inverses phi(z)^-1 are the group's
+exact inverses reduced mod m.  Every coefficient of the multiplication
+and inversion maps lies in Z_(p), reduction Z_(p) -> Z/p^e is a ring
+map, and substitution commutes with ring maps, so both equal computing
+step by step in Z/m.
 
 The spectrum check holds each induced tower on the free Lie ring to its
 character: charpoly(M_i) computed from the tower must equal the one the
 equivariant Witt formula reads off charpoly(S), multiplicities included.
 """
 
+from functools import cache
 from itertools import product
 from math import gcd, lcm
 
@@ -32,11 +34,9 @@ from .intlinalg import IntMatrix, charpoly
 from .freelie import (SurfaceCharacter, check_hall_table, induced_tower,
                       witt_dimension)
 from .mvpoly import MPoly
-from .nilpotent import free_nilpotent_group, ser_inv, ser_mul
+from .nilpotent import free_nilpotent_group, ser_mul
 
 DEFAULT_MAX_ORDER = 10 ** 6
-
-_MAP_CACHE = {}
 
 
 def abelian_reidemeister_count(m):
@@ -108,11 +108,11 @@ def _prime_power_base(m):
 
 
 class _CoordinateMaps:
-    """Multiplication and inversion of N_{r,c} as polynomial maps.
+    """Multiplication of N_{r,c} as a polynomial map.
 
-    Each output coordinate is an ``MPoly`` in the 2k inputs u, v with
-    rational coefficients whose denominators only involve primes <= c;
-    ``denominator`` is the lcm of them all.
+    Each output coordinate of u v is an ``MPoly`` in the 2k inputs u, v
+    with rational coefficients whose denominators only involve primes
+    <= c; ``denominator`` is the lcm of them all.
     """
 
     def __init__(self, r, c):
@@ -127,18 +127,12 @@ class _CoordinateMaps:
         self.ambient = amb
         self.names = names
         self.mult = amb.peel(ser_mul(series_u, series_v, amb.c), one)
-        self.inv = amb.peel(ser_inv(series_u, amb.c, one), one)
-        self.denominator = lcm(*(poly.denominator_lcm()
-                                 for poly in self.mult + self.inv))
+        self.denominator = lcm(*(poly.denominator_lcm() for poly in self.mult))
 
 
+@cache
 def _coordinate_maps(r, c):
-    key = (r, c)
-    maps = _MAP_CACHE.get(key)
-    if maps is None:
-        maps = _CoordinateMaps(r, c)
-        _MAP_CACHE[key] = maps
-    return maps
+    return _CoordinateMaps(r, c)
 
 
 def _reduce(poly, m):
@@ -202,7 +196,6 @@ class FiniteTwistedSetup:
         if gcd(self._maps.denominator, modulus) != 1:
             raise ValueError("collection denominators are not invertible")
         self._mult = [_reduce(poly, modulus) for poly in self._maps.mult]
-        self._inv = [_reduce(poly, modulus) for poly in self._maps.inv]
         if images is None:
             images = [self._maps.ambient.generator(i).coords for i in range(r)]
         images = [tuple(x % modulus for x in img) for img in images]
@@ -245,9 +238,10 @@ class FiniteTwistedSetup:
                      for poly in self._mult)
 
     def inverse(self, a):
-        values = tuple(a) + (0,) * self.k
-        return tuple(_eval_reduced(poly, values, self.modulus)
-                     for poly in self._inv)
+        # the inverse map has coefficients in Z_(p) too, so the exact
+        # inverse reduced mod m is the reduced map's value
+        return tuple(x % self.modulus
+                     for x in self._maps.ambient.inverse_coords(a))
 
     def move_maps(self):
         """Per generator z_i, the k polynomials of x -> z_i x phi(z_i)^-1.

@@ -416,6 +416,53 @@ class TestOtherCommands:
         assert code == 1
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("the capped computation started")
+
+
+class TestSizeCaps:
+    """Each cap answers at once, before the expensive call can start."""
+
+    def refused(self, capsys, *args):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *args)
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        assert out == ""
+        return err
+
+    @pytest.mark.parametrize("rank,klass,detail", [
+        ("8", "4", " multiplies series over 4680 words, above the cap 500"),
+        ("50", "3", " multiplies series over 127550 words, above the cap "
+                    "500"),
+        ("2", "7", ", above the class cap 6"),
+        ("2", "8", ", above the class cap 6"),
+    ])
+    def test_padding_ambient(self, capsys, monkeypatch, rank, klass, detail):
+        monkeypatch.setattr(rinfty.cli, "free_nilpotent_group", _refuse)
+        err = self.refused(capsys, "padding", "--rank", rank, "--class",
+                           klass, "--n", "2")
+        assert err == (f"resource cap: padding on rank {rank}, class "
+                       f"{klass}{detail}\n")
+
+    @pytest.mark.parametrize("genus", ["51", "100", "3000"])
+    def test_orientable_witness_genus(self, capsys, monkeypatch, genus):
+        monkeypatch.setattr(rinfty.cli, "orientable_witness", _refuse)
+        monkeypatch.setattr(rinfty.cli, "charpoly", _refuse)
+        err = self.refused(capsys, "witness", "--orientable", "--genus",
+                           genus)
+        assert err == (f"resource cap: orientable witness of genus {genus}"
+                       f", above the genus cap 50\n")
+
+    @pytest.mark.parametrize("genus", ["201", "3000"])
+    def test_sample_genus(self, capsys, monkeypatch, genus):
+        monkeypatch.setattr(rinfty.cli, "sample_admissible", _refuse)
+        err = self.refused(capsys, "sample", "--genus", genus, "--sign",
+                           "plus")
+        assert err == (f"resource cap: sample of genus {genus}, above the "
+                       f"genus cap 200\n")
+
+
 class TestRejectedArguments:
     @pytest.mark.parametrize("args", [
         ("degree", "--orientable", "--genus", "2", "--samples", "0"),

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -265,6 +266,56 @@ class TestPadding:
         y = g24.generator(1)
         f, _ = power_padding(2, x, y)
         assert f == f23
+
+
+def _term_listing(polys):
+    return "\n".join(
+        f"{i}: " + " ".join(f"{e}:{c}" for e, c in sorted(q.terms.items()))
+        for i, q in enumerate(polys))
+
+
+# (n, c) -> f(n, c) and a sha256 prefix of ``_term_listing`` of the
+# coordinate polynomials of z, recorded from the separate-exponential
+# computation (a^n, b^m and a^-1 multiplied out as series)
+PADDING_PINS = {
+    (2, 1): (2, "43aec793d92a9c28"),
+    (2, 2): (4, "bf4fc234cfcc13f9"),
+    (2, 3): (8, "e4de4b16db6e93f1"),
+    (2, 4): (192, "ef6d77a0d6d1f5f2"),
+    (2, 5): (384, "8e28d6a5c0703cad"),
+    (2, 6): (7680, "b30364ca7fe6cb3c"),
+    (3, 1): (3, "b4229c054a950566"),
+    (3, 2): (3, "1175ae8c3185b061"),
+    (3, 3): (54, "c39925488ffca21b"),
+    (3, 4): (54, "c8ba3aba00a3ada6"),
+}
+
+
+class TestPinnedPolynomials:
+    @pytest.mark.parametrize("n,c", sorted(PADDING_PINS))
+    def test_padding_data(self, n, c):
+        f, polys = padding_data(n, c)
+        digest = hashlib.sha256(_term_listing(polys).encode()).hexdigest()
+        assert (f, digest[:16]) == PADDING_PINS[n, c]
+        assert len(polys) == free_nilpotent_group(2, c).k
+
+    def test_class_three_padding_polynomials(self):
+        m = MPoly.variable(("m",), "m")
+        assert padding_data(2, 3)[1] == (0, m / 2, -m / 4, m / 8,
+                                         (m - m * m) / 8)
+        assert padding_data(3, 3)[1] == (0, m / 3, -m / 3, 2 * m / 9,
+                                         m / 6 - 7 * m * m / 54)
+
+    def test_power_table_rank_two_class_three(self):
+        table = build_power_table(2, 3)
+        x1, x2, x3, m = (MPoly.variable(table.variables, name)
+                         for name in ("x1", "x2", "x3", "m"))
+        assert table.polys == (
+            0, 0, (m * m - m) / 2 * x1 * x2,
+            (2 * m ** 3 - 3 * m * m + m) / 12 * x1 * x1 * x2
+            + (m - m * m) / 4 * x1 * x2 + (m * m - m) / 2 * x1 * x3,
+            (4 * m ** 3 - 3 * m * m - m) / 12 * x1 * x2 * x2
+            + (m - m * m) / 4 * x1 * x2 + (m * m - m) / 2 * x2 * x3)
 
 
 class TestFreeRankCertificate:

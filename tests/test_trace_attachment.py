@@ -3,9 +3,12 @@
 ``perfbench/tracer.py`` patches rinfty functions by name from outside;
 a kernel that is renamed or moved would silently drop its per-layer
 metrics.  One test resolves every wrapped name without patching, the
-other runs traced benchmark requests end to end: a non-orientable
-``check`` that must record the tower and determinant spans, and an
-orientable one that must record none of the tower kernels.
+others run traced benchmark requests end to end: a non-orientable
+``check`` that must record the tower and determinant spans, an
+orientable one that must record none of the tower kernels, and a
+non-orientable ``degree`` verdict, which builds no tower either: its
+spans are the k-fold witness search, the padding exponent and the one
+Hall table of the rank-2 Malcev basis behind it.
 """
 
 import importlib
@@ -42,16 +45,20 @@ KERNEL_SPANS = ("intlinalg.det", "intlinalg.snf", "freelie.project",
                 "freelie.tower")
 
 
-def _traced_check(path, *args):
-    request = {"id": 0, "trace": 1,
-               "argv": ["check", "--matrix", str(path), *args,
-                        "--format", "json"]}
+def _traced(*argv):
+    """Payload and span names of one traced worker request."""
+    request = {"id": 0, "trace": 1, "argv": [*argv, "--format", "json"]}
     proc = subprocess.run([sys.executable, WORKER, json.dumps(request)],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["rc"] == 0
-    return json.loads(report["stdout"]), {span[0] for span in report["spans"]}
+    return json.loads(report["stdout"]), [span[0] for span in report["spans"]]
+
+
+def _traced_check(path, *args):
+    payload, names = _traced("check", "--matrix", str(path), *args)
+    return payload, set(names)
 
 
 def test_traced_check_records_every_kernel_span(tmp_path):
@@ -71,3 +78,12 @@ def test_traced_check_records_every_kernel_span(tmp_path):
     assert payload["verdict"] == "R infinite (degree 4)"
     assert "intlinalg.charpoly" in names
     assert not names & set(KERNEL_SPANS)
+
+
+def test_traced_nonorientable_verdict_builds_no_tower():
+    payload, names = _traced("degree", "--nonorientable", "--genus", "3")
+    assert payload["verdict"]["degree"] == 4
+    assert {"nilpotent.padding", "intlinalg.kfold"} <= set(names)
+    assert names.count("freelie.hall") == 1
+    assert not set(names) & {"freelie.tower", "freelie.project",
+                             "intlinalg.snf"}
