@@ -6,11 +6,14 @@ witness for the hardest class below the threshold: a rotation L composed
 with g-1 twisted shifts A, whose characteristic polynomial has one
 dominant real root and determinant -1, so no product of fewer than 2g of
 its eigenvalues can reach 1; at 2g the squared full product is exactly
-(det)^2 = 1 and the criterion trips for every automorphism.
+(det)^2 = 1 and the criterion trips for every automorphism.  The products
+of i eigenvalues are the eigenvalues of the symmetric power Sym^i W, so
+the test is charpoly(Sym^i W)(1), built from the power sums of charpoly(W).
 """
 
 from rinfty import (IntMatrix, SurfaceSpec, charpoly, dominance_root_test,
-                    kfold_value_at_one, nonorientable_witness, rinf_degree)
+                    nonorientable_witness, rinf_degree,
+                    symmetric_power_charpoly)
 from rinfty.analysis import (nonorientable_base_matrices,
                              nonorientable_charpoly_formula)
 from rinfty.freelie import build_hall_basis, induced_tower
@@ -20,17 +23,19 @@ print(__doc__)
 for genus in (3, 4):
     g = genus - 1
     c = 2 * g - 1
-    w, m, kfold = nonorientable_witness(g, c)
+    w, m, sym = nonorientable_witness(g, c)
     p = charpoly(w)
     print(f"genus {genus} (rank {g}, witness class {c}): twist exponent m = {m}")
     print(f"  charpoly = {p}")
     assert p == nonorientable_charpoly_formula(g, m)
     print(f"  closed formula check: (1+x)(x-1)^{g-1} + sum (mx)^k (x-1)^...: ok")
     print(f"  det = {w.det()}, dominance test: {dominance_root_test(p)}")
-    kfold[2 * g] = kfold_value_at_one(p, 2 * g)
-    for i, val in kfold.items():
-        tag = "ZERO (eigenvalue 1 appears)" if val == 0 else "nonzero"
-        print(f"  i = {i}: product of all (1 - i-fold root products) is {tag}")
+    sym[2 * g] = symmetric_power_charpoly(p, 2 * g)(1)
+    assert sym[2 * g] == 0 and 0 not in list(sym.values())[:-1]
+    for i, val in sym.items():
+        tag = ("ZERO (eigenvalue 1 appears)" if val == 0
+               else f"nonzero ({val.bit_length()} bits)")
+        print(f"  i = {i}: charpoly(Sym^{i} W)(1) is {tag}")
     table = build_hall_basis(g, 2 * g)
     tower = induced_tower(table, w)
     final = tower.matrix(2 * g)

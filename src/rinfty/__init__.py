@@ -11,10 +11,8 @@ from .errors import ResourceLimitError
 from .intlinalg import (IntMatrix, IntPoly, ReciprocalSymmetry,
                         SmithDecomposition, charpoly, dominance_root_test,
                         kfold_product_spectrum, kfold_value_at_one,
-                        poly_divides, product_spectrum,
-                        reciprocal_symmetry_check, resultant,
-                        smith_normal_form, spectrum_value_at_one,
-                        sylvester_matrix)
+                        poly_divides, reciprocal_symmetry_check,
+                        smith_normal_form, symmetric_power_charpoly)
 from .freelie import (GradedQuotient, HallWord, InducedTower, StructureTable,
                       SurfaceCharacter, build_hall_basis,
                       eigenvalue_one_first_degree,

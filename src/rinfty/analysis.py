@@ -22,7 +22,8 @@ an abelianized action with one dominant real eigenvalue and determinant
 -1, so no product of fewer than 2g eigenvalues equals 1; the square of
 the full eigenvalue product is (det)^2 = 1, which forces eigenvalue 1 at
 degree 2g for every automorphism.  No tower is built: each eigenvalue
-of M_d is a d-fold product of eigenvalues of W (Reutenauer, ch. 8).
+of M_d is a d-fold product of eigenvalues of W (Reutenauer, ch. 8), that
+is an eigenvalue of Sym^d W, so the witness test is charpoly(Sym^i W)(1).
 
 Randomized admissibility samples substitute for quantification over all
 orientable automorphisms; that certificate records its seed and sample
@@ -34,16 +35,17 @@ count and says so.  A verdict is a deterministic function of its surface
 
 import json
 import random
+from math import comb
 
 from .errors import ResourceLimitError
 from .freelie import (SurfaceCharacter, apply_matrix_to_vector,
                       build_hall_basis, ideal_quotient, induced_tower,
                       metabelian_truncation, orientable_relator)
 from .intlinalg import (IntMatrix, IntPoly, charpoly, dominance_root_test,
-                        kfold_value_at_one, poly_divides, pseudo_divmod)
+                        poly_divides, pseudo_divmod, symmetric_power_charpoly)
 from .nilpotent import padding_exponent
 
-SCHEMA_VERDICT = "rinf-verdict/2"
+SCHEMA_VERDICT = "rinf-verdict/3"
 
 SAMPLING_NOTE = ("universal statements over all automorphisms are certified "
                  "structurally where possible and otherwise by the recorded "
@@ -55,9 +57,11 @@ PRODUCT_NOTE = ("the statement over all automorphisms is certified by the "
 DEFAULT_MAX_M = 10 ** 40
 ORIENTABLE_GENUS_CAP = 4
 NONORIENTABLE_GENUS_CAP = 4  # surface genus g+1 with g <= 3
-# degree g ** c of the ordered c-fold spectrum in the witness search; at
-# 4 ** 5 it answers in about 6 s on a 2-core machine, at 5 ** 5 in over 60 s
-WITNESS_SPECTRUM_CAP = 4 ** 5
+# C(g+c-1, c) * c^2 in the witness search: the degree of Sym^c W times the
+# growth of its root sizes, since m = (k f(2,c))^c.  Median searches (2-core
+# x86, Python 3.11): 3,024 (g=4, c=6) 1.2 s, 3,280 (g=40, c=2) 3.2 s, 3,360
+# (g=7, c=4) 1.8 s; refused 3,444 (g=41, c=2) 3.8 s, 5,880 (g=4, c=7) 7.4 s
+WITNESS_SPECTRUM_CAP = 3400
 
 
 class SurfaceSpec:
@@ -180,24 +184,25 @@ def nonorientable_charpoly_formula(g, m):
 
 
 def nonorientable_witness(g, c, max_m=DEFAULT_MAX_M):
-    """(W, m, kfold): witness W = L A^(g-1), twist exponent m, for class c < 2g.
+    """(W, m, sym): witness W = L A^(g-1), twist exponent m, for class c < 2g.
 
     The exponent is searched over m = (k f(2,c))^c, k = 1, 2, ..., the
     values realizable by the twisted-shift automorphism construction; a
     candidate is accepted once its characteristic polynomial passes the
     coefficient-dominance test and no i-fold product of its roots equals
-    1 for any i <= c (exact composed-spectrum evaluation at 1).  ``kfold``
-    maps each i <= c to ``kfold_value_at_one(charpoly(W), i)``; a rejected
-    candidate stops at its first zero.
+    1 for any i <= c: those products are the roots of Sym^i W, so ``sym``
+    maps each i <= c to ``symmetric_power_charpoly(charpoly(W), i)(1)``,
+    zero exactly when one of them is 1; a rejected candidate stops there.
     """
     if g < 2:
         raise ValueError("need g >= 2")
     if not 1 <= c < 2 * g:
         raise ValueError(f"class must satisfy 1 <= c < 2g = {2 * g}")
-    if g ** c > WITNESS_SPECTRUM_CAP:
+    work = comb(g + c - 1, c) * c * c
+    if work > WITNESS_SPECTRUM_CAP:
         raise ResourceLimitError(
-            f"witness search for g={g}, class {c}: ordered spectrum degree "
-            f"{g ** c} exceeds cap {WITNESS_SPECTRUM_CAP}")
+            f"witness search for g={g}, class {c}: C({g + c - 1}, {c}) * "
+            f"{c}^2 = {work} exceeds cap {WITNESS_SPECTRUM_CAP}")
     f = padding_exponent(2, c)
     k = 1
     while True:
@@ -213,13 +218,13 @@ def nonorientable_witness(g, c, max_m=DEFAULT_MAX_M):
         if w.det() != -1:
             raise AssertionError("witness determinant must be -1")
         if dominance_root_test(p):
-            kfold = {}
+            sym = {}
             for i in range(1, c + 1):
-                kfold[i] = kfold_value_at_one(p, i)
-                if kfold[i] == 0:
+                sym[i] = symmetric_power_charpoly(p, i)(1)
+                if sym[i] == 0:
                     break
             else:
-                return w, m, kfold
+                return w, m, sym
         k += 1
 
 
@@ -287,7 +292,7 @@ class RinfVerdict:
 
     def __init__(self, spec, degree, witness_matrix, witness_class,
                  witness_dets, structural, samples, seed, witness_m=None,
-                 witness_kfold_at_one=None):
+                 witness_sym_at_one=None):
         self.spec = spec
         self.degree = degree
         self.witness_matrix = witness_matrix
@@ -297,7 +302,7 @@ class RinfVerdict:
         self.samples = samples
         self.seed = seed
         self.witness_m = witness_m
-        self.witness_kfold_at_one = dict(witness_kfold_at_one or {})
+        self.witness_sym_at_one = dict(witness_sym_at_one or {})
         self.note = SAMPLING_NOTE if spec.orientable else PRODUCT_NOTE
 
     def claim(self):
@@ -314,7 +319,7 @@ class RinfVerdict:
                    "matrix": [list(r) for r in self.witness_matrix.entries],
                    "matrix_text": self.witness_matrix.to_text()}
         for key, vals in (("dets", self.witness_dets),
-                          ("kfold_at_one", self.witness_kfold_at_one)):
+                          ("symmetric_power_at_one", self.witness_sym_at_one)):
             if vals:
                 witness[key] = {str(k): v for k, v in sorted(vals.items())}
         if self.witness_m is not None:
@@ -339,11 +344,11 @@ class RinfVerdict:
         (if orientable, samples and seed too); ``ValueError`` unless equal.
 
         An orientable document must hold one sample report per sample, so
-        its own size bounds the recomputation.  ``rinf-verdict/1`` is refused.
+        its own size bounds the recomputation.  Older layouts are refused.
         """
         schema = data.get("schema") if isinstance(data, dict) else None
-        if schema == "rinf-verdict/1":
-            raise ValueError("rinf-verdict/1 is no longer read; regenerate it "
+        if schema in ("rinf-verdict/1", "rinf-verdict/2"):
+            raise ValueError(f"{schema} is no longer read; regenerate it "
                              "with `rinfty degree --orientable|--nonorientable "
                              "--genus G [--samples N --seed S] --format json`")
         if schema != SCHEMA_VERDICT:
@@ -466,7 +471,7 @@ def rinf_degree(spec, samples=20, seed=0, max_m=DEFAULT_MAX_M):
     admissible matrix (symplectic multiplicity at degree 2, metabelian
     determinant at degree 4), all read off ``SurfaceCharacter``.
     Non-orientable genus g+1: verdict 2g, from a witness passing the
-    exact no-i-fold-product test through 2g-1 and the determinant-squared
+    exact Sym^i test through i = 2g-1 and the determinant-squared
     product criterion at degree 2g; ``samples`` and ``seed`` are unread.
     """
     if spec.orientable:
@@ -496,8 +501,8 @@ def rinf_degree(spec, samples=20, seed=0, max_m=DEFAULT_MAX_M):
     if spec.genus > NONORIENTABLE_GENUS_CAP:
         raise ResourceLimitError(
             f"non-orientable genus capped at {NONORIENTABLE_GENUS_CAP}")
-    witness, m, kfold_vals = nonorientable_witness(g, 2 * g - 1, max_m=max_m)
-    if 0 in kfold_vals.values():  # the search also asserts det(W) = -1
+    witness, m, sym = nonorientable_witness(g, 2 * g - 1, max_m=max_m)
+    if 0 in sym.values():  # the search also asserts det(W) = -1
         raise AssertionError("witness unexpectedly hit eigenvalue 1 early")
     structural = {
         "kind": "product-criterion-rinf",
@@ -508,7 +513,7 @@ def rinf_degree(spec, samples=20, seed=0, max_m=DEFAULT_MAX_M):
                  f"as an eigenvalue in degree {2 * g}",
     }
     return RinfVerdict(spec, 2 * g, witness, 2 * g - 1, {}, structural,
-                       None, None, witness_m=m, witness_kfold_at_one=kfold_vals)
+                       None, None, witness_m=m, witness_sym_at_one=sym)
 
 
 def solvability_quotient_check(g, samples=10, seed=0):

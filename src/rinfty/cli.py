@@ -8,6 +8,7 @@ invocations produce byte-identical documents.  Exit codes: 0 success,
 """
 
 import json
+import math
 import sys
 
 import click
@@ -40,11 +41,19 @@ SPECTRUM_ROW_CAP = 70
 # class 3 (819) 21 s (2-core x86, Python 3.11, fresh process)
 PADDING_CLASS_CAP = 6
 PADDING_WORD_CAP = 500
-# genus of ``witness --orientable``: Berkowitz on 2g rows takes 1.9 s at
-# genus 50, 4.4 s at 60 and 33 s at 100; of ``sample`` at the default
-# length 10: 1.5 s at genus 200, 3.6 s at 300 (same machine)
+# genus of ``witness``: orientable 1.9 s at 50, 4.4 s at 60, 33 s at 100;
+# non-orientable class 1: 2.4 s at 50, 4.7 s at 60.  ``sample``: 1.5 s at
+# genus 200, 3.6 s at 300 (length 10); 4.9 s at length 50, 11.6 s at 100
+# (genus 200, same machine)
 WITNESS_GENUS_CAP = 50
 SAMPLE_GENUS_CAP = 200
+SAMPLE_LENGTH_CAP = 50
+# ``lie-dims`` prints c entries below max(r, 2)^c, of D digits at most.
+# c * D near 5 million: 2.9 s at rank 2, 1.2 s at 10, 0.8 s at 1,000, 1.1 s
+# at rank 1 (its Witt loop is quadratic in c too).  D < 4,300, Python's
+# int-to-str limit.
+LIE_DIMS_SIZE_CAP = 5_000_000
+LIE_DIMS_DIGIT_CAP = 4000
 
 
 def _cap(value, cap, what, name="cap"):
@@ -96,10 +105,10 @@ def degree(orientable, genus, samples, seed, max_m, fmt):
     if verdict.witness_dets:
         lines.append("witness det(I - M_i) by degree: " + ", ".join(
             f"{d}: {v}" for d, v in sorted(verdict.witness_dets.items())))
-    if verdict.witness_kfold_at_one:
+    if verdict.witness_sym_at_one:
         lines.append("i-fold product spectra at 1: " + ", ".join(
             f"{i}: {'0' if v == 0 else 'nonzero'}"
-            for i, v in sorted(verdict.witness_kfold_at_one.items())))
+            for i, v in sorted(verdict.witness_sym_at_one.items())))
     if verdict.structural["kind"] == "structural-rinf":
         reports = verdict.structural["sample_reports"]
         lines.append(f"structural certificate: {len(reports)} admissible "
@@ -181,9 +190,10 @@ def check(matrix_path, orientable, genus, klass, fmt):
 def witness(orientable, genus, klass, max_m, fmt):
     """Explicit matrix whose induced tower avoids eigenvalue 1."""
     SurfaceSpec(orientable, genus)  # rejects a genus with no such surface
+    kind = "orientable" if orientable else "non-orientable"
+    _cap(genus, WITNESS_GENUS_CAP, f"{kind} witness of genus {genus}",
+         "genus cap")
     if orientable:
-        _cap(genus, WITNESS_GENUS_CAP, f"orientable witness of genus {genus}",
-             "genus cap")
         w = orientable_witness(genus)
         p = charpoly(w)
         payload = {"schema": SCHEMA_REPORT, "command": "witness",
@@ -233,7 +243,12 @@ def lie_dims(rank, klass, fmt):
     """Per-degree ranks of the free Lie ring (Witt numbers)."""
     if rank < 1 or klass < 1:
         raise click.ClickException("rank and class must be at least 1")
-    check_hall_table(rank, klass)
+    digits = int(klass * math.log10(max(rank, 2))) + 1
+    answer = f"lie-dims on rank {rank} through class {klass}"
+    _cap(digits, LIE_DIMS_DIGIT_CAP, f"{answer} has entries of up to "
+         f"{digits} digits", "digit cap")
+    _cap(klass * digits, LIE_DIMS_SIZE_CAP, f"{answer} prints up to "
+         f"{klass * digits} digits", "size cap")
     dims = [witt_dimension(rank, d) for d in range(1, klass + 1)]
     payload = {"schema": SCHEMA_REPORT, "command": "lie-dims",
                "config": {"rank": rank, "class": klass},
@@ -365,6 +380,8 @@ def sample(genus, sign, seed, length, fmt):
     if genus < 1:
         raise click.ClickException("genus must be at least 1")
     _cap(genus, SAMPLE_GENUS_CAP, f"sample of genus {genus}", "genus cap")
+    _cap(length, SAMPLE_LENGTH_CAP, f"sample of length {length}",
+         "length cap")
     s = sample_admissible(genus, sign, seed, length=length)
     payload = {"schema": SCHEMA_REPORT, "command": "sample",
                "config": {"genus": genus, "sign": sign, "seed": seed,

@@ -7,17 +7,16 @@ the smallest entry in it, characteristic polynomials division-free
 results can be re-verified.  Matrix products and determinants only touch
 nonzero entries, since the lattices met here are mostly zero.
 
-Polynomials are integer-only as well.  Composed spectra (root products)
-are built from monic characteristic polynomials through power sums and
-Newton's identities, and reject non-monic input; every polynomial
-division is one integer pseudo-division.  No fractions and no floating
-point are used anywhere.
+Polynomials are integer-only as well.  Spectra composed from a monic
+characteristic polynomial (ordered root products, symmetric powers) come
+from its power sums through Newton's identities; every polynomial
+division is one integer pseudo-division.  No fractions, no floats.
 
 All objects are immutable after construction, so values can be shared
 freely between threads; every operation is a pure function.
 """
 
-from math import prod
+from math import comb, prod
 
 
 class IntMatrix:
@@ -67,9 +66,6 @@ class IntMatrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
-
-    def row(self, i):
-        return self.entries[i]
 
     @property
     def is_square(self):
@@ -619,7 +615,7 @@ def smith_normal_form(m):
 
 
 # ---------------------------------------------------------------------------
-# polynomial resultant / division helpers
+# polynomial division helpers
 # ---------------------------------------------------------------------------
 
 def pseudo_divmod(num, den):
@@ -657,33 +653,6 @@ def poly_divides(d, p):
         return p.is_zero
     _, rem = pseudo_divmod(p, d)
     return rem.is_zero
-
-
-def sylvester_matrix(f, g):
-    """Sylvester matrix of two nonzero polynomials, size deg f + deg g."""
-    if f.is_zero or g.is_zero:
-        raise ValueError("Sylvester matrix needs nonzero polynomials")
-    n, m = f.degree, g.degree
-    size = n + m
-    rows = []
-    fc = list(reversed(f.coeffs))
-    gc = list(reversed(g.coeffs))
-    for i in range(m):
-        rows.append([0] * i + fc + [0] * (size - i - len(fc)))
-    for i in range(n):
-        rows.append([0] * i + gc + [0] * (size - i - len(gc)))
-    return IntMatrix(rows)
-
-
-def resultant(f, g):
-    """Exact resultant Res(f, g), fraction-free via the Sylvester determinant."""
-    if f.is_zero or g.is_zero:
-        return 0
-    if f.degree == 0:
-        return f.coeffs[0] ** g.degree
-    if g.degree == 0:
-        return g.coeffs[0] ** f.degree
-    return sylvester_matrix(f, g).det()
 
 
 # ---------------------------------------------------------------------------
@@ -760,16 +729,6 @@ def _root_products(factors):
     return IntPoly(_monic_from_power_sums(s, big)).shift(total - big)
 
 
-def product_spectrum(p, q):
-    """Monic polynomial whose root multiset is {a*b : a root of p, b root of q}.
-
-    This is the composed product classically written as the resultant
-    Res_y(p(y), y^m q(x/y)), evaluated through power sums.  p and q must
-    be monic.
-    """
-    return _root_products((p, q))
-
-
 def kfold_product_spectrum(p, i):
     """Roots are all products over ordered i-tuples of roots of monic p.
 
@@ -781,39 +740,43 @@ def kfold_product_spectrum(p, i):
     return _root_products((p,) * i)
 
 
-def spectrum_value_at_one(p, q):
-    """product_spectrum(p, q)(1) = prod (1 - a*b), without the full polynomial.
-
-    Requires monic inputs.  Zero roots contribute unit factors; the rest
-    is the norm of the reversed polynomial, evaluated as a resultant
-    against its remainder modulo p.
-    """
-    _require_monic(p, q)
-    ph = IntPoly(p.coeffs[_valuation(p):])
-    qh = IntPoly(q.coeffs[_valuation(q):])
-    if ph.degree == 0 or qh.degree == 0:
-        return 1
-    _, r = pseudo_divmod(IntPoly(reversed(qh.coeffs)), ph)
-    return resultant(ph, r)
-
-
 def kfold_value_at_one(p, i):
-    """kfold_product_spectrum(p, i)(1), via a balanced split of the i tuples.
+    """kfold_product_spectrum(p, i)(1), the product of all 1 - a_1 ... a_i."""
+    return kfold_product_spectrum(p, i)(1)
 
-    Ordered i-tuples factor as (a-tuple, b-tuple) pairs for a + b = i, so
-    the value is the pairwise composed-product value of the two smaller
-    spectra.  p must be monic.
+
+def _unit_reversal(p):
+    """Monic polynomial of the reciprocal roots of monic p with p(0) = +-1."""
+    r = IntPoly(reversed(p.coeffs))
+    return r * r.leading
+
+
+def symmetric_power_charpoly(p, i):
+    """charpoly(Sym^i W) from monic p = charpoly(W), of degree C(g+i-1, i).
+
+    Its roots are the degree-i monomials in the roots of p, so its n-th
+    power sum is h_i of the n-th powers of those roots, which Newton's
+    identities k h_k = sum_j s_(jn) h_(k-j) give from the power sums of p.
+    As a set these roots are those of ``kfold_product_spectrum(p, i)``,
+    so the two vanish at 1 together.  A unimodular W whose reciprocal
+    roots look smaller (|a_1| < |a_(g-1)|, their sums up to sign) goes
+    through Sym^i(W^-1) = (Sym^i W)^-1, whose power sums have fewer bits.
     """
     if i < 1:
         raise ValueError("need i >= 1")
-    if i == 1:
-        _require_monic(p)
-        return p(1)
-    a = i // 2
-    b = i - a
-    qa = kfold_product_spectrum(p, a)
-    qb = qa if a == b else kfold_product_spectrum(p, b)
-    return spectrum_value_at_one(qa, qb)
+    _require_monic(p)
+    a = p.coeffs
+    if len(a) > 2 and a[0] in (1, -1) and abs(a[1]) < abs(a[-2]):
+        return _unit_reversal(symmetric_power_charpoly(_unit_reversal(p), i))
+    size = comb(p.degree + i - 1, i)
+    s = _power_sums(p, size * i)
+    sums = [0]
+    for n in range(1, size + 1):
+        h = [1]
+        for k in range(1, i + 1):
+            h.append(sum(s[j * n] * h[k - j] for j in range(1, k + 1)) // k)
+        sums.append(h[i])
+    return IntPoly(_monic_from_power_sums(sums, size))
 
 
 # ---------------------------------------------------------------------------

@@ -73,9 +73,10 @@ def test_criterion_02_nonorientable_degree(capsys):
         g = genus - 1
         matrix = IntMatrix(witness["matrix"])
         assert matrix.det() == -1
-        kfold = {int(k): v for k, v in witness["kfold_at_one"].items()}
-        assert set(kfold) == set(range(1, 2 * g))
-        assert all(v != 0 for v in kfold.values())
+        sym = {int(k): v
+               for k, v in witness["symmetric_power_at_one"].items()}
+        assert set(sym) == set(range(1, 2 * g))
+        assert all(v != 0 for v in sym.values())
         assert times[genus] < 5.0
     print(f"\ncriterion 2: PASS -- non-orientable degrees 4 and 6 "
           f"({times[3]:.1f}s, {times[4]:.1f}s), witnesses exact")

@@ -15,7 +15,8 @@ from rinfty.errors import ResourceLimitError
 from rinfty.freelie import build_hall_basis, fixed_point_dets, induced_tower
 from rinfty.intlinalg import (IntMatrix, IntPoly, charpoly,
                               dominance_root_test, kfold_value_at_one,
-                              poly_divides, reciprocal_symmetry_check)
+                              poly_divides, reciprocal_symmetry_check,
+                              symmetric_power_charpoly)
 from rinfty.nilpotent import padding_exponent
 
 S2 = orientable_witness(2)
@@ -48,13 +49,13 @@ def _twist(m):
         el, a = nonorientable_base_matrices(2, m)
         w = el @ a
         p = charpoly(w)
-        kfold_vals = {i: kfold_value_at_one(p, i) for i in (1, 2, 3)}
+        sym = {i: symmetric_power_charpoly(p, i)(1) for i in (1, 2, 3)}
         return _edit(
             (("witness", "m"), m),
             (("witness", "matrix"), [list(r) for r in w.entries]),
             (("witness", "matrix_text"), w.to_text()),
-            (("witness", "kfold_at_one"),
-             {str(i): v for i, v in kfold_vals.items()}),
+            (("witness", "symmetric_power_at_one"),
+             {str(i): v for i, v in sym.items()}),
             (("structural", "witness_determinant"), w.det()))(doc)
     return apply
 
@@ -195,14 +196,16 @@ class TestNonorientableWitness:
                 assert w.det() == -1
 
     def test_search_genus_two(self):
-        w, m, kfold = nonorientable_witness(2, 3)
+        w, m, sym = nonorientable_witness(2, 3)
         f = padding_exponent(2, 3)
         assert m % (f ** 3) == 0 or any(m == (k * f) ** 3 for k in range(1, 5))
         p = charpoly(w)
         assert dominance_root_test(p)
-        assert kfold == {i: kfold_value_at_one(p, i) for i in (1, 2, 3)}
-        assert 0 not in kfold.values()
+        assert sym == {i: symmetric_power_charpoly(p, i)(1) for i in (1, 2, 3)}
+        assert 0 not in sym.values()
+        assert all(kfold_value_at_one(p, i) != 0 for i in (1, 2, 3))
         assert kfold_value_at_one(p, 4) == 0
+        assert symmetric_power_charpoly(p, 4)(1) == 0
 
     def test_search_cap(self):
         with pytest.raises(ResourceLimitError):
@@ -213,7 +216,8 @@ class TestNonorientableWitness:
             nonorientable_witness(2, 4)
 
     def test_spectrum_degree_cap(self, monkeypatch):
-        # 4 ** 5 = 1024 starts the search, 4 ** 6 = 4096 is refused first
+        # C(g+c-1, c) * c^2: 3,024 (g=4, c=6) and 3,280 (g=40, c=2) start
+        # the search; 5,880 (g=4, c=7) and 3,444 (g=41, c=2) are refused
         class Started(Exception):
             pass
 
@@ -221,10 +225,14 @@ class TestNonorientableWitness:
             raise Started
 
         monkeypatch.setattr(rinfty.analysis, "padding_exponent", started)
-        with pytest.raises(Started):
-            nonorientable_witness(4, 5)
-        with pytest.raises(ResourceLimitError, match="4096"):
-            nonorientable_witness(4, 6)
+        for g, c in ((4, 6), (40, 2), (4, 5), (32, 2), (10, 3)):
+            with pytest.raises(Started):
+                nonorientable_witness(g, c)
+        with pytest.raises(ResourceLimitError, match=r"C\(10, 7\) \* 7\^2 "
+                                                     r"= 5880 exceeds cap"):
+            nonorientable_witness(4, 7)
+        with pytest.raises(ResourceLimitError, match="3444"):
+            nonorientable_witness(41, 2)
 
 
 class TestStructuralReports:
@@ -334,18 +342,19 @@ class TestRinfDegree:
         assert verdict.structural["kind"] == "product-criterion-rinf"
         assert verdict.structural["witness_determinant"] == -1
         assert verdict.witness_dets == {}
-        assert all(v != 0 for v in verdict.witness_kfold_at_one.values())
+        assert all(v != 0
+                   for v in verdict.witness_sym_at_one.values())
         RinfVerdict.from_json_dict(verdict.to_json_dict())
 
     def test_nonorientable_genus_four(self):
         verdict = rinf_degree(SurfaceSpec(False, 4))
         assert verdict.degree == 6
-        assert set(verdict.witness_kfold_at_one) == {1, 2, 3, 4, 5}
+        assert set(verdict.witness_sym_at_one) == {1, 2, 3, 4, 5}
 
     def test_nonorientable_verdict_computes_each_quantity_once(self,
                                                               monkeypatch):
-        # the witness search hands its k-fold values over; no tower
-        calls = {"kfold": 0, "tower": 0}
+        # the witness search hands its Sym^i values over; no tower
+        calls = {"sym": 0, "tower": 0}
 
         def counting(key, func):
             def wrapper(*args, **kwargs):
@@ -353,18 +362,18 @@ class TestRinfDegree:
                 return func(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(rinfty.analysis, "kfold_value_at_one",
-                            counting("kfold", kfold_value_at_one))
+        monkeypatch.setattr(rinfty.analysis, "symmetric_power_charpoly",
+                            counting("sym", symmetric_power_charpoly))
         monkeypatch.setattr(rinfty.freelie.InducedTower, "__init__",
                             counting("tower",
                                      rinfty.freelie.InducedTower.__init__))
         verdict = rinf_degree(SurfaceSpec(False, 4))
         assert verdict.degree == 6
-        assert calls == {"kfold": 5, "tower": 0}
+        assert calls == {"sym": 5, "tower": 0}
 
     @pytest.mark.parametrize("genus", [3, 4])
     def test_free_tower_agrees_with_the_witness_certificate(self, genus):
-        # the i-fold values stand for det(I - M_i) on the free Lie ring:
+        # the Sym^i values stand for det(I - M_i) on the free Lie ring:
         # nonzero below 2g, and the det(W)^2 = 1 eigenvalue at 2g
         g = genus - 1
         verdict = rinf_degree(SurfaceSpec(False, genus))
@@ -372,7 +381,7 @@ class TestRinfDegree:
                               verdict.witness_matrix)
         dets = dict(fixed_point_dets(tower, None, range(1, 2 * g + 1)))
         assert dets.pop(2 * g) == 0
-        assert set(dets) == set(verdict.witness_kfold_at_one)
+        assert set(dets) == set(verdict.witness_sym_at_one)
         assert all(v != 0 for v in dets.values())
 
     @pytest.mark.parametrize("orientable,genus", [(True, 2), (False, 3)])
@@ -380,10 +389,12 @@ class TestRinfDegree:
             self, orientable, genus):
         data = rinf_degree(SurfaceSpec(orientable, genus),
                            samples=2).to_json_dict()
-        data["schema"] = "rinf-verdict/1"
-        with pytest.raises(ValueError, match=r"`rinfty degree --orientable"
-                                             r"\|--nonorientable --genus G"):
-            RinfVerdict.from_json_dict(data)
+        for schema in ("rinf-verdict/1", "rinf-verdict/2"):
+            data["schema"] = schema
+            with pytest.raises(ValueError, match=rf"^{schema} is no longer "
+                               r"read; regenerate it with `rinfty degree "
+                               r"--orientable\|--nonorientable --genus G"):
+                RinfVerdict.from_json_dict(data)
 
     def test_nonorientable_genus_cap_stops_before_the_search(self,
                                                              monkeypatch):

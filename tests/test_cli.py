@@ -274,15 +274,24 @@ class TestOtherCommands:
             "config": {"rank": rank, "class": klass}, "dims": dims}
 
     def test_lie_dims_keeps_the_table_cap(self, capsys):
-        code, out, _ = run(capsys, "lie-dims", "--rank", "2", "--class", "23")
+        # the cap bounds the printed answer, not a Hall table: class 24,
+        # past the old table cap, answers, and so does class 1,000
+        code, out, _ = run(capsys, "lie-dims", "--rank", "2", "--class", "24")
         assert code == 0
         assert out.startswith("[2, 1, 2, 3, 6, 9, 18, 30, 56, 99, ")
+        assert out.endswith(", 364722, 698870]\n")
+        code, out, _ = run(capsys, "lie-dims", "--rank", "2", "--class",
+                           "1000", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["dims"][-1] == rinfty.freelie.witt_dimension(
+            2, 1000)
         code, out, err = run(capsys, "lie-dims", "--rank", "2", "--class",
-                             "24")
+                             "4075")
         assert code == 2
         assert out == ""
-        assert err == ("resource cap: hall table for r=2, c=24 exceeds cap "
-                       "10000000\n")
+        assert err == ("resource cap: lie-dims on rank 2 through class 4075 "
+                       "prints up to 5000025 digits, above the size cap "
+                       "5000000\n")
 
     @pytest.mark.parametrize("args", [
         ("lie-dims", "--rank", "1", "--class", "100000"),
@@ -299,8 +308,12 @@ class TestOtherCommands:
         code, out, err = run(capsys, *args)
         assert code == 2
         assert out == ""
-        assert err == ("resource cap: hall table for r=1, c=100000 exceeds "
-                       "cap 10000000\n")
+        assert err == {
+            "lie-dims": "resource cap: lie-dims on rank 1 through class "
+                        "100000 has entries of up to 30103 digits, above "
+                        "the digit cap 4000\n",
+            "crosscheck": "resource cap: hall table for r=1, c=100000 "
+                          "exceeds cap 10000000\n"}[args[0]]
 
     def test_table_cap_on_a_huge_class_exits_at_once(self, capsys):
         # the cap is decided without forming rank ** class
@@ -310,8 +323,9 @@ class TestOtherCommands:
         assert time.perf_counter() - start < 1
         assert code == 2
         assert out == ""
-        assert err == ("resource cap: hall table for r=2, c=1000000000 "
-                       "exceeds cap 10000000\n")
+        assert err == ("resource cap: lie-dims on rank 2 through class "
+                       "1000000000 has entries of up to 301029996 digits, "
+                       "above the digit cap 4000\n")
 
     def test_lie_dims_has_no_order_option(self, capsys):
         code, out, err = run(capsys, "lie-dims", "--rank", "2", "--class",
@@ -337,7 +351,8 @@ class TestOtherCommands:
 
     def test_witness_genus_five_default_class_refused(self, capsys,
                                                       monkeypatch):
-        # class 7 needs a 4 ** 7 ordered spectrum: refused before the search
+        # class 7 needs Sym^7 of degree C(10, 7) = 120: refused before the
+        # search by the C(g+c-1, c) * c^2 cap
         def refuse(*args):
             raise AssertionError("the witness search started")
 
@@ -462,6 +477,56 @@ class TestSizeCaps:
         assert err == (f"resource cap: sample of genus {genus}, above the "
                        f"genus cap 200\n")
 
+    @pytest.mark.parametrize("genus,klass", [("51", "1"), ("100", "1"),
+                                             ("1026", "1"), ("51", None)])
+    def test_nonorientable_witness_genus(self, capsys, monkeypatch, genus,
+                                         klass):
+        monkeypatch.setattr(rinfty.analysis, "padding_exponent", _refuse)
+        monkeypatch.setattr(rinfty.cli, "nonorientable_witness", _refuse)
+        args = ["witness", "--nonorientable", "--genus", genus]
+        err = self.refused(capsys, *args, *(["--class", klass] if klass
+                                            else []))
+        assert err == (f"resource cap: non-orientable witness of genus "
+                       f"{genus}, above the genus cap 50\n")
+
+    @pytest.mark.parametrize("genus", ["2", "200"])
+    @pytest.mark.parametrize("length", ["51", "100", "100000"])
+    def test_sample_length(self, capsys, monkeypatch, genus, length):
+        monkeypatch.setattr(rinfty.cli, "sample_admissible", _refuse)
+        err = self.refused(capsys, "sample", "--genus", genus, "--sign",
+                           "minus", "--length", length)
+        assert err == (f"resource cap: sample of length {length}, above the "
+                       f"length cap 50\n")
+
+    @pytest.mark.parametrize("rank,klass,detail", [
+        # 4,001 digits: printing an entry past 4,300 would be exit 1
+        ("10000000000", "400", "has entries of up to 4001 digits, above "
+                               "the digit cap 4000"),
+        ("2", "13288", "has entries of up to 4001 digits, above the digit "
+                       "cap 4000"),
+        ("10", "2236", "prints up to 5001932 digits, above the size cap "
+                       "5000000"),
+        ("1", "4075", "prints up to 5000025 digits, above the size cap "
+                      "5000000"),
+    ])
+    def test_lie_dims_answer_size(self, capsys, monkeypatch, rank, klass,
+                                  detail):
+        monkeypatch.setattr(rinfty.cli, "witt_dimension", _refuse)
+        err = self.refused(capsys, "lie-dims", "--rank", rank, "--class",
+                           klass)
+        assert err == (f"resource cap: lie-dims on rank {rank} through "
+                       f"class {klass} {detail}\n")
+
+    @pytest.mark.parametrize("args", [
+        ("sample", "--genus", "2", "--sign", "minus", "--length", "50"),
+        ("witness", "--nonorientable", "--genus", "50", "--class", "1"),
+        ("lie-dims", "--rank", "10000000000", "--class", "399"),
+    ])
+    def test_at_the_cap_answers(self, capsys, args):
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert out
+
 
 class TestRejectedArguments:
     @pytest.mark.parametrize("args", [
@@ -540,30 +605,30 @@ class TestGoldenOutput:
     def test_orientable_degree(self, capsys):
         assert self.digest(capsys, "degree", "--orientable", "--genus", "2",
                            "--samples", "2", "--format", "json") == (
-            "122ee0a08284e8d9bc3bef7b0ca2aa776c78cb4afa8a54107f968f488cd6fec8")
+            "2cc5f099af464c726ab930bfbfe1a8d8da4bceac07662195e89d87040207f54a")
 
     def test_orientable_genus_three_degree(self, capsys):
         assert self.digest(capsys, "degree", "--orientable", "--genus", "3",
                            "--samples", "4", "--format", "json") == (
-            "42873a3b800e2c9ab73b37f9492c4e80a6d292e7ea9abb9cfcddef89c9622c8d")
+            "2e4dd18657e999626da0a5acb63f13b85c9481f384e70186ce6ffe5fd2dc1f05")
 
     def test_orientable_genus_two_many_samples(self, capsys):
         # 100 minus samples, most of them decided by the metabelian det
         assert self.digest(capsys, "degree", "--orientable", "--genus", "2",
                            "--samples", "200", "--seed", "12345",
                            "--format", "json") == (
-            "3cf0bc997e782503036d61e580ffd9e0c54f67dbba5cb380e27310f904ecd68b")
+            "aa454252e85b5bef6bc7f43ae02c9d84acf79b3d6278a7549dad10601f8bb1d7")
 
     def test_orientable_genus_four_degree(self, capsys):
         # the bytes of the tower path with its genus cap raised to 4
         assert self.digest(capsys, "degree", "--orientable", "--genus", "4",
                            "--samples", "2", "--format", "json") == (
-            "0c254ef397ac8653d150193f0beeeb2ecc5f3053af55acd1b46b61aa34d75d03")
+            "a49019e21ff86b0cd71e34f5005b6c23f733c5e84e8fe40043206e97c9b719dc")
 
     def test_nonorientable_degree(self, capsys):
         assert self.digest(capsys, "degree", "--nonorientable", "--genus", "3",
                            "--format", "json") == (
-            "e06d80ff3bd7c53353db879edb03368c9d174011ab3ae6903dd2036fe8385ed1")
+            "fffd42187008c6fb29615c281afff2df6c7787c586ff10b2bdd2f653be90d474")
 
     def test_check_witness_class_four(self, capsys, tmp_path):
         code, out, _ = run(capsys, "witness", "--orientable", "--genus", "2",
@@ -601,10 +666,10 @@ class TestGoldenOutput:
             "c77fbd6ef4f1646f014ff7381931f470582c009e904e67ac300dfe7d84c5b229")
 
     def test_nonorientable_genus_four_degree(self, capsys):
-        # Sylvester resultants with entries of about 3,400 bits
+        # Sym^i values at 1 of up to 1,717 bits
         assert self.digest(capsys, "degree", "--nonorientable", "--genus", "4",
                            "--format", "json") == (
-            "a60f0ca4f1e6f1802d4df6f272894b66c66a993a45939e889e151a145d6219ea")
+            "a5d4a637c2e0ee8b3155fb22a772a9a8d8694c2e27535c57a71844c6dd964af3")
 
     def test_nonorientable_genus_four_degree_text(self, capsys):
         # the text form, with its i-fold product line

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rinfty.intlinalg import (IntMatrix, IntPoly, charpoly,
+from rinfty.analysis import nonorientable_base_matrices
+from rinfty.intlinalg import (IntMatrix, IntPoly, _root_products, charpoly,
                               dominance_root_test, kfold_product_spectrum,
-                              kfold_value_at_one, poly_divides,
-                              product_spectrum, pseudo_divmod,
-                              reciprocal_symmetry_check, resultant,
-                              smith_normal_form, spectrum_value_at_one,
-                              sylvester_matrix)
+                              kfold_value_at_one, poly_divides, pseudo_divmod,
+                              reciprocal_symmetry_check, smith_normal_form,
+                              symmetric_power_charpoly)
 
 
 def square_matrices(max_n=5, lo=-9, hi=9):
@@ -21,6 +21,23 @@ def square_matrices(max_n=5, lo=-9, hi=9):
 
 
 S2 = IntMatrix.block_diag([IntMatrix([[1, 2], [1, 1]])] * 2)
+
+
+def sylvester(f, g):
+    """Sylvester matrix of two nonzero polynomials; its det is Res(f, g)."""
+    n, m = f.degree, g.degree
+    fc, gc = list(reversed(f.coeffs)), list(reversed(g.coeffs))
+    rows = [[0] * i + fc + [0] * (m - 1 - i) for i in range(m)]
+    rows += [[0] * i + gc + [0] * (n - 1 - i) for i in range(n)]
+    return IntMatrix(rows)
+
+
+def resultant(f, g):
+    if f.degree == 0:
+        return f.coeffs[0] ** g.degree
+    if g.degree == 0:
+        return g.coeffs[0] ** f.degree
+    return sylvester(f, g).det()
 
 
 class TestIntMatrix:
@@ -139,7 +156,7 @@ class TestDet:
                         + [2 ** 100 + rng.getrandbits(20)])
             g = IntPoly([rng.getrandbits(110) - 2 ** 109 for _ in range(deg_g)]
                         + [1])
-            s = sylvester_matrix(f, g)
+            s = sylvester(f, g)
             assert s.det() == fraction_det(s)
 
     def test_permutation_sign(self):
@@ -293,28 +310,29 @@ class TestProductSpectrum:
         # {(1+sqrt2)^2, -1, -1, (1-sqrt2)^2}, giving (x+1)^2 (x^2-6x+1)
         p = IntPoly([-1, -2, 1])
         expected = IntPoly([1, 2, 1]) * IntPoly([1, -6, 1])
-        assert product_spectrum(p, p) == expected
+        assert _root_products((p, p)) == expected
 
     def test_multiplication_by_root_one(self):
         q = IntPoly([4, -1, 0, 1])
-        assert product_spectrum(IntPoly([-1, 1]), q) == q
+        assert _root_products((IntPoly([-1, 1]), q)) == q
 
     def test_annihilation_by_zero_root(self):
-        assert product_spectrum(IntPoly([0, 1]), IntPoly([-5, 1])) == IntPoly([0, 1])
+        assert (_root_products((IntPoly([0, 1]), IntPoly([-5, 1])))
+                == IntPoly([0, 1]))
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            product_spectrum(IntPoly.zero(), IntPoly([1, 1]))
+            _root_products((IntPoly.zero(), IntPoly([1, 1])))
 
     @pytest.mark.parametrize("p", [IntPoly([1, 2]), IntPoly([0, 1, -1]),
                                    IntPoly([-1, 0, 3])])
     @pytest.mark.parametrize("call", [
-        lambda p: product_spectrum(p, IntPoly([-2, 1])),
-        lambda p: product_spectrum(IntPoly([-2, 1]), p),
+        lambda p: _root_products((p, IntPoly([-2, 1]))),
+        lambda p: _root_products((IntPoly([-2, 1]), p)),
         lambda p: kfold_product_spectrum(p, 1),
         lambda p: kfold_product_spectrum(p, 3),
-        lambda p: spectrum_value_at_one(p, IntPoly([-2, 1])),
-        lambda p: spectrum_value_at_one(IntPoly([-2, 1]), p),
+        lambda p: symmetric_power_charpoly(p, 1),
+        lambda p: symmetric_power_charpoly(p, 3),
         lambda p: kfold_value_at_one(p, 1),
         lambda p: kfold_value_at_one(p, 4),
     ])
@@ -327,8 +345,8 @@ class TestProductSpectrum:
         for _ in range(20):
             p = _random_poly(rng)
             q = _random_poly(rng)
-            pq = product_spectrum(p, q)
-            assert pq == product_spectrum(q, p)
+            pq = _root_products((p, q))
+            assert pq == _root_products((q, p))
             assert pq.degree == p.degree * q.degree
 
     def test_against_interpolated_resultant(self):
@@ -336,7 +354,7 @@ class TestProductSpectrum:
         for _ in range(15):
             p = _random_poly(rng)
             q = _random_poly(rng)
-            assert product_spectrum(p, q) == _composed_by_resultant(p, q)
+            assert _root_products((p, q)) == _composed_by_resultant(p, q)
 
 
 def _random_poly(rng, max_deg=3):
@@ -408,7 +426,7 @@ class TestKfold:
             i = rng.randint(2, 4)
             iterated = p
             for _ in range(i - 1):
-                iterated = product_spectrum(iterated, p)
+                iterated = _root_products((iterated, p))
             assert kfold_product_spectrum(p, i) == iterated
 
     def test_unimodular_product_hits_one_at_2g(self):
@@ -425,13 +443,83 @@ class TestKfold:
             for i in (1, 2, 3, 4, 5):
                 assert kfold_value_at_one(p, i) == kfold_product_spectrum(p, i)(1)
 
-    def test_spectrum_value_at_one_pairwise(self):
-        rng = random.Random(9)
-        for _ in range(20):
-            d1, d2 = rng.randint(1, 4), rng.randint(1, 4)
-            p = IntPoly([rng.randint(-3, 3) for _ in range(d1)] + [1])
-            q = IntPoly([rng.randint(-3, 3) for _ in range(d2)] + [1])
-            assert spectrum_value_at_one(p, q) == product_spectrum(p, q)(1)
+
+def _symmetric_power(w, i):
+    """Sym^i W on the monomial basis: column a is the image of x^a.
+
+    W sends x_j to sum_k W[k][j] x_k, so x^a goes to the product of those
+    linear forms, expanded on the degree-i monomials.
+    """
+    g = w.rows
+    basis = [a for a in itertools.product(range(i + 1), repeat=g)
+             if sum(a) == i]
+    columns = []
+    for a in basis:
+        image = {(0,) * g: 1}
+        for j, power in enumerate(a):
+            for _ in range(power):
+                step = {}
+                for mono, c in image.items():
+                    for k in range(g):
+                        if w[k, j]:
+                            key = tuple(e + (t == k) for t, e in enumerate(mono))
+                            step[key] = step.get(key, 0) + c * w[k, j]
+                image = step
+        columns.append([image.get(b, 0) for b in basis])
+    return IntMatrix(columns).transpose()
+
+
+def _sym_test_matrices():
+    """Random integer W with g <= 3 plus singular, nilpotent, unimodular
+    and finite-order ones (the rotation L of the witness construction)."""
+    rng = random.Random(14)
+    mats = []
+    for g in (1, 2, 3):
+        for _ in range(6):
+            mats.append(IntMatrix([[rng.randint(-3, 3) for _ in range(g)]
+                                   for _ in range(g)]))
+        el, a = nonorientable_base_matrices(g, 5)
+        mats += [el, a, el @ a ** (g - 1), IntMatrix.zeros(g, g)]
+        el, a = nonorientable_base_matrices(g, 10 ** 6)  # reversed roots
+        mats.append(el @ a ** (g - 1))
+    mats += [IntMatrix([[1, 2], [2, 4]]),             # singular
+             IntMatrix([[0, 1, 5], [0, 0, -2], [0, 0, 0]]),  # nilpotent
+             IntMatrix([[2, -1, 3], [4, -2, 6], [1, 1, 1]]),  # singular
+             IntMatrix([[0, -1], [1, 0]]),            # order 4
+             IntMatrix([[0, -1], [1, -1]]),           # order 3
+             IntMatrix([[2, 1, 0], [1, 1, 0], [0, 0, -1]])]  # det -1
+    return mats
+
+
+class TestSymmetricPower:
+    @pytest.mark.parametrize("i", [1, 2, 3, 4])
+    def test_equals_charpoly_of_the_explicit_matrix(self, i):
+        for w in _sym_test_matrices():
+            p = charpoly(w)
+            assert symmetric_power_charpoly(p, i) == charpoly(
+                _symmetric_power(w, i)), (w, i)
+
+    @pytest.mark.parametrize("i", [1, 2, 3, 4])
+    def test_zero_at_one_with_the_ordered_products(self, i):
+        for w in _sym_test_matrices():
+            p = charpoly(w)
+            sym = symmetric_power_charpoly(p, i)(1)
+            assert (sym == 0) == (kfold_product_spectrum(p, i)(1) == 0)
+
+    def test_degree(self):
+        p = IntPoly([-1, 9, 0, 1])
+        assert [symmetric_power_charpoly(p, i).degree
+                for i in (1, 2, 3, 6)] == [3, 6, 10, 28]
+
+    def test_unimodular_product_hits_one_at_2g(self):
+        # the det -1 quadratic of TestKfold: Sym^4 holds (a b)^2 = 1
+        p = IntPoly([-1, 9, 1])
+        assert symmetric_power_charpoly(p, 4)(1) == 0
+        assert all(symmetric_power_charpoly(p, i)(1) != 0 for i in (1, 2, 3))
+
+    def test_zero_fold_rejected(self):
+        with pytest.raises(ValueError):
+            symmetric_power_charpoly(IntPoly([1, 1]), 0)
 
 
 class TestReciprocalSymmetry:
@@ -493,7 +581,7 @@ class TestPolyHelpers:
         g = IntPoly([-1, 1]) * IntPoly([-5, 1])      # roots 1, 5
         expected = g(2) * g(-3)
         assert resultant(f, g) == expected
-        assert sylvester_matrix(f, g).det() == expected
+        assert sylvester(f, g).det() == expected
 
     def test_zero_poly_degree_is_none(self):
         assert IntPoly.zero().degree is None
