@@ -35,14 +35,15 @@ count and says so.  A verdict is a deterministic function of its surface
 
 import json
 import random
-from math import comb
+from math import prod
 
 from .errors import ResourceLimitError
 from .freelie import (SurfaceCharacter, apply_matrix_to_vector,
                       build_hall_basis, ideal_quotient, induced_tower,
-                      metabelian_truncation, orientable_relator)
+                      metabelian_truncation, orientable_relator, shape_work)
 from .intlinalg import (IntMatrix, IntPoly, charpoly, dominance_root_test,
-                        poly_divides, pseudo_divmod, symmetric_power_charpoly)
+                        partitions, poly_divides, pseudo_divmod,
+                        shape_charpoly)
 from .nilpotent import padding_exponent
 
 SCHEMA_VERDICT = "rinf-verdict/3"
@@ -57,11 +58,11 @@ PRODUCT_NOTE = ("the statement over all automorphisms is certified by the "
 DEFAULT_MAX_M = 10 ** 40
 ORIENTABLE_GENUS_CAP = 4
 NONORIENTABLE_GENUS_CAP = 4  # surface genus g+1 with g <= 3
-# C(g+c-1, c) * c^2 in the witness search: the degree of Sym^c W times the
-# growth of its root sizes, since m = (k f(2,c))^c.  Median searches (2-core
-# x86, Python 3.11): 3,024 (g=4, c=6) 1.2 s, 3,280 (g=40, c=2) 3.2 s, 3,360
-# (g=7, c=4) 1.8 s; refused 3,444 (g=41, c=2) 3.8 s, 5,880 (g=4, c=7) 7.4 s
-WITNESS_SPECTRUM_CAP = 3400
+# shape_work(g, c) * c^2 for the witness search: Newton steps times the
+# growth of root sizes, m = (k f(2,c))^c.  Fresh process, 2-core x86, Python
+# 3.11: (g, c) = (4, 7) 0.9 s, (5, 7) 2.6 s, (9, 4) 3.6 s, (40, 2) 2.1 s;
+# refused (10, 4) 11.3 s, (50, 2) 12.1 s, (5, 9) 41 s in padding_exponent
+WITNESS_SPECTRUM_CAP = 2_500_000
 
 
 class SurfaceSpec:
@@ -191,18 +192,20 @@ def nonorientable_witness(g, c, max_m=DEFAULT_MAX_M):
     candidate is accepted once its characteristic polynomial passes the
     coefficient-dominance test and no i-fold product of its roots equals
     1 for any i <= c: those products are the roots of Sym^i W, so ``sym``
-    maps each i <= c to ``symmetric_power_charpoly(charpoly(W), i)(1)``,
+    maps each i <= c to charpoly(Sym^i W)(1), the product of
+    ``shape_charpoly(charpoly(W), pi)(1)`` over the partitions pi of i,
     zero exactly when one of them is 1; a rejected candidate stops there.
     """
     if g < 2:
         raise ValueError("need g >= 2")
     if not 1 <= c < 2 * g:
         raise ValueError(f"class must satisfy 1 <= c < 2g = {2 * g}")
-    work = comb(g + c - 1, c) * c * c
-    if work > WITNESS_SPECTRUM_CAP:
+    steps = shape_work(g, c, WITNESS_SPECTRUM_CAP)
+    if steps * c * c > WITNESS_SPECTRUM_CAP:
         raise ResourceLimitError(
-            f"witness search for g={g}, class {c}: C({g + c - 1}, {c}) * "
-            f"{c}^2 = {work} exceeds cap {WITNESS_SPECTRUM_CAP}")
+            f"witness search for g={g}, class {c}: at least {steps} Newton "
+            f"steps * {c}^2 = {steps * c * c} exceeds cap "
+            f"{WITNESS_SPECTRUM_CAP}")
     f = padding_exponent(2, c)
     k = 1
     while True:
@@ -220,7 +223,8 @@ def nonorientable_witness(g, c, max_m=DEFAULT_MAX_M):
         if dominance_root_test(p):
             sym = {}
             for i in range(1, c + 1):
-                sym[i] = symmetric_power_charpoly(p, i)(1)
+                sym[i] = prod(shape_charpoly(p, shape)(1)
+                              for shape in partitions(i, g))
                 if sym[i] == 0:
                     break
             else:

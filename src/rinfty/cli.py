@@ -14,12 +14,12 @@ import sys
 import click
 
 from .analysis import (DEFAULT_MAX_M, SurfaceSpec, admissibility,
-                       is_automorphism_matrix, nonorientable_witness,
-                       orientable_witness, rinf_degree, sample_admissible,
-                       surface_character)
+                       is_automorphism_matrix, nonorientable_charpoly_formula,
+                       nonorientable_witness, orientable_witness, rinf_degree,
+                       sample_admissible, surface_character)
 from .errors import ResourceLimitError
-from .freelie import (build_hall_basis, check_hall_table, fixed_point_dets,
-                      induced_tower, witt_dimension)
+from .freelie import (build_hall_basis, check_hall_table, free_lie_factors,
+                      shape_work, witt_dimension)
 from .intlinalg import IntMatrix, charpoly
 from .nilpotent import free_nilpotent_group, power_padding
 from .oracle import (DEFAULT_MAX_ORDER, FiniteTwistedSetup,
@@ -27,18 +27,19 @@ from .oracle import (DEFAULT_MAX_ORDER, FiniteTwistedSetup,
                      spectrum_crosscheck)
 
 SCHEMA_REPORT = "cli-report/1"
-# rows of the top free tower degree in ``check --nonorientable``: rank 4 at
-# degree 6 (670 rows) answers in about 3 s, degree 7 (2,340) not in 150 s
-FREE_TOWER_ROW_CAP = 1000
+# Newton steps (``shape_work``) of ``check --nonorientable`` on entries in
+# -1..1: rank 45 degree 2 (984,150) 1.5 s, rank 7 degree 10 (6.2 million)
+# 5.9 s (2-core x86, Python 3.11).  Bits are not counted: entries of 1,000
+# bits make rank 4 degree 8 (6,362 steps) take 2.2 s
+SHAPE_WORK_CAP = 1_000_000
 # rows of the tower matrix in ``crosscheck --what spectrum``: one charpoly
 # of 70 rows (rank 6, degree 3) takes about 1.2 s, 99 rows 2.1 s, 112 rows
 # 7.2 s (2-core x86, Python 3.11)
 SPECTRUM_ROW_CAP = 70
 # ``padding`` multiplies dense series over every word of length <= class
-# in the rank-r ambient: rank 2 takes 6.5 s at class 6 (126 words) and
-# 47 s at class 7; rank 3 class 5 (363 words) 4.0 s, rank 7 class 3 (399)
-# 3.4 s, rank 21 class 2 (462) 4.3 s, rank 8 class 3 (584) 6.3 s, rank 9
-# class 3 (819) 21 s (2-core x86, Python 3.11, fresh process)
+# in the rank-r ambient: rank 2 class 6 (126 words) 1.7 s, class 7 9.6 s;
+# rank 3 class 5 (363) 1.2 s, rank 8 class 3 (584) 2.8 s, rank 9 class 3
+# (819) 8.6 s (2-core x86, Python 3.11)
 PADDING_CLASS_CAP = 6
 PADDING_WORD_CAP = 500
 # genus of ``witness``: orientable 1.9 s at 50, 4.4 s at 60, 33 s at 100;
@@ -60,6 +61,17 @@ def _cap(value, cap, what, name="cap"):
     """Exit 2, through ``ResourceLimitError``, when value exceeds cap."""
     if value > cap:
         raise ResourceLimitError(f"{what}, above the {name} {cap}")
+
+
+def _printable(d, det):
+    """det, or exit 2 when it is past Python's int-to-str digit limit."""
+    bits = abs(det).bit_length()
+    skip = max(0, int((bits - 1) * math.log10(2)) - 10)  # ~11 digits left
+    digits = skip + len(str(abs(det) // 10 ** skip))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none
+    _cap(digits, limit or digits, f"det(I - M_{d}) has {bits} bits and "
+         f"{digits} digits", "int-to-str digit limit")
+    return det
 
 
 def _emit(payload, fmt, text_lines):
@@ -145,17 +157,20 @@ def check(matrix_path, orientable, genus, klass, fmt):
     if orientable:
         computed = min(klass, 4)
         sign, char = surface_character(s, genus, computed)
-        dets = {d: char.det(d) for d in range(1, computed + 1)}
+        det_of = char.det
         extra = {"admissibility": sign}
     else:
         computed = min(klass, 2 * n)
-        rows = witt_dimension(n, computed)
-        _cap(rows, FREE_TOWER_ROW_CAP,
-             f"free tower on rank {n} at degree {computed} has {rows} rows")
-        table = build_hall_basis(n, computed)
+        work = shape_work(n, computed, SHAPE_WORK_CAP)
+        _cap(work, SHAPE_WORK_CAP, f"shape kernel on rank {n} through degree "
+             f"{computed} takes at least {work} Newton steps", "shape cap")
         extra = {"unimodular": is_automorphism_matrix(s)}
-        dets = dict(fixed_point_dets(induced_tower(table, s), None,
-                                     range(1, computed + 1)))
+        p = charpoly(s)
+
+        def det_of(d):
+            return math.prod(r(1) ** mult
+                             for r, mult in free_lie_factors(p, d))
+    dets = {d: _printable(d, det_of(d)) for d in range(1, computed + 1)}
     first = next((d for d, v in dets.items() if v == 0), None)
     if first is not None:
         verdict = f"R infinite (degree {first})"
@@ -215,7 +230,7 @@ def witness(orientable, genus, klass, max_m, fmt):
     if not 1 <= klass < 2 * g:
         raise click.ClickException(f"class must satisfy 1 <= class < {2 * g}")
     w, m, _ = nonorientable_witness(g, klass, max_m=max_m)
-    p, det = charpoly(w), w.det()
+    p, det = nonorientable_charpoly_formula(g, m), w.det()  # = charpoly(w)
     payload = {"schema": SCHEMA_REPORT, "command": "witness",
                "config": {"orientable": False, "genus": genus,
                           "class": klass, "max_m": max_m},

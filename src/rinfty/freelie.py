@@ -13,20 +13,23 @@ the metabelian four-step truncation, that ideal plus the second derived
 ideal, which through class four is spanned by the brackets of pairs of
 degree-2 words.
 
-For the free ring and the orientable relator quotient the towers are
-not needed to know M_d up to similarity over Q: the relator is inert,
-so the equivariant Labute character gives charpoly(M_d) from
-charpoly(S) alone (``SurfaceCharacter``), and the free ring is its
-eps = 0 case, the equivariant Witt formula.  The towers and quotients
-remain its oracle and the engine of the non-orientable zero tests.
+The towers are not needed to know M_d up to similarity over Q: on the
+free ring charpoly(M_d) is a product of one polynomial per partition
+shape of d (``free_lie_factors``), and the surface relator is inert, so
+the equivariant Labute character gives it on the orientable quotient
+(``SurfaceCharacter``), both from charpoly(S) alone.  The towers and
+quotients remain their test oracles.
 
 Tables are built once and immutable afterwards; towers and quotients are
 pure derivations, so per-degree work can be farmed out freely.
 """
 
+from math import factorial, gcd, prod
+
 from .errors import ResourceLimitError
 from .intlinalg import (IntMatrix, IntPoly, _monic_from_power_sums,
-                        _power_sums, smith_normal_form)
+                        _power_sums, partitions, shape_charpoly, shape_degree,
+                        smith_normal_form)
 
 DEFAULT_TABLE_CAP = 10 ** 7
 
@@ -51,6 +54,34 @@ def _mobius(n):
 def witt_dimension(r, d):
     """Rank of degree d of the free Lie ring on r generators."""
     return _surface_trace([r] * (d + 1), 0, d, 1)
+
+
+def shape_multiplicity(shape):
+    """L(shape) = (1/d) sum over e | gcd of mu(e) (d/e)! / prod (part/e)!."""
+    d, top = sum(shape), gcd(*shape)
+    return _exact_div(sum(_mobius(e) * factorial(d // e)
+                          // prod(factorial(k // e) for k in shape)
+                          for e in range(1, top + 1) if top % e == 0), d)
+
+
+def free_lie_factors(p, d):
+    """[(R_pi, L(pi))]: charpoly(M_d) = prod R_pi^L(pi) on the free Lie ring.
+
+    M_d has eigenvalues lambda^alpha, |alpha| = d, each L(shape) times
+    (Reutenauer, Free Lie Algebras, ch. 8); L = 0 is skipped."""
+    pairs = ((pi, shape_multiplicity(pi)) for pi in partitions(d, p.degree))
+    return [(shape_charpoly(p, pi), mult) for pi, mult in pairs if mult]
+
+
+def shape_work(g, c, cap):
+    """Newton steps sum deg(R_pi)^2 over the partitions pi of 1..c into at
+    most g parts, counted from the partitions alone; stops past ``cap``."""
+    total = 0
+    for pi in (pi for d in range(1, c + 1) for pi in partitions(d, g)):
+        total += shape_degree(g, pi) ** 2
+        if total > cap:
+            break
+    return total
 
 
 def check_hall_table(r, c):
@@ -444,18 +475,16 @@ def _surface_trace(t, eps, d, n):
 
 
 class SurfaceCharacter:
-    """Tower charpolys of S on the free Lie ring or a relator quotient.
+    """Tower charpolys of S on the orientable relator quotient.
 
     The surface relator is inert (Labute 1970), so over Q the enveloping
     algebra of L = L(V) / (relator) has the S-equivariant Hilbert series
     1 / (1 - tr(S) t + eps t^2), where eps = +-1 is the sign S puts on the
-    relator; eps = 0 is the free Lie ring L(V) itself, for any S
-    (Reutenauer, Free Lie Algebras, ch. 8).  That fixes every tr(M_d^n)
-    as a polynomial in the power sums of charpoly(S), and Newton's
-    identities turn the first D_d of them into charpoly(M_d); D_d is the
-    same formula at S = I with sign eps^2, Witt's numbers for the free
-    ring and Labute's for the surface.  The metabelian truncation at
-    degree 4 is L_4 / [L_2, L_2], and over Q [L_2, L_2] is Lambda^2 L_2.
+    relator.  That fixes every tr(M_d^n) as a polynomial in the power
+    sums of charpoly(S), and Newton's identities turn the first D_d of
+    them into charpoly(M_d); D_d is Labute's number, the same formula at
+    S = I.  The metabelian truncation at degree 4 is L_4 / [L_2, L_2],
+    and over Q [L_2, L_2] is Lambda^2 L_2.
     The quotients are torsion-free, so these are the charpolys of the
     projected integer towers, with no tower, Smith form or determinant
     built.  Degrees 1 through ``degree`` are covered; power sums are
@@ -464,15 +493,15 @@ class SurfaceCharacter:
     """
 
     def __init__(self, p, eps, degree=4):
-        if eps not in (1, 0, -1):
-            raise ValueError("the relator sign must be +1, 0 or -1")
+        if eps not in (1, -1):
+            raise ValueError("the relator sign must be +1 or -1")
         if p.degree ** degree > DEFAULT_TABLE_CAP:
             raise ResourceLimitError(
                 f"surface character for r={p.degree}, degree {degree} "
                 f"exceeds cap {DEFAULT_TABLE_CAP}")
         self.p = p
         self.eps = eps
-        self.ranks = {d: _surface_trace([p.degree] * (d + 1), eps ** 2, d, 1)
+        self.ranks = {d: _surface_trace([p.degree] * (d + 1), 1, d, 1)
                       for d in range(1, degree + 1)}
         self._t = [0]
         self._charpolys = {}
@@ -525,18 +554,9 @@ class SurfaceCharacter:
 def fixed_point_dets(tower, quotient, degrees):
     """Lazily yield (d, det(I - M_d)) for each requested degree d.
 
-    The zero test of ``check --nonorientable``, where a zero i-fold
-    value at 1 does not imply eigenvalue 1, and the test oracle for
-    ``SurfaceCharacter`` and the non-orientable witnesses: M_d is
-    projected onto the quotient lattice modulo torsion when a quotient
-    is supplied, otherwise it acts on the free per-degree lattice.
-
-    ``check`` stays on towers although the free ring has a character
-    (eps = 0): on the genus-4 witness (rank 3, 2-core machine, Python
-    3.11) degrees 1..6 take 0.08 s here and 0.83 s through the
-    character, and degree 6 alone 0.025 s against 1.07 s.  The sparse
-    det stops at the zero, while Newton runs 116 steps on power sums of
-    about 60,000 bits.
+    The test oracle of ``free_lie_factors`` and ``SurfaceCharacter``:
+    M_d is projected onto the quotient lattice modulo torsion when a
+    quotient is supplied, otherwise it acts on the free lattice.
     """
     for d in degrees:
         mat = tower.matrix(d)

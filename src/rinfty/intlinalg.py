@@ -8,15 +8,16 @@ results can be re-verified.  Matrix products and determinants only touch
 nonzero entries, since the lattices met here are mostly zero.
 
 Polynomials are integer-only as well.  Spectra composed from a monic
-characteristic polynomial (ordered root products, symmetric powers) come
-from its power sums through Newton's identities; every polynomial
-division is one integer pseudo-division.  No fractions, no floats.
+characteristic polynomial (ordered root products, partition shapes,
+symmetric powers) come from its power sums through Newton's identities;
+every polynomial division is one integer pseudo-division.  No fractions,
+no floats.
 
 All objects are immutable after construction, so values can be shared
 freely between threads; every operation is a pure function.
 """
 
-from math import comb, prod
+from math import factorial, perm, prod
 
 
 class IntMatrix:
@@ -751,32 +752,63 @@ def _unit_reversal(p):
     return r * r.leading
 
 
-def symmetric_power_charpoly(p, i):
-    """charpoly(Sym^i W) from monic p = charpoly(W), of degree C(g+i-1, i).
+def partitions(d, parts, top=None):
+    """Partitions of d into at most ``parts`` parts, as descending tuples."""
+    if not d:
+        yield ()
+    for k in range(min(d, top or d) if parts else 0, 0, -1):
+        yield from ((k,) + t for t in partitions(d - k, parts - 1, k))
 
-    Its roots are the degree-i monomials in the roots of p, so its n-th
-    power sum is h_i of the n-th powers of those roots, which Newton's
-    identities k h_k = sum_j s_(jn) h_(k-j) give from the power sums of p.
-    As a set these roots are those of ``kfold_product_spectrum(p, i)``,
-    so the two vanish at 1 together.  A unimodular W whose reciprocal
-    roots look smaller (|a_1| < |a_(g-1)|, their sums up to sign) goes
-    through Sym^i(W^-1) = (Sym^i W)^-1, whose power sums have fewer bits.
+
+def shape_degree(g, shape):
+    """Contents of ``shape`` in g variables: g! / ((g - l)! prod mult!)."""
+    return perm(g, len(shape)) // prod(factorial(shape.count(k))
+                                       for k in set(shape))
+
+
+def _augmented(shape, ps, memo):
+    """sum over distinct i_j of prod lambda_(i_j)^(shape_j), from ps(k) = p_k,
+    by a(a, rest) = p_a a(rest) - sum_j a(rest with a added to part j)."""
+    if shape not in memo:
+        a, rest = shape[0], shape[1:]
+        merged = (rest[:j] + (rest[j] + a,) + rest[j + 1:]
+                  for j in range(len(rest)))
+        memo[shape] = ps(a) * _augmented(rest, ps, memo) - sum(
+            _augmented(tuple(sorted(m, reverse=True)), ps, memo)
+            for m in merged)
+    return memo[shape]
+
+
+def shape_charpoly(p, shape):
+    """R_shape, whose roots are lambda^alpha over the contents alpha of shape.
+
+    lambda are the roots of monic p = charpoly(W) and alpha the distinct
+    rearrangements of ``shape`` padded to length deg p.  Power sum n is
+    m_shape(lambda^n): the augmented monomial in p_k(lambda^n) = s_(kn)
+    over prod mult! (Macdonald, ch. I).  A unimodular W whose reciprocal
+    roots look smaller (|a_1| < |a_(g-1)|) goes through W^-1.
     """
-    if i < 1:
-        raise ValueError("need i >= 1")
     _require_monic(p)
     a = p.coeffs
     if len(a) > 2 and a[0] in (1, -1) and abs(a[1]) < abs(a[-2]):
-        return _unit_reversal(symmetric_power_charpoly(_unit_reversal(p), i))
-    size = comb(p.degree + i - 1, i)
-    s = _power_sums(p, size * i)
-    sums = [0]
-    for n in range(1, size + 1):
-        h = [1]
-        for k in range(1, i + 1):
-            h.append(sum(s[j * n] * h[k - j] for j in range(1, k + 1)) // k)
-        sums.append(h[i])
+        return _unit_reversal(shape_charpoly(_unit_reversal(p), shape))
+    size = shape_degree(p.degree, shape)
+    if not size:
+        return IntPoly.one()
+    s = _power_sums(p, size * sum(shape))
+    sums = [_augmented(tuple(shape), lambda k: s[k * n], {(): 1})
+            // (perm(p.degree, len(shape)) // size) for n in range(size + 1)]
     return IntPoly(_monic_from_power_sums(sums, size))
+
+
+def symmetric_power_charpoly(p, i):
+    """charpoly(Sym^i W) from monic p = charpoly(W): the product of
+    ``shape_charpoly(p, shape)`` over the partitions of i.  Its roots are
+    those of ``kfold_product_spectrum(p, i)`` as a set."""
+    if i < 1:
+        raise ValueError("need i >= 1")
+    return prod((shape_charpoly(p, shape)
+                 for shape in partitions(i, p.degree)), start=IntPoly.one())
 
 
 # ---------------------------------------------------------------------------

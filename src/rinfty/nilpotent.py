@@ -487,12 +487,12 @@ def padding_exponent(n, c):
     return padding_data(n, c)[0]
 
 
-def _commutator_image(tree, x, y):
-    if isinstance(tree, int):
-        return x if tree == 0 else y
-    u = _commutator_image(tree[0], x, y)
-    v = _commutator_image(tree[1], x, y)
-    return u.inverse() * v.inverse() * u * v
+def _commutator_image(tree, memo):
+    """Image of a Hall tree, with generator and subtree images in ``memo``."""
+    if tree not in memo:
+        u, v = (_commutator_image(t, memo) for t in tree)
+        memo[tree] = u.inverse() * v.inverse() * u * v
+    return memo[tree]
 
 
 def power_padding(n, x, y):
@@ -508,6 +508,7 @@ def power_padding(n, x, y):
     f, coord_polys = padding_data(n, amb.c)
     amb2 = free_nilpotent_group(2, amb.c)
     z = amb.identity
+    memo = {0: x, 1: y}
     for (dl, q) in zip(amb2.basis, coord_polys):
         if not q:
             continue
@@ -517,7 +518,7 @@ def power_padding(n, x, y):
         if val == 0:
             continue
         word = amb2.table.words(dl[0])[dl[1]]
-        z = z * (_commutator_image(word.tree, x, y) ** val.numerator)
+        z = z * (_commutator_image(word.tree, memo) ** val.numerator)
     if (x ** n) * (y ** f) != (x * z) ** n:
         raise AssertionError("padding identity failed to verify")
     return f, z

@@ -20,18 +20,18 @@ and inversion maps lies in Z_(p), reduction Z_(p) -> Z/p^e is a ring
 map, and substitution commutes with ring maps, so both equal computing
 step by step in Z/m.
 
-The spectrum check holds each induced tower on the free Lie ring to its
-character: charpoly(M_i) computed from the tower must equal the one the
-equivariant Witt formula reads off charpoly(S), multiplicities included.
+The spectrum check holds each induced tower on the free Lie ring to
+``freelie.free_lie_factors``, the kernel of ``check --nonorientable``:
+charpoly(M_i) must equal their product, multiplicities included.
 """
 
 from functools import cache
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import ResourceLimitError
-from .intlinalg import IntMatrix, charpoly
-from .freelie import (SurfaceCharacter, check_hall_table, induced_tower,
+from .intlinalg import IntMatrix, IntPoly, charpoly
+from .freelie import (check_hall_table, free_lie_factors, induced_tower,
                       witt_dimension)
 from .mvpoly import MPoly
 from .nilpotent import free_nilpotent_group, ser_mul
@@ -299,12 +299,12 @@ def brute_force_twisted_classes(setup):
 
 
 def spectrum_crosscheck(s, table, i):
-    """Degree-i tower charpoly equals the free Lie character's.
+    """Degree-i tower charpoly equals prod R_pi^L(pi) of ``free_lie_factors``.
 
-    The free ring is the eps = 0 case of ``SurfaceCharacter``, so the
-    equality checks each eigenvalue of M_i, with its multiplicity,
-    against the i-fold products of base eigenvalues that the equivariant
-    Witt formula assigns to degree i.
+    That checks each eigenvalue of M_i, with its multiplicity, against the
+    i-fold products of base eigenvalues that the multigraded Witt numbers
+    assign to degree i.
     """
-    upstairs = charpoly(induced_tower(table, s).matrix(i))
-    return upstairs == SurfaceCharacter(charpoly(s), 0, i).charpoly(i)
+    factors = free_lie_factors(charpoly(s), i)
+    return charpoly(induced_tower(table, s).matrix(i)) == prod(
+        (r ** mult for r, mult in factors), start=IntPoly.one())

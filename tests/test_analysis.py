@@ -16,7 +16,7 @@ from rinfty.freelie import build_hall_basis, fixed_point_dets, induced_tower
 from rinfty.intlinalg import (IntMatrix, IntPoly, charpoly,
                               dominance_root_test, kfold_value_at_one,
                               poly_divides, reciprocal_symmetry_check,
-                              symmetric_power_charpoly)
+                              shape_charpoly, symmetric_power_charpoly)
 from rinfty.nilpotent import padding_exponent
 
 S2 = orientable_witness(2)
@@ -216,8 +216,9 @@ class TestNonorientableWitness:
             nonorientable_witness(2, 4)
 
     def test_spectrum_degree_cap(self, monkeypatch):
-        # C(g+c-1, c) * c^2: 3,024 (g=4, c=6) and 3,280 (g=40, c=2) start
-        # the search; 5,880 (g=4, c=7) and 3,444 (g=41, c=2) are refused
+        # shape_work(g, c) * c^2: 193,697 (g=4, c=7), 1,178,499 (g=5, c=7)
+        # and 2,446,400 (g=40, c=2) start the search; 2,703,048 (g=41,
+        # c=2), 3,340,000 (g=10, c=4) and 6,172,281 (g=5, c=9) are refused
         class Started(Exception):
             pass
 
@@ -225,14 +226,15 @@ class TestNonorientableWitness:
             raise Started
 
         monkeypatch.setattr(rinfty.analysis, "padding_exponent", started)
-        for g, c in ((4, 6), (40, 2), (4, 5), (32, 2), (10, 3)):
+        for g, c in ((4, 7), (5, 7), (40, 2), (6, 6), (9, 4), (15, 3)):
             with pytest.raises(Started):
                 nonorientable_witness(g, c)
-        with pytest.raises(ResourceLimitError, match=r"C\(10, 7\) \* 7\^2 "
-                                                     r"= 5880 exceeds cap"):
-            nonorientable_witness(4, 7)
-        with pytest.raises(ResourceLimitError, match="3444"):
+        with pytest.raises(ResourceLimitError, match=r"at least 675762 Newton "
+                           r"steps \* 2\^2 = 2703048 exceeds cap 2500000"):
             nonorientable_witness(41, 2)
+        for g, c in ((10, 4), (5, 9)):
+            with pytest.raises(ResourceLimitError, match="exceeds cap"):
+                nonorientable_witness(g, c)
 
 
 class TestStructuralReports:
@@ -353,7 +355,9 @@ class TestRinfDegree:
 
     def test_nonorientable_verdict_computes_each_quantity_once(self,
                                                               monkeypatch):
-        # the witness search hands its Sym^i values over; no tower
+        # the witness search hands its Sym^i values over, one shape
+        # polynomial per partition of i = 1..5 into at most 3 parts
+        # (1 + 2 + 3 + 4 + 5); no tower
         calls = {"sym": 0, "tower": 0}
 
         def counting(key, func):
@@ -362,14 +366,14 @@ class TestRinfDegree:
                 return func(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(rinfty.analysis, "symmetric_power_charpoly",
-                            counting("sym", symmetric_power_charpoly))
+        monkeypatch.setattr(rinfty.analysis, "shape_charpoly",
+                            counting("sym", shape_charpoly))
         monkeypatch.setattr(rinfty.freelie.InducedTower, "__init__",
                             counting("tower",
                                      rinfty.freelie.InducedTower.__init__))
         verdict = rinf_degree(SurfaceSpec(False, 4))
         assert verdict.degree == 6
-        assert calls == {"sym": 5, "tower": 0}
+        assert calls == {"sym": 15, "tower": 0}
 
     @pytest.mark.parametrize("genus", [3, 4])
     def test_free_tower_agrees_with_the_witness_certificate(self, genus):

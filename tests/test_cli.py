@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import time
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import rinfty.analysis
 import rinfty.cli
 import rinfty.freelie
+import rinfty.intlinalg
 import rinfty.oracle
 from rinfty.analysis import SurfaceSpec, nonorientable_base_matrices
 from rinfty.cli import main
@@ -77,8 +79,7 @@ class TestDegreeCommand:
 
         for module in (rinfty.freelie, rinfty.analysis, rinfty.cli):
             monkeypatch.setattr(module, "build_hall_basis", refuse)
-        for module in (rinfty.freelie, rinfty.cli):
-            monkeypatch.setattr(module, "fixed_point_dets", refuse)
+        monkeypatch.setattr(rinfty.freelie, "fixed_point_dets", refuse)
         monkeypatch.setattr(rinfty.freelie.InducedTower, "__init__", refuse)
         verdict = rinfty.analysis.rinf_degree(SurfaceSpec(False, 4))
         assert verdict.degree == 6
@@ -209,29 +210,105 @@ class TestCheckCommand:
         path.write_text((el @ a @ a @ a).to_text())
         return str(path)
 
-    @pytest.mark.parametrize("klass,rows", [("7", 2340), ("8", 8160)])
-    def test_nonorientable_free_tower_cap(self, capsys, genus_five_file,
-                                          monkeypatch, klass, rows):
-        def refuse(*args, **kwargs):
-            raise AssertionError("built a Hall table above the row cap")
-
-        monkeypatch.setattr(rinfty.cli, "build_hall_basis", refuse)
-        code, out, err = run(capsys, "check", "--matrix", genus_five_file,
-                             "--nonorientable", "--genus", "5",
-                             "--class", klass)
-        assert code == 2
-        assert out == ""
-        assert err == (f"resource cap: free tower on rank 4 at degree "
-                       f"{klass} has {rows} rows, above the cap 1000\n")
-
     def test_nonorientable_genus_five_class_six(self, capsys,
                                                 genus_five_file):
-        # 670 rows at degree 6, under the cap: the check still answers
+        # the degree-6 det that the free tower took 2.3 s to reach
         code, out, err = run(capsys, "check", "--matrix", genus_five_file,
                              "--nonorientable", "--genus", "5",
                              "--class", "6")
         assert code == 0, err
         assert out.endswith("R finite (no eigenvalue 1 through degree 6)\n")
+
+    @pytest.mark.parametrize("klass,verdict", [
+        ("7", "R finite (no eigenvalue 1 through degree 7)"),
+        ("8", "R infinite (degree 8)")], ids=["7", "8"])
+    def test_nonorientable_genus_five_without_towers(
+            self, capsys, genus_five_file, monkeypatch, klass, verdict):
+        # the partition-shape kernel answers every class, with no Hall
+        # table, tower or tower det; degree 8 holds det(W)^2 = 1
+        def refuse(*args, **kwargs):
+            raise AssertionError("check built a tower")
+
+        for module in (rinfty.freelie, rinfty.cli):
+            monkeypatch.setattr(module, "build_hall_basis", refuse)
+        monkeypatch.setattr(rinfty.freelie, "fixed_point_dets", refuse)
+        monkeypatch.setattr(rinfty.freelie.InducedTower, "__init__", refuse)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check", "--matrix", genus_five_file,
+                             "--nonorientable", "--genus", "5",
+                             "--class", klass)
+        assert time.perf_counter() - start < 5
+        assert code == 0, err
+        assert out.startswith(f"checked degrees 1..{klass}\n"
+                              "det(I - M_i) by degree: 1: 1, 2: 4, "
+                              "3: -13328, 4: 130900546994176, ")
+        assert out.endswith(verdict + "\n")
+
+    def test_shape_cap_refuses_before_any_arithmetic(self, capsys, tmp_path,
+                                                     monkeypatch):
+        # rank 6 through degree 12 passes a million Newton steps
+        def refuse(*args, **kwargs):
+            raise AssertionError("the shape kernel started")
+
+        for module in (rinfty.intlinalg, rinfty.freelie):
+            monkeypatch.setattr(module, "shape_charpoly", refuse)
+        monkeypatch.setattr(rinfty.cli, "charpoly", refuse)
+        path = tmp_path / "id6.txt"
+        path.write_text(IntMatrix.identity(6).to_text())
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check", "--matrix", str(path),
+                             "--nonorientable", "--genus", "7",
+                             "--class", "12")
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err == ("resource cap: shape kernel on rank 6 through degree "
+                       "12 takes at least 1030463 Newton steps, above the "
+                       "shape cap 1000000\n")
+
+    def test_shape_cap_admits_rank_45_at_degree_2(self, capsys, tmp_path):
+        # 984,150 Newton steps, under the cap: C(45, 2) = 990 roots
+        rng = random.Random(2)
+        path = tmp_path / "r45.txt"
+        path.write_text(IntMatrix([[rng.randint(-1, 1) for _ in range(45)]
+                                   for _ in range(45)]).to_text())
+        code, out, err = run(capsys, "check", "--matrix", str(path),
+                             "--nonorientable", "--genus", "46",
+                             "--class", "2", "--format", "json")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["dets"]["1"] == -564842618750077106643721
+        assert doc["verdict"] == "R finite (no eigenvalue 1 through degree 2)"
+
+    @pytest.mark.parametrize("klass", ["5", "7"])
+    def test_det_past_the_digit_limit_exits_2(self, capsys, tmp_path, klass):
+        # L A^3 at m = 46080^7: det(I - M_5) is too long for str(); the
+        # check refuses it, naming degree and size, before printing
+        el, a = nonorientable_base_matrices(4, 46080 ** 7)
+        path = tmp_path / "w5.txt"
+        path.write_text((el @ a @ a @ a).to_text())
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, "check", "--matrix", str(path),
+                                 "--nonorientable", "--genus", "5",
+                                 "--class", klass, "--format", fmt)
+            assert code == 2
+            assert out == ""
+            assert err == ("resource cap: det(I - M_5) has 34811 bits and "
+                           "10479 digits, above the int-to-str digit limit "
+                           "4300\n")
+
+    def test_large_entry_det_exits_2(self, capsys, tmp_path):
+        # (1 - 10^2200)^2 - 1 has 4,400 digits
+        path = tmp_path / "big.txt"
+        path.write_text(IntMatrix([[10 ** 2200, 1],
+                                   [1, 10 ** 2200]]).to_text())
+        code, out, err = run(capsys, "check", "--matrix", str(path),
+                             "--nonorientable", "--genus", "3",
+                             "--class", "1")
+        assert code == 2
+        assert out == ""
+        assert err == ("resource cap: det(I - M_1) has 14617 bits and 4400 "
+                       "digits, above the int-to-str digit limit 4300\n")
 
     def test_degree_certificate_reverifies_through_check(self, capsys, tmp_path):
         code, out, _ = run(capsys, "degree", "--orientable", "--genus", "2",
@@ -349,20 +426,31 @@ class TestOtherCommands:
         assert doc["determinant"] == -1
         assert doc["m"] >= 1
 
-    def test_witness_genus_five_default_class_refused(self, capsys,
-                                                      monkeypatch):
-        # class 7 needs Sym^7 of degree C(10, 7) = 120: refused before the
-        # search by the C(g+c-1, c) * c^2 cap
+    def test_witness_genus_five_default_class(self, capsys):
+        # class 7, 193,697 steps under the witness cap: m = 46080^7
+        code, out, err = run(capsys, "witness", "--nonorientable", "--genus",
+                             "5", "--format", "json")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["config"]["class"] == 7
+        assert doc["m"] == 46080 ** 7
+        assert doc["determinant"] == -1
+
+    def test_witness_genus_six_default_class_refused(self, capsys,
+                                                     monkeypatch):
+        # class 9 needs padding_exponent(2, 9), which alone takes 41 s:
+        # refused before the search by the shape-work cap
         def refuse(*args):
             raise AssertionError("the witness search started")
 
         monkeypatch.setattr(rinfty.analysis, "padding_exponent", refuse)
         code, out, err = run(capsys, "witness", "--nonorientable", "--genus",
-                             "5")
+                             "6")
         assert code == 2
         assert out == ""
-        assert err.startswith("resource cap: ")
-        assert err.count("\n") == 1
+        assert err == ("resource cap: witness search for g=5, class 9: at "
+                       "least 76201 Newton steps * 9^2 = 6172281 exceeds cap "
+                       "2500000\n")
 
     def test_witness_genus_five_class_four(self, capsys):
         code, out, _ = run(capsys, "witness", "--nonorientable", "--genus",

@@ -1,16 +1,21 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rinfty.analysis import nonorientable_base_matrices
+from rinfty.freelie import (build_hall_basis, free_lie_factors,
+                            induced_tower, shape_multiplicity, shape_work,
+                            witt_dimension)
 from rinfty.intlinalg import (IntMatrix, IntPoly, _root_products, charpoly,
                               dominance_root_test, kfold_product_spectrum,
-                              kfold_value_at_one, poly_divides, pseudo_divmod,
-                              reciprocal_symmetry_check, smith_normal_form,
+                              kfold_value_at_one, partitions, poly_divides,
+                              pseudo_divmod, reciprocal_symmetry_check,
+                              shape_charpoly, shape_degree, smith_normal_form,
                               symmetric_power_charpoly)
 
 
@@ -520,6 +525,76 @@ class TestSymmetricPower:
     def test_zero_fold_rejected(self):
         with pytest.raises(ValueError):
             symmetric_power_charpoly(IntPoly([1, 1]), 0)
+
+
+def _exterior_square(w):
+    """Lambda^2 W on the basis x_i ^ x_j, i < j: its 2x2 minors."""
+    pairs = list(itertools.combinations(range(w.rows), 2))
+    return IntMatrix([[w[i, k] * w[j, l] - w[i, l] * w[j, k]
+                       for k, l in pairs] for i, j in pairs])
+
+
+class TestShapeKernel:
+    """charpoly(M_d) on the free Lie ring as prod R_pi^L(pi)."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_free_lie_factors_match_the_towers(self, d):
+        # every matrix of _sym_test_matrices, rank <= 3; at rank 3 degree 6
+        # (116 rows) Berkowitz takes seconds a matrix, so there the tower's
+        # det(I - M_6) stands for its charpoly
+        tables = {g: build_hall_basis(g, d) for g in (1, 2, 3)}
+        for w in _sym_test_matrices():
+            factors = free_lie_factors(charpoly(w), d)
+            mat = induced_tower(tables[w.rows], w).matrix(d)
+            if w.rows == 3 and d == 6:
+                assert prod(r(1) ** mult for r, mult in factors) == \
+                    (IntMatrix.identity(mat.rows) - mat).det(), w
+            else:
+                assert prod((r ** mult for r, mult in factors),
+                            start=IntPoly.one()) == charpoly(mat), (w, d)
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+    def test_degrees_and_multiplicities_give_witt(self, g):
+        for d in range(1, 11):
+            assert sum(shape_degree(g, s) * shape_multiplicity(s)
+                       for s in partitions(d, g)) == witt_dimension(g, d)
+            assert sum(shape_degree(g, s) for s in partitions(d, g)) == \
+                comb(g + d - 1, d)
+
+    def test_partitions(self):
+        assert list(partitions(5, 2)) == [(5,), (4, 1), (3, 2)]
+        assert [len(list(partitions(d, d))) for d in range(8)] == \
+            [1, 1, 2, 3, 5, 7, 11, 15]
+
+    def test_shape_roots(self):
+        # W = diag(2, 3, 5): the contents of (2, 1) give 2^2 3, 2^2 5, ...
+        p = charpoly(IntMatrix([[2, 0, 0], [0, 3, 0], [0, 0, 5]]))
+        roots = [a * a * b for a in (2, 3, 5) for b in (2, 3, 5) if a != b]
+        assert shape_charpoly(p, (2, 1)) == prod(
+            (IntPoly([-x, 1]) for x in roots), start=IntPoly.one())
+        assert shape_charpoly(p, (1, 1, 1)) == IntPoly([-30, 1])
+        assert shape_charpoly(p, (1, 1, 1, 1)) == IntPoly.one()
+
+    def test_one_part_and_one_box_shapes(self):
+        # R_(k) = charpoly(W^k), R_(1,1) = charpoly(Lambda^2 W) and
+        # R_(1,1,1) = x - det W, on the reversed-roots witness as well
+        for w in _sym_test_matrices():
+            if w.rows < 2:
+                continue
+            p = charpoly(w)
+            for k in (1, 2, 3):
+                assert shape_charpoly(p, (k,)) == charpoly(w ** k), (w, k)
+            assert shape_charpoly(p, (1, 1)) == charpoly(
+                _exterior_square(w)), w
+            if w.rows == 3:
+                assert shape_charpoly(p, (1, 1, 1)) == IntPoly([-w.det(), 1])
+
+    def test_shape_work(self):
+        assert shape_work(4, 7, 10 ** 9) == 3953
+        assert shape_work(45, 2, 10 ** 9) == 984150
+        # counting stops past the cap, before the partitions run out
+        assert shape_work(6, 12, 10 ** 6) == 1030463
+        assert shape_work(1000, 2000, 10 ** 6) == 1000000 + 1000 ** 2
 
 
 class TestReciprocalSymmetry:

@@ -4,12 +4,13 @@
 a kernel that is renamed or moved would silently drop its per-layer
 metrics.  One test resolves every wrapped name without patching, the
 others run traced benchmark requests end to end: a non-orientable
-``check`` that must record the tower and determinant spans, an
-orientable one that must record none of the tower kernels, and a
-non-orientable ``degree`` verdict, which builds no tower either: its
-spans are the padding exponent and the one Hall table of the rank-2
-Malcev basis behind it, and its Sym^i witness test records no k-fold
-span.
+``check``, which reads the partition-shape kernel off charpoly(W) and
+records no Hall table or tower, a spectrum ``crosscheck``, which
+builds the towers as that kernel's oracle, an orientable ``check`` that
+must record none of the tower kernels, and a non-orientable ``degree``
+verdict, which builds no tower either: its spans are the padding
+exponent and the one Hall table of the rank-2 Malcev basis behind it,
+and its Sym^i witness test records no k-fold span.
 """
 
 import importlib
@@ -63,13 +64,20 @@ def _traced_check(path, *args):
 
 
 def test_traced_check_records_every_kernel_span(tmp_path):
-    # towers and determinants run on the non-orientable path only
+    # the non-orientable check: charpoly(W) and the unimodularity det
     path = tmp_path / "w3.txt"
     path.write_text(nonorientable_witness(2, 3)[0].to_text())
     payload, names = _traced_check(path, "--nonorientable", "--genus", "3",
                                    "--class", "4")
     assert payload["verdict"] == "R infinite (degree 4)"
-    assert {"intlinalg.det", "freelie.tower"} <= names
+    assert {"intlinalg.det", "intlinalg.charpoly"} <= names
+    assert not names & {"freelie.hall", "freelie.tower"}
+
+    # the towers run in the spectrum crosscheck, the shape kernel's oracle
+    payload, names = _traced("crosscheck", "--what", "spectrum", "--rank",
+                             "2", "--class", "3", "--count", "2")
+    assert payload["passed"] == 2
+    assert {"freelie.hall", "freelie.tower", "intlinalg.charpoly"} <= set(names)
 
     # the orientable check reads the Labute character: no tower, no quotient
     path = tmp_path / "s2.txt"
