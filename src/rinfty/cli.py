@@ -18,8 +18,9 @@ from .analysis import (DEFAULT_MAX_M, SurfaceSpec, admissibility,
                        nonorientable_witness, orientable_witness, rinf_degree,
                        sample_admissible, surface_character)
 from .errors import ResourceLimitError
-from .freelie import (build_hall_basis, check_hall_table, free_lie_factors,
-                      shape_work, witt_dimension)
+from .freelie import (SURFACE_WORK_CAP, build_hall_basis, check_hall_table,
+                      free_lie_factors, shape_work, surface_work,
+                      witt_dimension)
 from .intlinalg import IntMatrix, charpoly
 from .nilpotent import free_nilpotent_group, power_padding
 from .oracle import (DEFAULT_MAX_ORDER, FiniteTwistedSetup,
@@ -36,10 +37,21 @@ SHAPE_WORK_CAP = 1_000_000
 # of 70 rows (rank 6, degree 3) takes about 1.2 s, 99 rows 2.1 s, 112 rows
 # 7.2 s (2-core x86, Python 3.11)
 SPECTRUM_ROW_CAP = 70
-# ``padding`` multiplies dense series over every word of length <= class
-# in the rank-r ambient: rank 2 class 6 (126 words) 1.7 s, class 7 9.6 s;
-# rank 3 class 5 (363) 1.2 s, rank 8 class 3 (584) 2.8 s, rank 9 class 3
-# (819) 8.6 s (2-core x86, Python 3.11)
+# ``crosscheck --what spectrum`` costs per matrix its charpoly, rows^4, plus
+# about 6,000 for the tower and the factors: 2 rows 0.2 ms, 18 rows 5 ms,
+# 48 rows 0.14 s, 70 rows 0.84 s, so about 0.035 us per unit; the cap is
+# about 9 s (2-core x86, Python 3.11)
+SPECTRUM_COUNT_WORK_CAP = 250_000_000
+# ``degree --orientable`` costs per sample the Newton steps of its
+# character through degree 4 plus about 10,000 for drawing and checking
+# the sample: genus 2 0.74 ms, genus 3 6.0 ms, genus 4 66 ms, so about
+# 0.07 us per step; the cap is about 7 s (2-core x86, Python 3.11)
+SAMPLE_WORK_CAP = 100_000_000
+# ``padding`` multiplies series over the words of length <= class in the
+# rank-r ambient, one homogeneous part pair at a time.  Fresh process:
+# rank 2 class 6 (126 words) 1.2-1.6 s, class 7 (254) 5.2-5.4 s; rank 3
+# class 5 (363) 1.3-1.4 s, rank 8 class 3 (584) 2.8-3.2 s, rank 9 class 3
+# (819) 5.4-5.7 s (2-core x86, Python 3.11)
 PADDING_CLASS_CAP = 6
 PADDING_WORD_CAP = 500
 # genus of ``witness``: orientable 1.9 s at 50, 4.4 s at 60, 33 s at 100;
@@ -103,6 +115,10 @@ def cli():
 def degree(orientable, genus, samples, seed, max_m, fmt):
     """Nilpotency degree at which every automorphism forces R-infinity."""
     spec = SurfaceSpec(orientable, genus)
+    if orientable:
+        work = samples * (surface_work(2 * genus, 4) + 10_000)
+        _cap(work, SAMPLE_WORK_CAP, f"{samples} samples of genus {genus} "
+             f"take {work} Newton steps", "sample work cap")
     verdict = rinf_degree(spec, samples=samples, seed=seed, max_m=max_m)
     payload = {"schema": SCHEMA_REPORT, "command": "degree",
                "config": {"samples": samples, "seed": seed, "max_m": max_m},
@@ -156,6 +172,10 @@ def check(matrix_path, orientable, genus, klass, fmt):
             f"matrix must be {n}x{n} for this surface, got {s.rows}x{s.cols}")
     if orientable:
         computed = min(klass, 4)
+        work = surface_work(n, computed)
+        _cap(work, SURFACE_WORK_CAP, f"surface character of genus {genus} "
+             f"through degree {computed} takes {work} Newton steps",
+             "surface cap")
         sign, char = surface_character(s, genus, computed)
         det_of = char.det
         extra = {"admissibility": sign}
@@ -334,6 +354,9 @@ def crosscheck(what, rank, klass, count, degree, seed, modulus, matrix_path,
         _cap(rows, SPECTRUM_ROW_CAP,
              f"free tower on rank {rank} at degree {deg} has {rows} rows",
              "spectrum cap")
+        work = count * (rows ** 4 + 6_000)
+        _cap(work, SPECTRUM_COUNT_WORK_CAP, f"{count} towers of {rows} rows "
+             f"take {work} charpoly steps", "count work cap")
         table = build_hall_basis(rank, klass)
         rng = _random.Random(seed)
         failures = []

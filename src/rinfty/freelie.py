@@ -32,6 +32,13 @@ from .intlinalg import (IntMatrix, IntPoly, _monic_from_power_sums,
                         smith_normal_form)
 
 DEFAULT_TABLE_CAP = 10 ** 7
+# Newton steps (``surface_work``) of a ``SurfaceCharacter``, timed on
+# ``sample --sign minus --seed 1 --length 8`` matrices: genus 4 degree 4
+# (919,418) 1.2 s, genus 8 degree 3 (1.8 million) 0.8 s, genus 29 degree 2
+# (2.7 million) 1.9 s; genus 9 degree 3 (3.7 million) 10 s, genus 5
+# degree 4 (5.7 million) 40 s, genus 12 degree 3 (21 million) 143 s (2-core
+# x86, Python 3.11).  Bits are not counted: larger entries cost more
+SURFACE_WORK_CAP = 3_000_000
 
 HALL_ORDERS = ("lex", "alt")
 
@@ -71,6 +78,17 @@ def free_lie_factors(p, d):
     (Reutenauer, Free Lie Algebras, ch. 8); L = 0 is skipped."""
     pairs = ((pi, shape_multiplicity(pi)) for pi in partitions(d, p.degree))
     return [(shape_charpoly(p, pi), mult) for pi, mult in pairs if mult]
+
+
+def surface_ranks(r, degree):
+    """Labute's ranks {d: D_d} of the rank-r surface Lie ring, d <= degree."""
+    return {d: _surface_trace([r] * (d + 1), 1, d, 1)
+            for d in range(1, degree + 1)}
+
+
+def surface_work(r, degree):
+    """Newton steps sum D_d^2 of a rank-r ``SurfaceCharacter``."""
+    return sum(x * x for x in surface_ranks(r, degree).values())
 
 
 def shape_work(g, c, cap):
@@ -488,21 +506,21 @@ class SurfaceCharacter:
     The quotients are torsion-free, so these are the charpolys of the
     projected integer towers, with no tower, Smith form or determinant
     built.  Degrees 1 through ``degree`` are covered; power sums are
-    computed only as far as the degrees asked for, and the same cap as a
-    rank-r Hall table of class ``degree`` bounds the work.
+    computed only as far as the degrees asked for, and ``SURFACE_WORK_CAP``
+    bounds the Newton steps.
     """
 
     def __init__(self, p, eps, degree=4):
         if eps not in (1, -1):
             raise ValueError("the relator sign must be +1 or -1")
-        if p.degree ** degree > DEFAULT_TABLE_CAP:
+        work = surface_work(p.degree, degree)
+        if work > SURFACE_WORK_CAP:
             raise ResourceLimitError(
-                f"surface character for r={p.degree}, degree {degree} "
-                f"exceeds cap {DEFAULT_TABLE_CAP}")
+                f"surface character for r={p.degree}, degree {degree} takes "
+                f"{work} Newton steps, above the cap {SURFACE_WORK_CAP}")
         self.p = p
         self.eps = eps
-        self.ranks = {d: _surface_trace([p.degree] * (d + 1), 1, d, 1)
-                      for d in range(1, degree + 1)}
+        self.ranks = surface_ranks(p.degree, degree)
         self._t = [0]
         self._charpolys = {}
 

@@ -5,12 +5,13 @@ a_1^{x_1} a_2^{x_2} ... a_k^{x_k} over the polycyclic generating
 sequence a_1, ..., a_k of iterated group commutators shaped by the Hall
 basis (a_1 = a, a_2 = b, a_3 = [a,b], ...), with integer exponents as
 the coordinates.  Arithmetic runs inside the rational Malcev completion,
-realized concretely in the degree-truncated free associative algebra:
-group elements are exponential series, multiplication is the truncated
-series product, powers and roots are one map exp(t * log)
-(``ring_power``), and normal-form coordinates are peeled off degree by
-degree.  All coefficients are exact rationals; coordinates of group
-elements are exact integers.
+realized concretely in the free associative algebra truncated at word
+length c: group elements are exponential series, kept as their c + 1
+homogeneous parts, so the truncated product multiplies only the parts
+whose degrees sum to at most c.  Powers and roots are one map
+exp(t * log) (``ring_power``), and normal-form coordinates are peeled
+off one homogeneous part at a time.  All coefficients are exact
+rationals; coordinates of group elements are exact integers.
 
 The same map run with polynomial coefficients yields the power
 polynomials q_i with u^m = prod a_i^(m x_i + q_i(x_1..x_{i-1}, m)), and
@@ -21,7 +22,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial, lcm
 
-from .freelie import build_hall_basis
+from .freelie import _vec_add, build_hall_basis
 from .mvpoly import MPoly
 
 
@@ -29,82 +30,79 @@ from .mvpoly import MPoly
 # truncated free associative series with generic coefficients
 # ---------------------------------------------------------------------------
 #
-# A series is a dict {word tuple: coefficient}.  The coefficients are
-# Fractions for group arithmetic and MPoly for the symbolic tables; the
-# ``one`` argument is the unit of whichever ring is in use.
+# A series truncated at class c is a list of c + 1 homogeneous parts:
+# part d is a dict {word tuple of length d: coefficient}, so the
+# truncation is the length of the list.  The coefficients are Fractions
+# for group arithmetic and MPoly for the symbolic tables.
 
-def ser_mul(a, b, c):
-    """Product truncated at word length c."""
-    out = {}
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            if len(wa) + len(wb) > c:
-                continue
+def ser_unit(c, one=Fraction(1)):
+    """The series 1, truncated at class c, over the ring of ``one``."""
+    return [{(): one}] + [{} for _ in range(c)]
+
+def _part_mul(out, pa, pb):
+    """out += pa * pb for homogeneous parts; zero entries are kept."""
+    for wa, ca in pa.items():
+        for wb, cb in pb.items():
             w = wa + wb
             val = ca * cb
             cur = out.get(w)
             out[w] = val if cur is None else cur + val
-    return {w: v for w, v in out.items() if v}
+    return out
+
+def ser_mul(a, b):
+    """Product at class c = len(a) - 1: part i meets the parts j <= c - i."""
+    c = len(a) - 1
+    out = [{} for _ in a]
+    for i, pa in enumerate(a):
+        if pa:
+            for j in range(c + 1 - i):
+                _part_mul(out[i + j], pa, b[j])
+    return [{w: v for w, v in part.items() if v} for part in out]
 
 def ser_add(a, b, scale=1):
     """a + scale * b."""
-    out = dict(a)
-    for w, v in b.items():
-        cur = out.get(w)
-        nv = scale * v if cur is None else cur + scale * v
-        if nv:
-            out[w] = nv
-        else:
-            out.pop(w, None)
-    return out
+    return [_vec_add(dict(pa), pb, scale) if pb else pa
+            for pa, pb in zip(a, b)]
 
 def ser_scale(a, s):
     """s * a for a scalar s of the coefficient ring."""
-    if not s:
-        return {}
-    return {w: s * v for w, v in a.items()}
+    return [{w: s * v for w, v in part.items()} if s else {} for part in a]
 
-def _unit_tail(e, one):
-    """e - 1 for a series with constant term ``one``."""
-    n = dict(e)
-    if n.pop((), None) != one:
-        raise ValueError("series must have constant term 1")
-    return n
-
-def _ser_sum(n, c, one, start, coeff):
-    """start + sum over j >= 1 of coeff(j) * n^j, truncated at length c.
+def _ser_sum(n, start, coeff):
+    """start + sum over j >= 1 of coeff(j) * n^j.
 
     n has zero constant term, so its powers vanish past n^c.
     """
-    out = start
-    term = {(): one}
-    for j in range(1, c + 1):
-        term = ser_mul(term, n, c)
-        if not term:
+    out, term = start, n
+    for j in range(1, len(n)):
+        if not any(term):
             break
         out = ser_add(out, term, scale=coeff(j))
+        term = ser_mul(term, n)
     return out
 
-def ser_exp(ell, c, one=Fraction(1)):
+def ser_exp(ell, one=Fraction(1)):
     """exp of a series with zero constant term."""
-    if () in ell:
+    if ell[0]:
         raise ValueError("exp needs a series with zero constant term")
-    return _ser_sum(ell, c, one, {(): one},
+    return _ser_sum(ell, ser_unit(len(ell) - 1, one),
                     lambda j: Fraction(1, factorial(j)))
 
-def ser_log(e, c, one=Fraction(1)):
+def _unit_tail(e):
+    """e - 1 for a series with constant term 1."""
+    if e[0] != {(): 1}:
+        raise ValueError("series must have constant term 1")
+    return [{}] + e[1:]
+
+def ser_log(e):
     """log of a series with constant term 1."""
-    return _ser_sum(_unit_tail(e, one), c, one, {},
+    return _ser_sum(_unit_tail(e), [{} for _ in e],
                     lambda j: Fraction((-1) ** (j - 1), j))
 
-def ser_inv(e, c, one=Fraction(1)):
+def ser_inv(e):
     """Inverse of a series with constant term 1."""
-    return _ser_sum(_unit_tail(e, one), c, one, {(): one},
+    return _ser_sum(_unit_tail(e), ser_unit(len(e) - 1, e[0][()]),
                     lambda j: (-1) ** j)
-
-def ser_degree_part(e, d):
-    """Homogeneous part of word length d."""
-    return {w: v for w, v in e.items() if len(w) == d}
 
 
 class FreeNilpotentGroup:
@@ -129,7 +127,7 @@ class FreeNilpotentGroup:
     # -- basis series ------------------------------------------------------
 
     def lie_series(self, d, local):
-        """The Hall word as a Lie element of the associative algebra (ints)."""
+        """The Hall word as a Lie element: its degree-d part, in ints."""
         key = (d, local)
         cached = self._lie_series.get(key)
         if cached is None:
@@ -139,8 +137,8 @@ class FreeNilpotentGroup:
             else:
                 a = self.lie_series(w.left.degree, w.left.local)
                 b = self.lie_series(w.right.degree, w.right.local)
-                cached = ser_add(ser_mul(a, b, self.c),
-                                 ser_mul(b, a, self.c), scale=-1)
+                ab = _vec_add(_part_mul({}, a, b), _part_mul({}, b, a), -1)
+                cached = {w: v for w, v in ab.items() if v}
             self._lie_series[key] = cached
         return cached
 
@@ -151,14 +149,14 @@ class FreeNilpotentGroup:
         if cached is None:
             w = self.table.words(d)[local]
             if w.left is None:
-                cached = {k: Fraction(v) for k, v in self.lie_series(d, local).items()}
+                cached = [{} for _ in range(self.c + 1)]
+                cached[d] = {k: Fraction(v)
+                             for k, v in self.lie_series(d, local).items()}
             else:
-                u = ser_exp(self.log_basis(w.left.degree, w.left.local), self.c)
-                v = ser_exp(self.log_basis(w.right.degree, w.right.local), self.c)
-                comm = ser_mul(ser_mul(ser_inv(u, self.c), ser_inv(v, self.c),
-                                       self.c),
-                               ser_mul(u, v, self.c), self.c)
-                cached = ser_log(comm, self.c)
+                u = ser_exp(self.log_basis(w.left.degree, w.left.local))
+                v = ser_exp(self.log_basis(w.right.degree, w.right.local))
+                comm = ser_mul(ser_mul(ser_inv(u), ser_inv(v)), ser_mul(u, v))
+                cached = ser_log(comm)
             self._log_series[key] = cached
         return cached
 
@@ -203,19 +201,19 @@ class FreeNilpotentGroup:
         self._solvers[d] = solver
         return solver
 
-    def lie_coordinates(self, series, d):
-        """Coordinates of the degree-d part of a Lie series in the Hall basis."""
+    def lie_coordinates(self, part, d):
+        """Hall-basis coordinates of a homogeneous degree-d Lie element."""
         pivot_monos, inverse, cols = self._solver(d)
         zero = Fraction(0)
-        v = [series.get(w, zero) for w in pivot_monos]
+        v = [part.get(w, zero) for w in pivot_monos]
         coords = [sum((row[i] * v[i] for i in range(len(v))), start=zero)
                   for row in inverse]
         # defensive: the degree-d part must be exactly the claimed combination
         recon = {}
         for x, col in zip(coords, cols):
             if x:
-                recon = ser_add(recon, ser_scale(col, x))
-        if recon != {w: val for w, val in ser_degree_part(series, d).items() if val}:
+                _vec_add(recon, col, x)
+        if recon != {w: val for w, val in part.items() if val}:
             raise AssertionError("degree part is not a Lie element")
         return coords
 
@@ -223,13 +221,11 @@ class FreeNilpotentGroup:
 
     def series_from_coords(self, coords, one=Fraction(1)):
         """The series of prod a_i^{x_i}; coordinates may be ring elements."""
-        out = {(): one}
+        out = ser_unit(self.c, one)
         for (dl, x) in zip(self.basis, coords):
-            if not x:
-                continue
-            log_a = self.log_basis(*dl)
-            out = ser_mul(out, ser_exp(ser_scale(log_a, x), self.c, one),
-                          self.c)
+            if x:
+                out = ser_mul(out, ser_exp(ser_scale(self.log_basis(*dl), x),
+                                           one))
         return out
 
     def peel(self, series, one=Fraction(1)):
@@ -237,26 +233,24 @@ class FreeNilpotentGroup:
         w = series
         coords = []
         for d in range(1, self.c + 1):
-            xs = self.lie_coordinates(ser_degree_part(w, d), d)
+            xs = self.lie_coordinates(w[d], d)
             for local, x in enumerate(xs):
                 if x:
                     log_a = self.log_basis(d, local)
-                    w = ser_mul(ser_exp(ser_scale(log_a, -x), self.c, one), w,
-                                self.c)
+                    w = ser_mul(ser_exp(ser_scale(log_a, -x), one), w)
             coords.extend(xs)
-        if w != {(): one}:
+        if w != ser_unit(self.c, one):
             raise AssertionError("peel left a non-identity residue")
         return coords
 
     # -- group operations on raw coordinate tuples ---------------------------
 
     def multiply_coords(self, a, b):
-        prod = ser_mul(self.series_from_coords(a), self.series_from_coords(b),
-                       self.c)
+        prod = ser_mul(self.series_from_coords(a), self.series_from_coords(b))
         return _as_int_tuple(self.peel(prod))
 
     def inverse_coords(self, a):
-        inv = ser_inv(self.series_from_coords(a), self.c)
+        inv = ser_inv(self.series_from_coords(a))
         return _as_int_tuple(self.peel(inv))
 
     def ring_power(self, coords, t, one=Fraction(1)):
@@ -265,8 +259,8 @@ class FreeNilpotentGroup:
         The coordinates and t are elements of the ring of ``one``:
         Fractions for powers and roots, ``MPoly`` for symbolic tables.
         """
-        log = ser_log(self.series_from_coords(coords, one), self.c, one)
-        return self.peel(ser_exp(ser_scale(log, t), self.c, one), one)
+        log = ser_log(self.series_from_coords(coords, one))
+        return self.peel(ser_exp(ser_scale(log, t), one), one)
 
     def power_coords(self, a, n):
         return _as_int_tuple(self.ring_power(a, Fraction(n)))

@@ -126,7 +126,7 @@ class _CoordinateMaps:
         series_v = amb.series_from_coords(vs, one)
         self.ambient = amb
         self.names = names
-        self.mult = amb.peel(ser_mul(series_u, series_v, amb.c), one)
+        self.mult = amb.peel(ser_mul(series_u, series_v), one)
         self.denominator = lcm(*(poly.denominator_lcm() for poly in self.mult))
 
 

@@ -7,6 +7,7 @@ import pytest
 
 import rinfty.analysis
 import rinfty.cli
+import rinfty.errors
 import rinfty.freelie
 import rinfty.intlinalg
 import rinfty.oracle
@@ -604,6 +605,61 @@ class TestSizeCaps:
                            klass)
         assert err == (f"resource cap: lie-dims on rank {rank} through "
                        f"class {klass} {detail}\n")
+
+    @pytest.mark.parametrize("genus,klass,detail", [
+        ("5", "4", "degree 4 takes 5749812"),
+        ("6", "4", "degree 4 takes 25367994"),
+        ("8", "4", "degree 4 takes 259904978"),
+        ("9", "3", "degree 3 takes 3709828"),
+        ("30", "2", "degree 2 takes 3132961"),
+    ])
+    def test_orientable_check_newton_work(self, capsys, monkeypatch, tmp_path,
+                                          genus, klass, detail):
+        path = tmp_path / "s.txt"
+        path.write_text(rinfty.analysis.sample_admissible(
+            int(genus), "minus", 1, length=8).to_text())
+        monkeypatch.setattr(rinfty.freelie, "_monic_from_power_sums", _refuse)
+        monkeypatch.setattr(rinfty.cli, "surface_character", _refuse)
+        err = self.refused(capsys, "check", "--matrix", str(path),
+                           "--orientable", "--genus", genus, "--class", klass)
+        assert err == (f"resource cap: surface character of genus {genus} "
+                       f"through {detail} Newton steps, above the surface "
+                       f"cap 3000000\n")
+
+    def test_surface_character_refuses_past_the_cap(self, monkeypatch):
+        monkeypatch.setattr(rinfty.freelie, "_monic_from_power_sums", _refuse)
+        s = rinfty.analysis.sample_admissible(5, "minus", 1, length=8)
+        with pytest.raises(rinfty.errors.ResourceLimitError,
+                           match="r=10, degree 4 takes 5749812 Newton steps"):
+            rinfty.analysis.surface_character(s, 5, 4)
+
+    @pytest.mark.parametrize("genus,samples,work", [
+        ("4", "108", "100377144"),
+        ("4", "200", "185883600"),
+        ("3", "1079", "100053512"),
+        ("2", "8116", "100005352"),
+        ("2", "1000000000", "12322000000000"),
+    ])
+    def test_degree_samples(self, capsys, monkeypatch, genus, samples, work):
+        monkeypatch.setattr(rinfty.cli, "rinf_degree", _refuse)
+        err = self.refused(capsys, "degree", "--orientable", "--genus", genus,
+                           "--samples", samples)
+        assert err == (f"resource cap: {samples} samples of genus {genus} "
+                       f"take {work} Newton steps, above the sample work cap "
+                       f"100000000\n")
+
+    @pytest.mark.parametrize("rank,klass,count,detail", [
+        ("6", "3", "11", "11 towers of 70 rows take 264176000"),
+        ("6", "3", "30", "30 towers of 70 rows take 720480000"),
+        ("2", "3", "41556", "41556 towers of 2 rows take 250000896"),
+    ])
+    def test_crosscheck_spectrum_count(self, capsys, monkeypatch, rank, klass,
+                                       count, detail):
+        monkeypatch.setattr(rinfty.cli, "build_hall_basis", _refuse)
+        err = self.refused(capsys, "crosscheck", "--what", "spectrum",
+                           "--rank", rank, "--class", klass, "--count", count)
+        assert err == (f"resource cap: {detail} charpoly steps, above the "
+                       f"count work cap 250000000\n")
 
     @pytest.mark.parametrize("args", [
         ("sample", "--genus", "2", "--sign", "minus", "--length", "50"),

@@ -10,8 +10,8 @@ from rinfty.mvpoly import MPoly
 from rinfty.nilpotent import (build_power_table,
                               free_nilpotent_group, free_rank_certificate,
                               multiply, nth_root, padding_data,
-                              padding_exponent, power, power_padding, ser_add,
-                              ser_exp, ser_inv, ser_log)
+                              padding_exponent, power, power_padding, ser_exp,
+                              ser_inv, ser_log, ser_mul, ser_unit)
 
 
 def coords_strategy(group, bound=3):
@@ -80,10 +80,11 @@ class TestLieCoordinates:
     @given(data=st.data())
     def test_hall_combinations_round_trip(self, group, data):
         d, coeffs = data.draw(hall_combinations(group))
-        series = {}
+        part = {}
         for local, x in enumerate(coeffs):
-            series = ser_add(series, group.lie_series(d, local), scale=x)
-        assert group.lie_coordinates(series, d) == coeffs
+            for w, v in group.lie_series(d, local).items():
+                part[w] = part.get(w, 0) + x * v
+        assert group.lie_coordinates(part, d) == coeffs
 
     def test_non_lie_element_rejected(self):
         with pytest.raises(AssertionError, match="not a Lie element"):
@@ -122,19 +123,76 @@ class TestNormalForm:
             G22.generator(0) * G23.generator(0)
 
 
+M_VARS = ("m",)
+
+
+def _naive_mul(a, b, c):
+    """Product of {word: coeff} dicts over all word pairs, cut at length c."""
+    out = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            if len(wa) + len(wb) <= c:
+                out[wa + wb] = out.get(wa + wb, 0) + ca * cb
+    return {w: v for w, v in out.items() if v}
+
+
+def _graded(flat, c):
+    """A {word: coeff} dict with words of length <= c as c + 1 parts."""
+    parts = [{} for _ in range(c + 1)]
+    for w, v in flat.items():
+        parts[len(w)][w] = v
+    return parts
+
+
+@st.composite
+def flat_series(draw, c, coefficient):
+    """Up to 8 words of length <= c on two letters, nonzero coefficients."""
+    words = draw(st.lists(st.lists(st.integers(0, 1), max_size=c).map(tuple),
+                          max_size=8, unique=True))
+    out = {w: draw(coefficient) for w in words}
+    return {w: v for w, v in out.items() if v}
+
+
+_SMALL = st.integers(-3, 3)
+_FRACTIONS = st.builds(Fraction, _SMALL, st.integers(1, 3))
+_POLYS = st.builds(lambda x, y: x * MPoly.variable(M_VARS, "m") + y,
+                   _SMALL, _FRACTIONS)
+
+
 class TestSeries:
     def test_series_preconditions_raise(self):
-        one = MPoly.constant(("m",), 1)
-        twice = {(): Fraction(2), (0,): Fraction(1)}
-        for args in ((twice, 3), ({(): 2 * one}, 3, one)):
+        one = MPoly.constant(M_VARS, 1)
+        twice = [{(): Fraction(2)}, {(0,): Fraction(1)}, {}, {}]
+        for series in (twice, [{(): 2 * one}, {}, {}, {}]):
             with pytest.raises(ValueError):
-                ser_log(*args)
+                ser_log(series)
             with pytest.raises(ValueError):
-                ser_inv(*args)
+                ser_inv(series)
         with pytest.raises(ValueError):
-            ser_exp({(): Fraction(1)}, 3)
+            ser_exp(ser_unit(3))
         with pytest.raises(AssertionError):
-            G22.peel({(): Fraction(2)})
+            G22.peel([{(): Fraction(2)}, {}, {}])
+
+    @pytest.mark.parametrize("coefficient", [_FRACTIONS, _POLYS],
+                             ids=["Fraction", "MPoly"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_mul_matches_naive_word_pairs(self, coefficient, data):
+        c = data.draw(st.integers(1, 5))
+        a = data.draw(flat_series(c, coefficient))
+        b = data.draw(flat_series(c, coefficient))
+        assert ser_mul(_graded(a, c), _graded(b, c)) == _graded(
+            _naive_mul(a, b, c), c)
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_exp_log_inv_round_trip(self, data):
+        c = data.draw(st.integers(1, 4))
+        ell = _graded(data.draw(flat_series(c, _FRACTIONS)), c)
+        ell[0] = {}
+        e = ser_exp(ell)
+        assert ser_log(e) == ell
+        assert ser_mul(e, ser_inv(e)) == ser_unit(c)
 
 
 class TestPowerTable:
