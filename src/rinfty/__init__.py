@@ -8,11 +8,10 @@ genus g+1 with g >= 2.  See the README for the library tour.
 """
 
 from .errors import ResourceLimitError
-from .intlinalg import (IntMatrix, IntPoly, ReciprocalSymmetry,
-                        SmithDecomposition, charpoly, dominance_root_test,
-                        kfold_product_spectrum, kfold_value_at_one,
-                        poly_divides, reciprocal_symmetry_check,
-                        smith_normal_form, symmetric_power_charpoly)
+from .intlinalg import (IntMatrix, IntPoly, SmithDecomposition, charpoly,
+                        dominance_root_test, kfold_product_spectrum,
+                        kfold_value_at_one, smith_normal_form,
+                        symmetric_power_charpoly)
 from .freelie import (GradedQuotient, HallWord, InducedTower, StructureTable,
                       SurfaceCharacter, build_hall_basis,
                       eigenvalue_one_first_degree,
@@ -21,12 +20,11 @@ from .freelie import (GradedQuotient, HallWord, InducedTower, StructureTable,
                       witt_dimension)
 from .nilpotent import (FreeNilpotentGroup, MalcevElement,
                         PowerPolynomialTable, build_power_table,
-                        free_nilpotent_group, free_rank_certificate, multiply,
-                        nth_root, padding_exponent, power, power_padding)
+                        free_nilpotent_group, free_rank_certificate,
+                        nth_root, padding_exponent, power_padding)
 from .analysis import (RinfVerdict, SurfaceSpec, admissibility,
-                       bigcondition_equivalence, is_automorphism_matrix,
-                       nonorientable_witness, omega, orientable_witness,
-                       rinf_degree, sample_admissible,
+                       is_automorphism_matrix, nonorientable_witness, omega,
+                       orientable_witness, rinf_degree, sample_admissible,
                        solvability_quotient_check, surface_character)
 from .oracle import (FiniteTwistedSetup, abelian_reidemeister_count,
                      brute_force_twisted_classes, spectrum_crosscheck)

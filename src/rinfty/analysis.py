@@ -35,15 +35,13 @@ count and says so.  A verdict is a deterministic function of its surface
 
 import json
 import random
+from itertools import accumulate
 from math import prod
 
 from .errors import ResourceLimitError
-from .freelie import (SurfaceCharacter, apply_matrix_to_vector,
-                      build_hall_basis, ideal_quotient, induced_tower,
-                      metabelian_truncation, orientable_relator, shape_work)
+from .freelie import SurfaceCharacter, shape_work
 from .intlinalg import (IntMatrix, IntPoly, charpoly, dominance_root_test,
-                        partitions, poly_divides, pseudo_divmod,
-                        shape_charpoly)
+                        partitions, shape_charpoly)
 from .nilpotent import padding_exponent
 
 SCHEMA_VERDICT = "rinf-verdict/3"
@@ -56,7 +54,6 @@ PRODUCT_NOTE = ("the statement over all automorphisms is certified by the "
                 "determinant product criterion; no sampling is involved")
 
 DEFAULT_MAX_M = 10 ** 40
-ORIENTABLE_GENUS_CAP = 4
 NONORIENTABLE_GENUS_CAP = 4  # surface genus g+1 with g <= 3
 # shape_work(g, c) * c^2 for the witness search: Newton steps times the
 # growth of root sizes, m = (k f(2,c))^c.  Fresh process, 2-core x86, Python
@@ -122,28 +119,6 @@ def admissibility(s, g):
     return "none"
 
 
-def relator_image_sign(s, g, table):
-    """Sign with which the induced degree-2 map fixes the surface relator."""
-    r_vec = orientable_relator(g, table)
-    tower = induced_tower(table, s)
-    image = apply_matrix_to_vector(tower.matrix(2), r_vec)
-    if image == r_vec:
-        return "plus"
-    if image == {k: -v for k, v in r_vec.items()}:
-        return "minus"
-    return "none"
-
-
-def bigcondition_equivalence(s, g, table):
-    """Matrix admissibility and relator preservation agree, sign included.
-
-    Both classifications are computed independently: one from the matrix
-    identity S Omega S^T = +-Omega, the other from the induced action on
-    the degree-2 graded piece applied to sum_l [a_l, b_l].
-    """
-    return admissibility(s, g) == relator_image_sign(s, g, table)
-
-
 def is_automorphism_matrix(s):
     """Surjectivity-on-abelianization test: the matrix must be unimodular."""
     return s.is_square and s.det() in (1, -1)
@@ -189,12 +164,14 @@ def nonorientable_witness(g, c, max_m=DEFAULT_MAX_M):
 
     The exponent is searched over m = (k f(2,c))^c, k = 1, 2, ..., the
     values realizable by the twisted-shift automorphism construction; a
-    candidate is accepted once its characteristic polynomial passes the
-    coefficient-dominance test and no i-fold product of its roots equals
-    1 for any i <= c: those products are the roots of Sym^i W, so ``sym``
-    maps each i <= c to charpoly(Sym^i W)(1), the product of
-    ``shape_charpoly(charpoly(W), pi)(1)`` over the partitions pi of i,
-    zero exactly when one of them is 1; a rejected candidate stops there.
+    candidate is accepted once its characteristic polynomial, read off
+    ``nonorientable_charpoly_formula``, passes the coefficient-dominance
+    test and no i-fold product of its roots equals 1 for any i <= c: those
+    products are the roots of Sym^i W, so ``sym`` maps each i <= c to
+    charpoly(Sym^i W)(1), the product of ``shape_charpoly(charpoly(W),
+    pi)(1)`` over the partitions pi of i, zero exactly when one of them is
+    1; a rejected candidate stops there.  Only the accepted W is built, and
+    charpoly(W) = formula and det(W) = -1 are asserted on it.
     """
     if g < 2:
         raise ValueError("need g >= 2")
@@ -212,14 +189,7 @@ def nonorientable_witness(g, c, max_m=DEFAULT_MAX_M):
         m = (k * f) ** c
         if m > max_m:
             raise ResourceLimitError(f"witness search passed the cap {max_m}")
-        el, a = nonorientable_base_matrices(g, m)
-        w = el @ a ** (g - 1)
-        p = charpoly(w)
-        if p != nonorientable_charpoly_formula(g, m):
-            raise AssertionError("characteristic polynomial disagrees with "
-                                 "the closed formula")
-        if w.det() != -1:
-            raise AssertionError("witness determinant must be -1")
+        p = nonorientable_charpoly_formula(g, m)
         if dominance_root_test(p):
             sym = {}
             for i in range(1, c + 1):
@@ -228,6 +198,13 @@ def nonorientable_witness(g, c, max_m=DEFAULT_MAX_M):
                 if sym[i] == 0:
                     break
             else:
+                el, a = nonorientable_base_matrices(g, m)
+                w = el @ a ** (g - 1)
+                if charpoly(w) != p:
+                    raise AssertionError("characteristic polynomial disagrees "
+                                         "with the closed formula")
+                if w.det() != -1:
+                    raise AssertionError("witness determinant must be -1")
                 return w, m, sym
         k += 1
 
@@ -270,17 +247,6 @@ def sample_admissible(g, sign, seed, length=10):
     if got != sign:
         raise AssertionError(f"sampler produced {got}, wanted {sign}")
     return s
-
-
-def sample_nonadmissible(g, seed, bound=3):
-    """Random integer matrix rejected until S Omega S^T is neither +-Omega."""
-    n = 2 * g
-    rng = _seeded_rng(seed)
-    while True:
-        s = IntMatrix([[rng.randint(-bound, bound) for _ in range(n)]
-                       for _ in range(n)])
-        if admissibility(s, g) == "none":
-            return s
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +352,11 @@ class RinfVerdict:
 
 
 def surface_character(s, g, degree=4):
-    """Admissibility sign of S and its ``SurfaceCharacter`` through ``degree``."""
+    """Admissibility sign of S and its ``SurfaceCharacter`` through ``degree``.
+
+    A character over the surface cap is refused before any arithmetic.
+    """
+    SurfaceCharacter.check_work(2 * g, degree)
     sign = admissibility(s, g)
     if sign == "none":
         raise ValueError("matrix is not admissible: S*Omega*S^T equals "
@@ -399,18 +369,6 @@ def _orientable_witness_dets(g, witness, up_to_class):
     _, char = surface_character(witness, g)
     dets = {d: char.det(d) for d in range(1, up_to_class + 1)}
     return dets, char.metabelian_det()
-
-
-def orientable_context(g, order="lex"):
-    """(table, relator quotient, metabelian truncation) for genus g.
-
-    The verdicts read the same charpolys off ``SurfaceCharacter``; these
-    towers and quotients, on a Hall table of either order, are its oracle.
-    """
-    table = build_hall_basis(2 * g, 4, order=order)
-    quotient = ideal_quotient(table, orientable_relator(g, table), 4)
-    met = metabelian_truncation(quotient)
-    return table, quotient, met
 
 
 def structural_sample_report(s, g):
@@ -430,17 +388,25 @@ def structural_sample_report(s, g):
     if sign == "plus":
         report["degree2_multiplicity"] = _multiplicity_of_one(char.charpoly(2))
     else:
-        report["has_i_eigenvalue"] = poly_divides(IntPoly([1, 0, 1]), char.p)
+        report["has_i_eigenvalue"] = _has_root_i(char.p)
     return report
 
 
 def _multiplicity_of_one(p):
-    mult = 0
-    while not p.is_zero and p(1) == 0:
-        p, rem = pseudo_divmod(p, IntPoly([-1, 1]))
-        assert rem.is_zero
+    """Multiplicity of the root 1 of p, by synthetic division by x - 1."""
+    c, mult = p.coeffs, 0
+    while c and sum(c) == 0:
+        # quotient coefficient j is c_(j+1) + ... + c_n
+        c = list(accumulate(reversed(c)))[-2::-1]
         mult += 1
     return mult
+
+
+def _has_root_i(p):
+    """x^2 + 1 divides p: both halves of p mod x^2 + 1, sum (-1)^j c_2j and
+    sum (-1)^j c_(2j+1), are zero."""
+    c = p.coeffs
+    return not any(sum(c[k::4]) - sum(c[k + 2::4]) for k in (0, 1))
 
 
 def _alternating_samples(g, count, *key):
@@ -479,10 +445,10 @@ def rinf_degree(spec, samples=20, seed=0, max_m=DEFAULT_MAX_M):
     product criterion at degree 2g; ``samples`` and ``seed`` are unread.
     """
     if spec.orientable:
-        if spec.genus > ORIENTABLE_GENUS_CAP:
-            raise ResourceLimitError(
-                f"orientable genus capped at {ORIENTABLE_GENUS_CAP}")
         g = spec.genus
+        # before the 2g-row witness and samples exist: at genus 2,000 the
+        # witness alone takes 2 s and 290 MB
+        SurfaceCharacter.check_work(2 * g, 4)
         witness = orientable_witness(g)
         dets, met_det = _orientable_witness_dets(g, witness, 3)
         if any(v == 0 for v in dets.values()):
@@ -506,12 +472,12 @@ def rinf_degree(spec, samples=20, seed=0, max_m=DEFAULT_MAX_M):
         raise ResourceLimitError(
             f"non-orientable genus capped at {NONORIENTABLE_GENUS_CAP}")
     witness, m, sym = nonorientable_witness(g, 2 * g - 1, max_m=max_m)
-    if 0 in sym.values():  # the search also asserts det(W) = -1
+    if 0 in sym.values():
         raise AssertionError("witness unexpectedly hit eigenvalue 1 early")
     structural = {
         "kind": "product-criterion-rinf",
         "class": 2 * g,
-        "witness_determinant": witness.det(),
+        "witness_determinant": -1,  # asserted by the search
         "claim": "every automorphism has unimodular abelianized action, so "
                  "the squared product of all its eigenvalues is 1 and appears "
                  f"as an eigenvalue in degree {2 * g}",

@@ -18,9 +18,8 @@ from .analysis import (DEFAULT_MAX_M, SurfaceSpec, admissibility,
                        nonorientable_witness, orientable_witness, rinf_degree,
                        sample_admissible, surface_character)
 from .errors import ResourceLimitError
-from .freelie import (SURFACE_WORK_CAP, build_hall_basis, check_hall_table,
-                      free_lie_factors, shape_work, surface_work,
-                      witt_dimension)
+from .freelie import (build_hall_basis, check_hall_table, free_lie_factors,
+                      shape_work, surface_work, witt_dimension)
 from .intlinalg import IntMatrix, charpoly
 from .nilpotent import free_nilpotent_group, power_padding
 from .oracle import (DEFAULT_MAX_ORDER, FiniteTwistedSetup,
@@ -55,7 +54,8 @@ SAMPLE_WORK_CAP = 100_000_000
 PADDING_CLASS_CAP = 6
 PADDING_WORD_CAP = 500
 # genus of ``witness``: orientable 1.9 s at 50, 4.4 s at 60, 33 s at 100;
-# non-orientable class 1: 2.4 s at 50, 4.7 s at 60.  ``sample``: 1.5 s at
+# non-orientable class 1, one charpoly of the accepted W: 0.8 s at 50,
+# 1.9 s (in-library) at 60.  ``sample``: 1.5 s at
 # genus 200, 3.6 s at 300 (length 10); 4.9 s at length 50, 11.6 s at 100
 # (genus 200, same machine)
 WITNESS_GENUS_CAP = 50
@@ -172,10 +172,6 @@ def check(matrix_path, orientable, genus, klass, fmt):
             f"matrix must be {n}x{n} for this surface, got {s.rows}x{s.cols}")
     if orientable:
         computed = min(klass, 4)
-        work = surface_work(n, computed)
-        _cap(work, SURFACE_WORK_CAP, f"surface character of genus {genus} "
-             f"through degree {computed} takes {work} Newton steps",
-             "surface cap")
         sign, char = surface_character(s, genus, computed)
         det_of = char.det
         extra = {"admissibility": sign}
@@ -250,7 +246,8 @@ def witness(orientable, genus, klass, max_m, fmt):
     if not 1 <= klass < 2 * g:
         raise click.ClickException(f"class must satisfy 1 <= class < {2 * g}")
     w, m, _ = nonorientable_witness(g, klass, max_m=max_m)
-    p, det = nonorientable_charpoly_formula(g, m), w.det()  # = charpoly(w)
+    # the search asserted charpoly(w) = the closed formula and det(w) = -1
+    p, det = nonorientable_charpoly_formula(g, m), -1
     payload = {"schema": SCHEMA_REPORT, "command": "witness",
                "config": {"orientable": False, "genus": genus,
                           "class": klass, "max_m": max_m},

@@ -506,18 +506,24 @@ class SurfaceCharacter:
     The quotients are torsion-free, so these are the charpolys of the
     projected integer towers, with no tower, Smith form or determinant
     built.  Degrees 1 through ``degree`` are covered; power sums are
-    computed only as far as the degrees asked for, and ``SURFACE_WORK_CAP``
-    bounds the Newton steps.
+    computed only as far as the degrees asked for.  ``check_work``, which
+    ``analysis.surface_character`` runs before any arithmetic, bounds the
+    Newton steps.
     """
+
+    @staticmethod
+    def check_work(r, degree):
+        """Refuse a rank-r character through ``degree`` over the surface cap."""
+        work = surface_work(r, degree)
+        if work > SURFACE_WORK_CAP:
+            raise ResourceLimitError(
+                f"surface character of genus {r // 2} through degree "
+                f"{degree} takes {work} Newton steps, above the surface cap "
+                f"{SURFACE_WORK_CAP}")
 
     def __init__(self, p, eps, degree=4):
         if eps not in (1, -1):
             raise ValueError("the relator sign must be +1 or -1")
-        work = surface_work(p.degree, degree)
-        if work > SURFACE_WORK_CAP:
-            raise ResourceLimitError(
-                f"surface character for r={p.degree}, degree {degree} takes "
-                f"{work} Newton steps, above the cap {SURFACE_WORK_CAP}")
         self.p = p
         self.eps = eps
         self.ranks = surface_ranks(p.degree, degree)
@@ -588,14 +594,3 @@ def eigenvalue_one_first_degree(tower, quotient, c):
     return next((d for d, det in fixed_point_dets(tower, quotient,
                                                   range(1, c + 1))
                  if det == 0), None)
-
-
-def apply_matrix_to_vector(mat, vec):
-    """Image of a sparse coordinate vector under a dense degree matrix."""
-    out = {}
-    for j, coeff in vec.items():
-        for i in range(mat.rows):
-            val = mat[i, j]
-            if val:
-                out[i] = out.get(i, 0) + coeff * val
-    return {k: v for k, v in out.items() if v}

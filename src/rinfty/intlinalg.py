@@ -9,9 +9,8 @@ nonzero entries, since the lattices met here are mostly zero.
 
 Polynomials are integer-only as well.  Spectra composed from a monic
 characteristic polynomial (ordered root products, partition shapes,
-symmetric powers) come from its power sums through Newton's identities;
-every polynomial division is one integer pseudo-division.  No fractions,
-no floats.
+symmetric powers) come from its power sums through Newton's identities,
+whose divisions are exact over the integers.  No fractions, no floats.
 
 All objects are immutable after construction, so values can be shared
 freely between threads; every operation is a pure function.
@@ -616,47 +615,6 @@ def smith_normal_form(m):
 
 
 # ---------------------------------------------------------------------------
-# polynomial division helpers
-# ---------------------------------------------------------------------------
-
-def pseudo_divmod(num, den):
-    """Integer pseudo-division: lc(den)^k * num = quo * den + rem.
-
-    k = deg num - deg den + 1 when deg num >= deg den and 0 otherwise, and
-    deg rem < deg den.  For monic den this is plain division with
-    remainder; for any den only integer arithmetic occurs.
-    """
-    if den.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    dn = den.degree
-    lead = den.leading
-    dc = den.coeffs
-    rem = list(num.coeffs)
-    steps = len(rem) - dn
-    if steps <= 0:
-        return IntPoly.zero(), num
-    quo = [0] * steps
-    # step k cancels the x^(dn+k) term; the k later steps scale by lead
-    for k in range(steps - 1, -1, -1):
-        c = rem.pop()
-        quo[k] = c * lead ** k
-        if lead != 1:
-            rem = [lead * x for x in rem]
-        if c:
-            for j in range(dn):
-                rem[k + j] -= c * dc[j]
-    return IntPoly(quo), IntPoly(rem)
-
-
-def poly_divides(d, p):
-    """True when d divides p exactly up to rational scaling."""
-    if d.is_zero:
-        return p.is_zero
-    _, rem = pseudo_divmod(p, d)
-    return rem.is_zero
-
-
-# ---------------------------------------------------------------------------
 # root-product spectra
 # ---------------------------------------------------------------------------
 #
@@ -809,63 +767,6 @@ def symmetric_power_charpoly(p, i):
         raise ValueError("need i >= 1")
     return prod((shape_charpoly(p, shape)
                  for shape in partitions(i, p.degree)), start=IntPoly.one())
-
-
-# ---------------------------------------------------------------------------
-# coefficient symmetry tests
-# ---------------------------------------------------------------------------
-
-class ReciprocalSymmetry:
-    """Outcome of the paired-eigenvalue coefficient test.
-
-    ``plus_form`` records p(x) = x^2g p(1/x) (root pairing a <-> 1/a);
-    ``minus_sign`` records the sign e with p(x) = e x^2g p(-1/x)
-    (root pairing a <-> -1/a), or None.  ``label`` collapses this to
-    holds_plus / holds_minus / fails, preferring the minus form.
-    """
-
-    __slots__ = ("plus_form", "minus_sign")
-
-    def __init__(self, plus_form, minus_sign):
-        object.__setattr__(self, "plus_form", plus_form)
-        object.__setattr__(self, "minus_sign", minus_sign)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ReciprocalSymmetry is immutable")
-
-    @property
-    def label(self):
-        if self.minus_sign is not None:
-            return "holds_minus"
-        if self.plus_form:
-            return "holds_plus"
-        return "fails"
-
-    @property
-    def fails(self):
-        return self.label == "fails"
-
-    def __repr__(self):
-        return f"ReciprocalSymmetry(label={self.label!r}, minus_sign={self.minus_sign!r})"
-
-
-def reciprocal_symmetry_check(p, g):
-    """Classify p against the reciprocal symmetries of degree 2g.
-
-    holds_plus:  p(x) = x^2g p(1/x)    (coefficientwise a_j = a_{2g-j})
-    holds_minus: p(x) = +-x^2g p(-1/x) (coefficientwise a_j = +-(-1)^j a_{2g-j})
-    """
-    if p.degree != 2 * g:
-        raise ValueError(f"polynomial degree {p.degree} != 2g = {2 * g}")
-    d = 2 * g
-    a = list(p.coeffs)
-    plus_form = all(a[j] == a[d - j] for j in range(d + 1))
-    minus_sign = None
-    for sign in (1, -1):
-        if all(a[j] == sign * ((-1) ** j) * a[d - j] for j in range(d + 1)):
-            minus_sign = sign
-            break
-    return ReciprocalSymmetry(plus_form, minus_sign)
 
 
 def dominance_root_test(p):

@@ -370,16 +370,6 @@ class MalcevElement:
         return f"MalcevElement(r={self.ambient.r}, c={self.ambient.c}, {list(self.coords)})"
 
 
-def multiply(u, v):
-    """Product in normal form."""
-    return u * v
-
-
-def power(u, n):
-    """Exact n-th power, matching repeated multiplication for all ints n."""
-    return u ** n
-
-
 def nth_root(u, s):
     """The v with v^s = u when one exists over the integers, else None.
 

@@ -1,23 +1,27 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import rinfty.analysis
 import rinfty.freelie
-from rinfty.analysis import (RinfVerdict, SurfaceSpec, admissibility,
-                             bigcondition_equivalence, is_automorphism_matrix,
+from rinfty.analysis import (RinfVerdict, SurfaceSpec, _has_root_i,
+                             _multiplicity_of_one, admissibility,
+                             is_automorphism_matrix,
                              nonorientable_base_matrices,
                              nonorientable_charpoly_formula,
                              nonorientable_witness, omega, orientable_witness,
-                             relator_image_sign, rinf_degree,
-                             sample_admissible, sample_nonadmissible,
-                             orientable_context, solvability_quotient_check,
+                             rinf_degree, sample_admissible,
+                             solvability_quotient_check,
                              structural_sample_report, surface_character)
 from rinfty.errors import ResourceLimitError
 from rinfty.freelie import build_hall_basis, fixed_point_dets, induced_tower
 from rinfty.intlinalg import (IntMatrix, IntPoly, charpoly,
                               dominance_root_test, kfold_value_at_one,
-                              poly_divides, reciprocal_symmetry_check,
                               shape_charpoly, symmetric_power_charpoly)
 from rinfty.nilpotent import padding_exponent
+
+from tower_oracles import (bigcondition_equivalence, orientable_context,
+                           relator_image_sign, sample_nonadmissible)
 
 S2 = orientable_witness(2)
 
@@ -157,12 +161,13 @@ class TestSampling:
             for i in range(20):
                 sign = "plus" if i % 2 == 0 else "minus"
                 s = sample_admissible(g, sign, seed=("sym", g, i), length=8)
-                res = reciprocal_symmetry_check(charpoly(s), g)
-                assert not res.fails
-                if sign == "plus":
-                    assert res.plus_form
-                else:
-                    assert res.minus_sign is not None
+                a = list(charpoly(s).coeffs)
+                assert len(a) == 2 * g + 1
+                if sign == "plus":  # roots pair as x <-> 1/x
+                    assert a == a[::-1]
+                else:  # roots pair as x <-> -1/x
+                    alt = [(-1) ** j * c for j, c in enumerate(a[::-1])]
+                    assert a in (alt, [-c for c in alt])
 
 
 class TestOrientableWitness:
@@ -261,6 +266,30 @@ class TestStructuralReports:
         assert rep["first_eigenvalue_one_degree"] == 2
 
 
+def _at_i(p):
+    """p(i) as (real, imaginary), by Horner's rule over the Gaussian integers."""
+    re, im = 0, 0
+    for c in reversed(p.coeffs):
+        re, im = c - im, re
+    return re, im
+
+
+_POLYS = st.lists(st.integers(-30, 30), min_size=1, max_size=8).map(IntPoly)
+
+
+class TestPolynomialFacts:
+    """The two divisibility facts the sample reports read off charpoly(S)."""
+
+    @given(_POLYS.filter(lambda q: q(1) != 0), st.integers(0, 5))
+    def test_multiplicity_of_one(self, q, k):
+        assert _multiplicity_of_one(IntPoly([-1, 1]) ** k * q) == k
+
+    @given(_POLYS.filter(lambda q: not q.is_zero), st.integers(0, 3))
+    def test_root_i(self, q, k):
+        assert _has_root_i(IntPoly([1, 0, 1]) ** (k + 1) * q)
+        assert _has_root_i(q) == (_at_i(q) == (0, 0))
+
+
 class TestRinfDegree:
     def test_orientable_genus_two(self):
         verdict = rinf_degree(SurfaceSpec(True, 2), samples=4, seed=3)
@@ -357,8 +386,8 @@ class TestRinfDegree:
                                                               monkeypatch):
         # the witness search hands its Sym^i values over, one shape
         # polynomial per partition of i = 1..5 into at most 3 parts
-        # (1 + 2 + 3 + 4 + 5); no tower
-        calls = {"sym": 0, "tower": 0}
+        # (1 + 2 + 3 + 4 + 5), and its det(W) = -1; no tower
+        calls = {"sym": 0, "tower": 0, "charpoly": 0, "det": 0}
 
         def counting(key, func):
             def wrapper(*args, **kwargs):
@@ -371,9 +400,12 @@ class TestRinfDegree:
         monkeypatch.setattr(rinfty.freelie.InducedTower, "__init__",
                             counting("tower",
                                      rinfty.freelie.InducedTower.__init__))
+        monkeypatch.setattr(rinfty.analysis, "charpoly",
+                            counting("charpoly", charpoly))
+        monkeypatch.setattr(IntMatrix, "det", counting("det", IntMatrix.det))
         verdict = rinf_degree(SurfaceSpec(False, 4))
         assert verdict.degree == 6
-        assert calls == {"sym": 15, "tower": 0}
+        assert calls == {"sym": 15, "tower": 0, "charpoly": 1, "det": 1}
 
     @pytest.mark.parametrize("genus", [3, 4])
     def test_free_tower_agrees_with_the_witness_certificate(self, genus):
@@ -475,7 +507,7 @@ class TestSurfaceCharacter:
         table, quotient, met = orientable_context(g, order)
         cases = _oracle_cases(g)
         assert charpoly(cases["det-zero"])(1) == 0
-        assert poly_divides(IntPoly([1, 0, 1]), charpoly(cases["i-eigenvalue"]))
+        assert _at_i(charpoly(cases["i-eigenvalue"])) == (0, 0)
         signs = set()
         for name, s in cases.items():
             sign, char = surface_character(s, g)

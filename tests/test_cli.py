@@ -78,7 +78,10 @@ class TestDegreeCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("non-orientable verdict built a tower")
 
-        for module in (rinfty.freelie, rinfty.analysis, rinfty.cli):
+        for name in ("build_hall_basis", "induced_tower", "ideal_quotient",
+                     "metabelian_truncation", "orientable_relator"):
+            assert not hasattr(rinfty.analysis, name)
+        for module in (rinfty.freelie, rinfty.cli):
             monkeypatch.setattr(module, "build_hall_basis", refuse)
         monkeypatch.setattr(rinfty.freelie, "fixed_point_dets", refuse)
         monkeypatch.setattr(rinfty.freelie.InducedTower, "__init__", refuse)
@@ -172,7 +175,7 @@ class TestCheckCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("orientable path built a Hall table")
 
-        for module in (rinfty.freelie, rinfty.analysis, rinfty.cli):
+        for module in (rinfty.freelie, rinfty.cli):
             monkeypatch.setattr(module, "build_hall_basis", refuse)
         verdict = rinfty.analysis.rinf_degree(SurfaceSpec(True, 3), samples=4)
         assert verdict.degree == 4
@@ -619,7 +622,8 @@ class TestSizeCaps:
         path.write_text(rinfty.analysis.sample_admissible(
             int(genus), "minus", 1, length=8).to_text())
         monkeypatch.setattr(rinfty.freelie, "_monic_from_power_sums", _refuse)
-        monkeypatch.setattr(rinfty.cli, "surface_character", _refuse)
+        monkeypatch.setattr(rinfty.analysis, "admissibility", _refuse)
+        monkeypatch.setattr(rinfty.analysis, "charpoly", _refuse)
         err = self.refused(capsys, "check", "--matrix", str(path),
                            "--orientable", "--genus", genus, "--class", klass)
         assert err == (f"resource cap: surface character of genus {genus} "
@@ -630,8 +634,42 @@ class TestSizeCaps:
         monkeypatch.setattr(rinfty.freelie, "_monic_from_power_sums", _refuse)
         s = rinfty.analysis.sample_admissible(5, "minus", 1, length=8)
         with pytest.raises(rinfty.errors.ResourceLimitError,
-                           match="r=10, degree 4 takes 5749812 Newton steps"):
+                           match="genus 5 through degree 4 takes 5749812 "
+                                 "Newton steps"):
             rinfty.analysis.surface_character(s, 5, 4)
+
+    def test_orientable_verdict_refused_before_charpoly(self, capsys,
+                                                        monkeypatch):
+        # without the early check genus 1000 would start a 2000-row Berkowitz
+        monkeypatch.setattr(rinfty.analysis, "charpoly", _refuse)
+        with pytest.raises(rinfty.errors.ResourceLimitError,
+                           match="genus 1000 through degree 4"):
+            rinfty.analysis.rinf_degree(SurfaceSpec(True, 1000))
+        err = self.refused(capsys, "degree", "--orientable", "--genus", "5")
+        assert err == ("resource cap: surface character of genus 5 through "
+                       "degree 4 takes 5749812 Newton steps, above the "
+                       "surface cap 3000000\n")
+
+    def test_witness_search_builds_only_the_accepted_matrix(self, capsys,
+                                                            monkeypatch):
+        # genus 50 class 1 rejects m = 2 on its closed-form charpoly; only
+        # the accepted W (m = 4) gets a Berkowitz and a Bareiss
+        calls = {"charpoly": 0, "det": 0}
+
+        def counting(key, func):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(rinfty.analysis, "charpoly",
+                            counting("charpoly", rinfty.analysis.charpoly))
+        monkeypatch.setattr(IntMatrix, "det", counting("det", IntMatrix.det))
+        code, out, err = run(capsys, "witness", "--nonorientable", "--genus",
+                             "50", "--class", "1")
+        assert code == 0, err
+        assert "twist exponent m: 4\n" in out
+        assert calls == {"charpoly": 1, "det": 1}
 
     @pytest.mark.parametrize("genus,samples,work", [
         ("4", "108", "100377144"),

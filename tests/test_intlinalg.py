@@ -13,9 +13,8 @@ from rinfty.freelie import (build_hall_basis, free_lie_factors,
                             witt_dimension)
 from rinfty.intlinalg import (IntMatrix, IntPoly, _root_products, charpoly,
                               dominance_root_test, kfold_product_spectrum,
-                              kfold_value_at_one, partitions, poly_divides,
-                              pseudo_divmod, reciprocal_symmetry_check,
-                              shape_charpoly, shape_degree, smith_normal_form,
+                              kfold_value_at_one, partitions, shape_charpoly,
+                              shape_degree, smith_normal_form,
                               symmetric_power_charpoly)
 
 
@@ -597,28 +596,6 @@ class TestShapeKernel:
         assert shape_work(1000, 2000, 10 ** 6) == 1000000 + 1000 ** 2
 
 
-class TestReciprocalSymmetry:
-    def test_witness_polynomial_minus_form(self):
-        res = reciprocal_symmetry_check(charpoly(S2), 2)
-        assert res.label == "holds_minus"
-        assert res.minus_sign == 1
-
-    def test_rotation_quadratic(self):
-        assert reciprocal_symmetry_check(IntPoly([1, 0, 1]), 1).label != "fails"
-
-    def test_generic_failure(self):
-        assert reciprocal_symmetry_check(IntPoly([2, 1, 1]), 1).label == "fails"
-
-    def test_symplectic_identity_plus_form(self):
-        res = reciprocal_symmetry_check(charpoly(IntMatrix.identity(4)), 2)
-        assert res.label == "holds_plus"
-        assert res.plus_form
-
-    def test_degree_mismatch(self):
-        with pytest.raises(ValueError):
-            reciprocal_symmetry_check(IntPoly([1, 0, 1]), 2)
-
-
 class TestDominance:
     def test_large_twist_passes(self):
         # charpoly of the genus-2 witness construction at m = 10
@@ -635,21 +612,6 @@ class TestDominance:
 
 
 class TestPolyHelpers:
-    def test_divides(self):
-        assert poly_divides(IntPoly([1, 1]), IntPoly([1, 2, 1]))
-        assert not poly_divides(IntPoly([-1, 1]), IntPoly([1, 2, 1]))
-
-    @given(st.lists(st.integers(-50, 50), max_size=9).map(IntPoly),
-           st.lists(st.integers(-50, 50), max_size=5),
-           st.integers(-9, 9).filter(bool))
-    def test_pseudo_division_identity(self, num, den_low, lead):
-        # lc(den)^k * num = quo * den + rem, k = deg num - deg den + 1 (or 0)
-        den = IntPoly(den_low + [lead])
-        quo, rem = pseudo_divmod(num, den)
-        k = max(len(num.coeffs) - den.degree, 0)
-        assert den.leading ** k * num == quo * den + rem
-        assert rem.is_zero or rem.degree < den.degree
-
     def test_resultant_vs_sylvester_root_products(self):
         # Res(f, g) = lc(f)^deg(g) * prod g(alpha): check on split examples
         f = IntPoly([-2, 1]) * IntPoly([3, 1])       # roots 2, -3
