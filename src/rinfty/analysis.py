@@ -39,7 +39,7 @@ from itertools import accumulate
 from math import prod
 
 from .errors import ResourceLimitError
-from .freelie import SurfaceCharacter, shape_work
+from .freelie import SurfaceCharacter, shape_work, surface_work
 from .intlinalg import (IntMatrix, IntPoly, charpoly, dominance_root_test,
                         partitions, shape_charpoly)
 from .nilpotent import padding_exponent
@@ -53,13 +53,21 @@ SAMPLING_NOTE = ("universal statements over all automorphisms are certified "
 PRODUCT_NOTE = ("the statement over all automorphisms is certified by the "
                 "determinant product criterion; no sampling is involved")
 
-DEFAULT_MAX_M = 10 ** 40
+# one sample count for ``rinf_degree`` and ``degree --samples``
+DEFAULT_SAMPLES = 10
+# the witness search's largest twist exponent m
+MAX_M = 10 ** 40
 NONORIENTABLE_GENUS_CAP = 4  # surface genus g+1 with g <= 3
 # shape_work(g, c) * c^2 for the witness search: Newton steps times the
 # growth of root sizes, m = (k f(2,c))^c.  Fresh process, 2-core x86, Python
 # 3.11: (g, c) = (4, 7) 0.9 s, (5, 7) 2.6 s, (9, 4) 3.6 s, (40, 2) 2.1 s;
 # refused (10, 4) 11.3 s, (50, 2) 12.1 s, (5, 9) 41 s in padding_exponent
 WITNESS_SPECTRUM_CAP = 2_500_000
+# An orientable verdict costs per sample the Newton steps of its character
+# through degree 4 plus about 10,000 for drawing and checking the sample:
+# genus 2 0.74 ms, genus 3 6.0 ms, genus 4 66 ms, so about 0.07 us per
+# step; the cap is about 7 s (2-core x86, Python 3.11)
+SAMPLE_WORK_CAP = 100_000_000
 
 
 class SurfaceSpec:
@@ -159,7 +167,7 @@ def nonorientable_charpoly_formula(g, m):
     return acc
 
 
-def nonorientable_witness(g, c, max_m=DEFAULT_MAX_M):
+def nonorientable_witness(g, c):
     """(W, m, sym): witness W = L A^(g-1), twist exponent m, for class c < 2g.
 
     The exponent is searched over m = (k f(2,c))^c, k = 1, 2, ..., the
@@ -171,7 +179,8 @@ def nonorientable_witness(g, c, max_m=DEFAULT_MAX_M):
     charpoly(Sym^i W)(1), the product of ``shape_charpoly(charpoly(W),
     pi)(1)`` over the partitions pi of i, zero exactly when one of them is
     1; a rejected candidate stops there.  Only the accepted W is built, and
-    charpoly(W) = formula and det(W) = -1 are asserted on it.
+    charpoly(W) = formula and det(W) = -1 are asserted on it.  The search
+    gives up past m = ``MAX_M``.
     """
     if g < 2:
         raise ValueError("need g >= 2")
@@ -187,8 +196,8 @@ def nonorientable_witness(g, c, max_m=DEFAULT_MAX_M):
     k = 1
     while True:
         m = (k * f) ** c
-        if m > max_m:
-            raise ResourceLimitError(f"witness search passed the cap {max_m}")
+        if m > MAX_M:
+            raise ResourceLimitError(f"witness search passed the cap {MAX_M}")
         p = nonorientable_charpoly_formula(g, m)
         if dominance_root_test(p):
             sym = {}
@@ -432,7 +441,7 @@ def _sample_reports(g, samples, seed):
     return reports
 
 
-def rinf_degree(spec, samples=20, seed=0, max_m=DEFAULT_MAX_M):
+def rinf_degree(spec, samples=DEFAULT_SAMPLES, seed=0):
     """Degree verdict with witness and structural certificates.
 
     Orientable: verdict 4, from (a) the explicit witness free of
@@ -446,9 +455,15 @@ def rinf_degree(spec, samples=20, seed=0, max_m=DEFAULT_MAX_M):
     """
     if spec.orientable:
         g = spec.genus
-        # before the 2g-row witness and samples exist: at genus 2,000 the
-        # witness alone takes 2 s and 290 MB
+        # before the 2g-row witness and samples exist (at genus 2,000 the
+        # witness alone takes 2 s and 290 MB); the surface cap first, as no
+        # sample count is admitted at a genus that it refuses
         SurfaceCharacter.check_work(2 * g, 4)
+        work = samples * (surface_work(2 * g, 4) + 10_000)
+        if work > SAMPLE_WORK_CAP:
+            raise ResourceLimitError(
+                f"{samples} samples of genus {g} take {work} Newton steps, "
+                f"above the sample work cap {SAMPLE_WORK_CAP}")
         witness = orientable_witness(g)
         dets, met_det = _orientable_witness_dets(g, witness, 3)
         if any(v == 0 for v in dets.values()):
@@ -471,7 +486,7 @@ def rinf_degree(spec, samples=20, seed=0, max_m=DEFAULT_MAX_M):
     if spec.genus > NONORIENTABLE_GENUS_CAP:
         raise ResourceLimitError(
             f"non-orientable genus capped at {NONORIENTABLE_GENUS_CAP}")
-    witness, m, sym = nonorientable_witness(g, 2 * g - 1, max_m=max_m)
+    witness, m, sym = nonorientable_witness(g, 2 * g - 1)
     if 0 in sym.values():
         raise AssertionError("witness unexpectedly hit eigenvalue 1 early")
     structural = {

@@ -13,20 +13,19 @@ import sys
 
 import click
 
-from .analysis import (DEFAULT_MAX_M, SurfaceSpec, admissibility,
+from .analysis import (DEFAULT_SAMPLES, SurfaceSpec, admissibility,
                        is_automorphism_matrix, nonorientable_charpoly_formula,
                        nonorientable_witness, orientable_witness, rinf_degree,
                        sample_admissible, surface_character)
 from .errors import ResourceLimitError
 from .freelie import (build_hall_basis, check_hall_table, free_lie_factors,
-                      shape_work, surface_work, witt_dimension)
-from .intlinalg import IntMatrix, charpoly
+                      shape_work, witt_dimension)
+from .intlinalg import IntMatrix, IntPoly, charpoly
 from .nilpotent import free_nilpotent_group, power_padding
-from .oracle import (DEFAULT_MAX_ORDER, FiniteTwistedSetup,
-                     abelian_reidemeister_count, brute_force_twisted_classes,
-                     spectrum_crosscheck)
+from .oracle import (FiniteTwistedSetup, abelian_reidemeister_count,
+                     brute_force_twisted_classes, spectrum_crosscheck)
 
-SCHEMA_REPORT = "cli-report/1"
+SCHEMA_REPORT = "cli-report/2"
 # Newton steps (``shape_work``) of ``check --nonorientable`` on entries in
 # -1..1: rank 45 degree 2 (984,150) 1.5 s, rank 7 degree 10 (6.2 million)
 # 5.9 s (2-core x86, Python 3.11).  Bits are not counted: entries of 1,000
@@ -41,11 +40,6 @@ SPECTRUM_ROW_CAP = 70
 # 48 rows 0.14 s, 70 rows 0.84 s, so about 0.035 us per unit; the cap is
 # about 9 s (2-core x86, Python 3.11)
 SPECTRUM_COUNT_WORK_CAP = 250_000_000
-# ``degree --orientable`` costs per sample the Newton steps of its
-# character through degree 4 plus about 10,000 for drawing and checking
-# the sample: genus 2 0.74 ms, genus 3 6.0 ms, genus 4 66 ms, so about
-# 0.07 us per step; the cap is about 7 s (2-core x86, Python 3.11)
-SAMPLE_WORK_CAP = 100_000_000
 # ``padding`` multiplies series over the words of length <= class in the
 # rank-r ambient, one homogeneous part pair at a time.  Fresh process:
 # rank 2 class 6 (126 words) 1.2-1.6 s, class 7 (254) 5.2-5.4 s; rank 3
@@ -53,12 +47,15 @@ SAMPLE_WORK_CAP = 100_000_000
 # (819) 5.4-5.7 s (2-core x86, Python 3.11)
 PADDING_CLASS_CAP = 6
 PADDING_WORD_CAP = 500
-# genus of ``witness``: orientable 1.9 s at 50, 4.4 s at 60, 33 s at 100;
-# non-orientable class 1, one charpoly of the accepted W: 0.8 s at 50,
-# 1.9 s (in-library) at 60.  ``sample``: 1.5 s at
-# genus 200, 3.6 s at 300 (length 10); 4.9 s at length 50, 11.6 s at 100
-# (genus 200, same machine)
-WITNESS_GENUS_CAP = 50
+# genus of ``check`` and ``witness``.  ``check --orientable --class 1``
+# (admissibility and one Berkowitz) on a ``sample --sign minus --seed 1
+# --length 8`` matrix: 2.1 s at 50, 4.7 s at 60, 23 s at 100.  The
+# orientable witness prints a closed-form charpoly, 0.3 s at 50; the
+# non-orientable one at class 1, one charpoly of the accepted W: 1.0 s at
+# 50, 1.9 s (in-library) at 60.  ``sample``: 1.5 s at genus 200, 3.6 s at
+# 300 (length 10); 4.9 s at length 50, 11.6 s at 100 (genus 200, same
+# machine)
+GENUS_CAP = 50
 SAMPLE_GENUS_CAP = 200
 SAMPLE_LENGTH_CAP = 50
 # ``lie-dims`` prints c entries below max(r, 2)^c, of D digits at most.
@@ -86,6 +83,15 @@ def _printable(d, det):
     return det
 
 
+def _read_matrix(path):
+    """The ``IntMatrix`` of a matrix file; exit 1 naming the file if bad."""
+    with open(path) as fh:
+        try:
+            return IntMatrix.from_text(fh.read())
+        except ValueError as exc:
+            raise click.ClickException(f"matrix file: {exc}")
+
+
 def _emit(payload, fmt, text_lines):
     if fmt == "json":
         click.echo(json.dumps(payload, sort_keys=True))
@@ -106,22 +112,16 @@ def cli():
 @cli.command()
 @click.option("--orientable/--nonorientable", "orientable", required=True)
 @click.option("--genus", type=int, required=True)
-@click.option("--samples", type=click.IntRange(min=1), default=10,
-              show_default=True)
+@click.option("--samples", type=click.IntRange(min=1),
+              default=DEFAULT_SAMPLES, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--max-m", type=int, default=DEFAULT_MAX_M, show_default=False,
-              help="cap for the non-orientable twist-exponent search")
 @_FORMAT
-def degree(orientable, genus, samples, seed, max_m, fmt):
+def degree(orientable, genus, samples, seed, fmt):
     """Nilpotency degree at which every automorphism forces R-infinity."""
-    spec = SurfaceSpec(orientable, genus)
-    if orientable:
-        work = samples * (surface_work(2 * genus, 4) + 10_000)
-        _cap(work, SAMPLE_WORK_CAP, f"{samples} samples of genus {genus} "
-             f"take {work} Newton steps", "sample work cap")
-    verdict = rinf_degree(spec, samples=samples, seed=seed, max_m=max_m)
+    verdict = rinf_degree(SurfaceSpec(orientable, genus), samples=samples,
+                          seed=seed)
     payload = {"schema": SCHEMA_REPORT, "command": "degree",
-               "config": {"samples": samples, "seed": seed, "max_m": max_m},
+               "config": {"samples": samples, "seed": seed},
                "verdict": verdict.to_json_dict()}
     lines = [f"degree: {verdict.degree}",
              f"claim: {verdict.claim()}",
@@ -161,11 +161,8 @@ def check(matrix_path, orientable, genus, klass, fmt):
     spec = SurfaceSpec(orientable, genus)
     if klass < 1:
         raise click.ClickException("class must be at least 1")
-    with open(matrix_path) as fh:
-        try:
-            s = IntMatrix.from_text(fh.read())
-        except ValueError as exc:
-            raise click.ClickException(f"matrix file: {exc}")
+    _cap(genus, GENUS_CAP, f"check of genus {genus}", "genus cap")
+    s = _read_matrix(matrix_path)
     n = spec.rank
     if s.rows != n or s.cols != n:
         raise click.ClickException(
@@ -216,17 +213,15 @@ def check(matrix_path, orientable, genus, klass, fmt):
 @click.option("--genus", type=int, required=True)
 @click.option("--class", "klass", type=int, default=None,
               help="quotient class for the non-orientable witness search")
-@click.option("--max-m", type=int, default=DEFAULT_MAX_M)
 @_FORMAT
-def witness(orientable, genus, klass, max_m, fmt):
+def witness(orientable, genus, klass, fmt):
     """Explicit matrix whose induced tower avoids eigenvalue 1."""
     SurfaceSpec(orientable, genus)  # rejects a genus with no such surface
     kind = "orientable" if orientable else "non-orientable"
-    _cap(genus, WITNESS_GENUS_CAP, f"{kind} witness of genus {genus}",
-         "genus cap")
+    _cap(genus, GENUS_CAP, f"{kind} witness of genus {genus}", "genus cap")
     if orientable:
         w = orientable_witness(genus)
-        p = charpoly(w)
+        p = IntPoly([-1, -2, 1]) ** genus  # charpoly of each [[1,2],[1,1]]
         payload = {"schema": SCHEMA_REPORT, "command": "witness",
                    "config": {"orientable": True, "genus": genus},
                    "matrix": [list(r) for r in w.entries],
@@ -245,12 +240,12 @@ def witness(orientable, genus, klass, max_m, fmt):
         klass = 2 * g - 1
     if not 1 <= klass < 2 * g:
         raise click.ClickException(f"class must satisfy 1 <= class < {2 * g}")
-    w, m, _ = nonorientable_witness(g, klass, max_m=max_m)
+    w, m, _ = nonorientable_witness(g, klass)
     # the search asserted charpoly(w) = the closed formula and det(w) = -1
     p, det = nonorientable_charpoly_formula(g, m), -1
     payload = {"schema": SCHEMA_REPORT, "command": "witness",
                "config": {"orientable": False, "genus": genus,
-                          "class": klass, "max_m": max_m},
+                          "class": klass},
                "matrix": [list(r) for r in w.entries],
                "matrix_text": w.to_text(),
                "m": m,
@@ -328,28 +323,20 @@ def padding(rank, klass, n, fmt):
 @click.option("--count", type=click.IntRange(min=1), default=10,
               show_default=True,
               help="random matrices for the spectrum mode")
-@click.option("--degree", type=int, default=None,
-              help="tower degree for the spectrum mode (default: class)")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--modulus", type=int, default=3, show_default=True)
 @click.option("--matrix", "matrix_path", type=click.Path(exists=True,
               dir_okay=False), default=None,
               help="abelian twist matrix for the twisted mode")
-@click.option("--max-order", type=int, default=DEFAULT_MAX_ORDER,
-              show_default=True)
 @_FORMAT
-def crosscheck(what, rank, klass, count, degree, seed, modulus, matrix_path,
-               max_order, fmt):
+def crosscheck(what, rank, klass, count, seed, modulus, matrix_path, fmt):
     """Brute-force oracles versus the exact linear-algebra pipeline."""
     import random as _random
     if what == "spectrum":
         check_hall_table(rank, klass)
-        deg = degree if degree is not None else klass
-        if not 1 <= deg <= klass:
-            raise click.ClickException("degree must lie in 1..class")
-        rows = witt_dimension(rank, deg)
+        rows = witt_dimension(rank, klass)
         _cap(rows, SPECTRUM_ROW_CAP,
-             f"free tower on rank {rank} at degree {deg} has {rows} rows",
+             f"free tower on rank {rank} at degree {klass} has {rows} rows",
              "spectrum cap")
         work = count * (rows ** 4 + 6_000)
         _cap(work, SPECTRUM_COUNT_WORK_CAP, f"{count} towers of {rows} rows "
@@ -360,11 +347,11 @@ def crosscheck(what, rank, klass, count, degree, seed, modulus, matrix_path,
         for idx in range(count):
             s = IntMatrix([[rng.randint(-2, 2) for _ in range(rank)]
                            for _ in range(rank)])
-            if not spectrum_crosscheck(s, table, deg):
+            if not spectrum_crosscheck(s, table, klass):
                 failures.append([list(r) for r in s.entries])
         payload = {"schema": SCHEMA_REPORT, "command": "crosscheck",
                    "config": {"what": what, "rank": rank, "class": klass,
-                              "degree": deg, "count": count, "seed": seed},
+                              "count": count, "seed": seed},
                    "failures": failures,
                    "passed": count - len(failures)}
         _emit(payload, fmt,
@@ -373,15 +360,12 @@ def crosscheck(what, rank, klass, count, degree, seed, modulus, matrix_path,
             raise click.ClickException("spectrum crosscheck failed")
         return
     if matrix_path is not None:
-        with open(matrix_path) as fh:
-            m = IntMatrix.from_text(fh.read())
-        setup = FiniteTwistedSetup.from_abelian_matrix(m, modulus,
-                                                       max_order=max_order)
+        m = _read_matrix(matrix_path)
+        setup = FiniteTwistedSetup.from_abelian_matrix(m, modulus)
         brute = brute_force_twisted_classes(setup)
         exact = abelian_reidemeister_count(m)
         payload = {"schema": SCHEMA_REPORT, "command": "crosscheck",
-                   "config": {"what": what, "modulus": modulus,
-                              "max_order": max_order},
+                   "config": {"what": what, "modulus": modulus},
                    "matrix": [list(r) for r in m.entries],
                    "brute_force_classes": brute,
                    "cokernel_count": exact}
@@ -390,12 +374,11 @@ def crosscheck(what, rank, klass, count, degree, seed, modulus, matrix_path,
                  f"{'infinite' if exact is None else exact}"]
         _emit(payload, fmt, lines)
         return
-    setup = FiniteTwistedSetup.identity_twist(rank, klass, modulus,
-                                              max_order=max_order)
+    setup = FiniteTwistedSetup.identity_twist(rank, klass, modulus)
     brute = brute_force_twisted_classes(setup)
     payload = {"schema": SCHEMA_REPORT, "command": "crosscheck",
                "config": {"what": what, "rank": rank, "class": klass,
-                          "modulus": modulus, "max_order": max_order},
+                          "modulus": modulus},
                "group_order": setup.group_order(),
                "identity_twist_classes": brute}
     _emit(payload, fmt,

@@ -40,8 +40,6 @@ DEFAULT_TABLE_CAP = 10 ** 7
 # x86, Python 3.11).  Bits are not counted: larger entries cost more
 SURFACE_WORK_CAP = 3_000_000
 
-HALL_ORDERS = ("lex", "alt")
-
 
 def _mobius(n):
     result = 1
@@ -146,13 +144,10 @@ class StructureTable:
     lazily and acts as the structure-constant store.
     """
 
-    def __init__(self, r, c, order="lex"):
+    def __init__(self, r, c):
         check_hall_table(r, c)
-        if order not in HALL_ORDERS:
-            raise ValueError(f"unknown hall order {order!r}")
         self.r = r
         self.c = c
-        self.order = order
         self._by_degree = [()]  # degree 0 placeholder
         self._pair_word = {}
         self._memo = {}
@@ -164,33 +159,25 @@ class StructureTable:
             gens.append(w)
         self._by_degree.append(tuple(gens))
         for d in range(2, c + 1):
-            cands = []
+            level = []  # words [u, v] in (u, v) index order
             for da in range(1, d):
-                db = d - da
                 for u in self._by_degree[da]:
-                    for v in self._by_degree[db]:
+                    for v in self._by_degree[d - da]:
                         if u.index <= v.index:
                             continue
                         if u.left is not None and u.right.index > v.index:
                             continue
-                        cands.append((u, v))
-            if order == "lex":
-                cands.sort(key=lambda uv: (uv[0].index, uv[1].index))
-            else:
-                cands.sort(key=lambda uv: (uv[1].index, uv[0].index))
-            level = []
-            for u, v in cands:
-                w = HallWord(len(words), len(level), d, u, v, (u.tree, v.tree))
-                words.append(w)
-                level.append(w)
-                self._pair_word[(u.index, v.index)] = w
+                        w = HallWord(len(words), len(level), d, u, v,
+                                     (u.tree, v.tree))
+                        words.append(w)
+                        level.append(w)
+                        self._pair_word[(u.index, v.index)] = w
             self._by_degree.append(tuple(level))
             expected = witt_dimension(r, d)
             if len(level) != expected:
                 raise AssertionError(
                     f"hall basis degree {d} has {len(level)} words, "
                     f"Witt predicts {expected}")
-        self._words = tuple(words)
 
     # -- basis access --------------------------------------------------
 
@@ -257,9 +244,9 @@ class StructureTable:
         return res
 
 
-def build_hall_basis(r, c, order="lex"):
+def build_hall_basis(r, c):
     """Construct the Hall-basis structure table for the free Lie ring."""
-    return StructureTable(r, c, order=order)
+    return StructureTable(r, c)
 
 
 class InducedTower:
@@ -438,9 +425,9 @@ def orientable_relator(g, table):
     return vec
 
 
-def ideal_quotient(table, gen_vec, up_to, gen_degree=2):
-    """Quotient of the free ring by the ideal generated by one homogeneous vector."""
-    return GradedQuotient(table, {gen_degree: [gen_vec]}, up_to)
+def ideal_quotient(table, gen_vec, up_to):
+    """Quotient of the free ring by the ideal of one degree-2 vector."""
+    return GradedQuotient(table, {2: [gen_vec]}, up_to)
 
 
 def metabelian_truncation(quotient):

@@ -36,7 +36,8 @@ from .freelie import (check_hall_table, free_lie_factors, induced_tower,
 from .mvpoly import MPoly
 from .nilpotent import free_nilpotent_group, ser_mul
 
-DEFAULT_MAX_ORDER = 10 ** 6
+# the largest group order m^k a setup admits
+MAX_ORDER = 10 ** 6
 
 
 def abelian_reidemeister_count(m):
@@ -165,11 +166,11 @@ class FiniteTwistedSetup:
     well defined; the endomorphism is given by the images of the r
     generators as coordinate tuples.  The checks run cheapest first: the
     modulus (exact prime-power test, no trial division), the Hall-table
-    cap, then the group order against ``max_order``, all before the
+    cap, then the group order against ``MAX_ORDER``, all before the
     collection maps are built.
     """
 
-    def __init__(self, r, c, modulus, images=None, max_order=DEFAULT_MAX_ORDER):
+    def __init__(self, r, c, modulus, images=None):
         if modulus < 2:
             raise ValueError("modulus must be at least 2")
         if r < 0 or c < 1:
@@ -184,7 +185,6 @@ class FiniteTwistedSetup:
         self.r = r
         self.c = c
         self.modulus = modulus
-        self.max_order = max_order
         if r == 0:
             self.k = 0
             self.images = ()
@@ -204,28 +204,27 @@ class FiniteTwistedSetup:
         self.images = tuple(images)
 
     def _check_order(self):
-        # m >= 2, so m^k exceeds max_order once k exceeds its bit length;
+        # m >= 2, so m^k exceeds MAX_ORDER once k exceeds its bit length;
         # a power too long to print is stated as m^k
         m, k = self.modulus, self.k
-        if k <= self.max_order.bit_length() and m ** k <= self.max_order:
+        if k <= MAX_ORDER.bit_length() and m ** k <= MAX_ORDER:
             return
         order = m ** k if k * m.bit_length() <= 4096 else f"{m}^{k}"
         raise ResourceLimitError(
-            f"group order {order} exceeds the bound {self.max_order}")
+            f"group order {order} exceeds the bound {MAX_ORDER}")
 
     @staticmethod
-    def identity_twist(r, c, modulus, max_order=DEFAULT_MAX_ORDER):
-        return FiniteTwistedSetup(r, c, modulus, max_order=max_order)
+    def identity_twist(r, c, modulus):
+        return FiniteTwistedSetup(r, c, modulus)
 
     @staticmethod
-    def from_abelian_matrix(matrix, modulus, max_order=DEFAULT_MAX_ORDER):
+    def from_abelian_matrix(matrix, modulus):
         """Abelian specialization: class 1, endomorphism given by the matrix."""
         if not matrix.is_square:
             raise ValueError("endomorphism matrix must be square")
         images = [tuple(matrix[i, j] for i in range(matrix.rows))
                   for j in range(matrix.cols)]
-        return FiniteTwistedSetup(matrix.rows, 1, modulus, images,
-                                  max_order=max_order)
+        return FiniteTwistedSetup(matrix.rows, 1, modulus, images)
 
     # -- reduced group operations -------------------------------------------
 

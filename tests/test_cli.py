@@ -11,15 +11,30 @@ import rinfty.errors
 import rinfty.freelie
 import rinfty.intlinalg
 import rinfty.oracle
-from rinfty.analysis import SurfaceSpec, nonorientable_base_matrices
+from rinfty.analysis import (SurfaceSpec, nonorientable_base_matrices,
+                             orientable_witness)
 from rinfty.cli import main
-from rinfty.intlinalg import IntMatrix
+from rinfty.intlinalg import IntMatrix, charpoly
 
 
 def run(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_option_inventory():
+    # every cap is a library constant: a new option is an edit here
+    assert {name: sorted(p.name for p in cmd.params)
+            for name, cmd in rinfty.cli.cli.commands.items()} == {
+        "degree": ["fmt", "genus", "orientable", "samples", "seed"],
+        "check": ["fmt", "genus", "klass", "matrix_path", "orientable"],
+        "witness": ["fmt", "genus", "klass", "orientable"],
+        "lie-dims": ["fmt", "klass", "rank"],
+        "padding": ["fmt", "klass", "n", "rank"],
+        "crosscheck": ["count", "fmt", "klass", "matrix_path", "modulus",
+                       "rank", "seed", "what"],
+        "sample": ["fmt", "genus", "length", "seed", "sign"]}
 
 
 class TestDegreeCommand:
@@ -51,11 +66,12 @@ class TestDegreeCommand:
         assert doc["verdict"]["seed"] == 7
         assert "note" in doc["verdict"]
 
-    def test_resource_cap_exit_code(self, capsys):
-        code, _, err = run(capsys, "degree", "--nonorientable", "--genus", "3",
-                           "--max-m", "10")
+    def test_resource_cap_exit_code(self, capsys, monkeypatch):
+        # the witness search reads its cap at call time
+        monkeypatch.setattr(rinfty.analysis, "MAX_M", 10)
+        code, _, err = run(capsys, "degree", "--nonorientable", "--genus", "3")
         assert code == 2
-        assert "cap" in err
+        assert err == "resource cap: witness search passed the cap 10\n"
 
     def test_nonorientable_verdict_ignores_samples_and_seed(self, capsys):
         # the seed and sample count are echoed in the config and change
@@ -314,6 +330,18 @@ class TestCheckCommand:
         assert err == ("resource cap: det(I - M_1) has 14617 bits and 4400 "
                        "digits, above the int-to-str digit limit 4300\n")
 
+    @pytest.mark.parametrize("command", ["check", "crosscheck"])
+    def test_bad_matrix_file_names_the_file(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.txt"
+        path.write_text("2 2\n1 2 3\n")
+        args = {"check": ("--nonorientable", "--genus", "3", "--class", "1"),
+                "crosscheck": ("--what", "twisted", "--modulus", "5")}
+        code, out, err = run(capsys, command, "--matrix", str(path),
+                             *args[command])
+        assert code == 1
+        assert out == ""
+        assert err == "error: matrix file: expected 4 entries, got 3\n"
+
     def test_degree_certificate_reverifies_through_check(self, capsys, tmp_path):
         code, out, _ = run(capsys, "degree", "--orientable", "--genus", "2",
                            "--samples", "2", "--format", "json")
@@ -351,7 +379,7 @@ class TestOtherCommands:
                            "--class", str(klass), "--format", "json")
         assert code == 0
         assert json.loads(out) == {
-            "schema": "cli-report/1", "command": "lie-dims",
+            "schema": "cli-report/2", "command": "lie-dims",
             "config": {"rank": rank, "class": klass}, "dims": dims}
 
     def test_lie_dims_keeps_the_table_cap(self, capsys):
@@ -430,6 +458,18 @@ class TestOtherCommands:
         assert doc["determinant"] == -1
         assert doc["m"] >= 1
 
+    def test_orientable_witness_charpoly_closed_form(self, capsys,
+                                                     monkeypatch):
+        # g blocks [[1, 2], [1, 1]]: (x^2 - 2x - 1)^g with no Berkowitz
+        want = {g: list(charpoly(orientable_witness(g)).coeffs)
+                for g in range(2, 9)}
+        monkeypatch.setattr(rinfty.cli, "charpoly", _refuse)
+        for g, coeffs in want.items():
+            code, out, err = run(capsys, "witness", "--orientable", "--genus",
+                                 str(g), "--format", "json")
+            assert code == 0, err
+            assert json.loads(out)["charpoly_coeffs"] == coeffs
+
     def test_witness_genus_five_default_class(self, capsys):
         # class 7, 193,697 steps under the witness cap: m = 46080^7
         code, out, err = run(capsys, "witness", "--nonorientable", "--genus",
@@ -485,10 +525,9 @@ class TestOtherCommands:
                        f"{klass} has {rows} rows, above the spectrum cap 70\n")
 
     def test_crosscheck_spectrum_row_cap_reads_the_degree(self, capsys):
-        # class 10 has 99 rows at degree 10, but degree 9 has 56
+        # the tower degree is the class: class 9 has 56 rows, class 10 99
         code, out, _ = run(capsys, "crosscheck", "--what", "spectrum",
-                           "--rank", "2", "--class", "10", "--degree", "9",
-                           "--count", "1")
+                           "--rank", "2", "--class", "9", "--count", "1")
         assert code == 0
         assert out == "spectrum crosscheck: 1/1 passed\n"
 
@@ -638,6 +677,32 @@ class TestSizeCaps:
                                  "Newton steps"):
             rinfty.analysis.surface_character(s, 5, 4)
 
+    @pytest.mark.parametrize("samples", ["10", "20"])
+    def test_degree_surface_cap_comes_first(self, capsys, monkeypatch,
+                                            samples):
+        # no sample count is admitted at genus 5, so the sample-work cap,
+        # which would suggest fewer samples, must not be the one to answer
+        monkeypatch.setattr(rinfty.analysis, "orientable_witness", _refuse)
+        err = self.refused(capsys, "degree", "--orientable", "--genus", "5",
+                           "--samples", samples)
+        assert err == ("resource cap: surface character of genus 5 through "
+                       "degree 4 takes 5749812 Newton steps, above the "
+                       "surface cap 3000000\n")
+
+    @pytest.mark.parametrize("family", ["--orientable", "--nonorientable"])
+    def test_check_genus(self, capsys, monkeypatch, tmp_path, family):
+        # genus 100 at class 1 took 23.6 s in admissibility and Berkowitz
+        path = tmp_path / "id.txt"
+        path.write_text(IntMatrix.identity(200).to_text())
+        for module in (rinfty.analysis, rinfty.cli):
+            monkeypatch.setattr(module, "charpoly", _refuse)
+        monkeypatch.setattr(rinfty.analysis, "admissibility", _refuse)
+        monkeypatch.setattr(rinfty.cli, "is_automorphism_matrix", _refuse)
+        err = self.refused(capsys, "check", "--matrix", str(path), family,
+                           "--genus", "100", "--class", "1")
+        assert err == ("resource cap: check of genus 100, above the genus "
+                       "cap 50\n")
+
     def test_orientable_verdict_refused_before_charpoly(self, capsys,
                                                         monkeypatch):
         # without the early check genus 1000 would start a 2000-row Berkowitz
@@ -679,7 +744,7 @@ class TestSizeCaps:
         ("2", "1000000000", "12322000000000"),
     ])
     def test_degree_samples(self, capsys, monkeypatch, genus, samples, work):
-        monkeypatch.setattr(rinfty.cli, "rinf_degree", _refuse)
+        monkeypatch.setattr(rinfty.analysis, "orientable_witness", _refuse)
         err = self.refused(capsys, "degree", "--orientable", "--genus", genus,
                            "--samples", samples)
         assert err == (f"resource cap: {samples} samples of genus {genus} "
@@ -787,30 +852,30 @@ class TestGoldenOutput:
     def test_orientable_degree(self, capsys):
         assert self.digest(capsys, "degree", "--orientable", "--genus", "2",
                            "--samples", "2", "--format", "json") == (
-            "2cc5f099af464c726ab930bfbfe1a8d8da4bceac07662195e89d87040207f54a")
+            "a234d78189a17e1cfe85a02eaee17f9c57ad834c22d92c7a2393062a894e8b7f")
 
     def test_orientable_genus_three_degree(self, capsys):
         assert self.digest(capsys, "degree", "--orientable", "--genus", "3",
                            "--samples", "4", "--format", "json") == (
-            "2e4dd18657e999626da0a5acb63f13b85c9481f384e70186ce6ffe5fd2dc1f05")
+            "c1afe0f1e8fdfb116049c7e44b86b69be295a2c42a963463e641c67665fed744")
 
     def test_orientable_genus_two_many_samples(self, capsys):
         # 100 minus samples, most of them decided by the metabelian det
         assert self.digest(capsys, "degree", "--orientable", "--genus", "2",
                            "--samples", "200", "--seed", "12345",
                            "--format", "json") == (
-            "aa454252e85b5bef6bc7f43ae02c9d84acf79b3d6278a7549dad10601f8bb1d7")
+            "5ee31c7d268d61d38e46b638ab7f91fc9168467ec34411b58cedf81a8d002d9f")
 
     def test_orientable_genus_four_degree(self, capsys):
         # the bytes of the tower path with its genus cap raised to 4
         assert self.digest(capsys, "degree", "--orientable", "--genus", "4",
                            "--samples", "2", "--format", "json") == (
-            "a49019e21ff86b0cd71e34f5005b6c23f733c5e84e8fe40043206e97c9b719dc")
+            "8e879b4b1f9bd6a44addcd4417d33d7c49404b9640623ea0605bbb0fb7c71289")
 
     def test_nonorientable_degree(self, capsys):
         assert self.digest(capsys, "degree", "--nonorientable", "--genus", "3",
                            "--format", "json") == (
-            "fffd42187008c6fb29615c281afff2df6c7787c586ff10b2bdd2f653be90d474")
+            "1fbe9fbbc48760d4575f4f85474cdcf4d62ac48d5b0026e32e34e5430c39ee04")
 
     def test_check_witness_class_four(self, capsys, tmp_path):
         code, out, _ = run(capsys, "witness", "--orientable", "--genus", "2",
@@ -821,7 +886,7 @@ class TestGoldenOutput:
         assert self.digest(capsys, "check", "--matrix", str(path),
                            "--orientable", "--genus", "2", "--class", "4",
                            "--format", "json") == (
-            "689c191cc3035d957eb839740ce05d0fc56d4c148f1176a5e94b434b084afd2d")
+            "2a74be98f63725dfd17a9be6974f532d11f70be55d01e313d6afc4ab53d64a67")
 
     def test_check_genus_three_witness_class_four(self, capsys, tmp_path):
         # the 280x280 zero det at degree 4, after 24759631762948096 at degree 3
@@ -833,7 +898,7 @@ class TestGoldenOutput:
         assert self.digest(capsys, "check", "--matrix", str(path),
                            "--orientable", "--genus", "3", "--class", "4",
                            "--format", "json") == (
-            "9b2e53087f4be57c26b9e17f5767edce08482b2b3e1355a245dd4cf6c0935b32")
+            "9e98c628b622440e4925a81fd485927d190c064e0634c2caa572ce32b513eafc")
 
     def test_check_genus_three_plus_sample_class_four(self, capsys, tmp_path):
         # plus sign: eigenvalue 1 at degree 2, dets -4, 0, 1961738743910400, 0
@@ -845,13 +910,13 @@ class TestGoldenOutput:
         assert self.digest(capsys, "check", "--matrix", str(path),
                            "--orientable", "--genus", "3", "--class", "4",
                            "--format", "json") == (
-            "c77fbd6ef4f1646f014ff7381931f470582c009e904e67ac300dfe7d84c5b229")
+            "e44c537836d2d71081dab829293a37692fc461253b32a0b5941daa0b0aa8605f")
 
     def test_nonorientable_genus_four_degree(self, capsys):
         # Sym^i values at 1 of up to 1,717 bits
         assert self.digest(capsys, "degree", "--nonorientable", "--genus", "4",
                            "--format", "json") == (
-            "a5d4a637c2e0ee8b3155fb22a772a9a8d8694c2e27535c57a71844c6dd964af3")
+            "5325e4089db6d020fe47053ecadf16ecb7ec240f7882fcd45df137f1d25251de")
 
     def test_nonorientable_genus_four_degree_text(self, capsys):
         # the text form, with its i-fold product line
@@ -863,7 +928,7 @@ class TestGoldenOutput:
         assert self.digest(capsys, "crosscheck", "--what", "spectrum",
                            "--rank", "3", "--class", "4", "--count", "20",
                            "--format", "json") == (
-            "39ffa0ddcd992611f8c30fe35074198e5f7a6bcbd1327df31b493f4eef07f12b")
+            "b482b820390e3d92edeb90bbe47727a83cd18bbacc383ae6caec8a19c3fbe949")
 
     def test_crosscheck_spectrum_text(self, capsys):
         assert self.digest(capsys, "crosscheck", "--what", "spectrum") == (
@@ -874,7 +939,7 @@ class TestGoldenOutput:
         assert self.digest(capsys, "crosscheck", "--what", "twisted",
                            "--rank", "3", "--class", "2", "--modulus", "5",
                            "--format", "json") == (
-            "d6a15c2442500882d987a422549ad6e107b24bc918c0c2ef1fdf2db367e532e9")
+            "70dd5f8ada2eb4d43291db31a27f7c465390f7092c1649c4d5868d84b1a12337")
 
     def test_crosscheck_twisted_text(self, capsys):
         assert self.digest(capsys, "crosscheck", "--what", "twisted",
@@ -887,12 +952,12 @@ class TestGoldenOutput:
         assert self.digest(capsys, "crosscheck", "--what", "twisted",
                            "--matrix", str(path), "--modulus", "5",
                            "--format", "json") == (
-            "b1bd2c1af2888125b859b30e244c7f0f0d6a1b6e838cee3cbf659ef8f0d2ec4c")
+            "f6de6c6673021829f11b2f11e694720068ddb0d575bb5b5ec1899b3f74444f4b")
 
     def test_nonorientable_genus_four_witness(self, capsys):
         assert self.digest(capsys, "witness", "--nonorientable", "--genus",
                            "4", "--format", "json") == (
-            "1d7f03a684d13001d3aead1bb04454397b6ddde709ec7c9a0e56df57f93de8e7")
+            "a89384dec4ec41aceecbb9f3aa402758295e50458eebc34890709acf597d58c1")
 
     def test_check_nonorientable_genus_four_witness_class_six(self, capsys,
                                                               tmp_path):
@@ -905,4 +970,4 @@ class TestGoldenOutput:
         assert self.digest(capsys, "check", "--matrix", str(path),
                            "--nonorientable", "--genus", "4", "--class", "6",
                            "--format", "json") == (
-            "757b285518d66d24b053ddb2a15007d8eb619302c8e2f0853d16226005a64c8d")
+            "d9ecc58050994f003bbc702690577de86dd8abe3039f6a7916ea3cabbcbb3136")

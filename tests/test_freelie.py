@@ -4,7 +4,8 @@ from math import comb
 import pytest
 
 from rinfty.errors import ResourceLimitError
-from rinfty.freelie import (build_hall_basis, eigenvalue_one_first_degree,
+from rinfty.freelie import (GradedQuotient, build_hall_basis,
+                            eigenvalue_one_first_degree,
                             fixed_point_dets, ideal_quotient, induced_tower,
                             metabelian_truncation, orientable_relator,
                             witt_dimension)
@@ -210,7 +211,8 @@ class TestMetabelian:
     def test_truncation_needs_degree_two_relator(self, table_g2):
         relator = table_g2.bracket(orientable_relator(2, table_g2), 2, {0: 1}, 1)
         with pytest.raises(ValueError):
-            metabelian_truncation(ideal_quotient(table_g2, relator, 4, 3))
+            metabelian_truncation(GradedQuotient(table_g2, {3: [relator]},
+                                                 4))
 
 
 class TestEigenvalueOneDegrees:
@@ -239,32 +241,6 @@ class TestEigenvalueOneDegrees:
         assert (IntMatrix.identity(full.rows) - full).det() == 0
         free = tower.matrix(4)
         assert (IntMatrix.identity(free.rows) - free).det() == 0
-
-
-class TestHallOrderInvariance:
-    def test_two_orders_same_dims_different_words(self):
-        lex = build_hall_basis(4, 4, order="lex")
-        alt = build_hall_basis(4, 4, order="alt")
-        assert lex.dims() == alt.dims()
-        assert [w.tree for w in lex.words(4)] != [w.tree for w in alt.words(4)]
-
-    def test_verdict_invariant_under_order(self):
-        s = IntMatrix.block_diag([IntMatrix([[1, 2], [1, 1]])] * 2)
-        results = []
-        for order in ("lex", "alt"):
-            table = build_hall_basis(4, 4, order=order)
-            quotient = ideal_quotient(table, orientable_relator(2, table), 4)
-            met = metabelian_truncation(quotient)
-            tower = induced_tower(table, s)
-            dets = tuple(
-                (IntMatrix.identity(quotient.rank(d)) -
-                 quotient.project(tower.matrix(d), d)).det()
-                for d in (1, 2, 3))
-            results.append((dets,
-                            eigenvalue_one_first_degree(tower, quotient, 3),
-                            eigenvalue_one_first_degree(tower, met, 4),
-                            tuple(quotient.rank(d) for d in (1, 2, 3, 4))))
-        assert results[0] == results[1]
 
 
 class TestCharpolyTowers:

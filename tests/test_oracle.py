@@ -49,9 +49,11 @@ class TestFiniteSetupGuards:
         with pytest.raises(ValueError):
             FiniteTwistedSetup.identity_twist(2, 2, 6)
 
-    def test_order_cap(self):
-        with pytest.raises(ResourceLimitError):
-            FiniteTwistedSetup.identity_twist(2, 2, 5, max_order=100)
+    def test_order_cap(self, monkeypatch):
+        monkeypatch.setattr(rinfty.oracle, "MAX_ORDER", 100)
+        with pytest.raises(ResourceLimitError,
+                           match="^group order 125 exceeds the bound 100$"):
+            FiniteTwistedSetup.identity_twist(2, 2, 5)
 
     @pytest.mark.parametrize("r,c,modulus,order", [
         (2, 2, 2 ** 61 - 1, (2 ** 61 - 1) ** 3),
@@ -256,13 +258,13 @@ class TestComposedMoves:
         assert brute_force_twisted_classes(setup) == (
             p ** m + p ** (m + 1) - p ** (m - r + 1))
 
-    def test_multiply_matches_exact_group_law(self):
+    def test_multiply_matches_exact_group_law(self, monkeypatch):
         rng = random.Random(5)
+        # no count is made, so the order cap may admit 25^8 elements
+        monkeypatch.setattr(rinfty.oracle, "MAX_ORDER", 25 ** 8)
         for r, c, m in [(2, 3, 5), (3, 2, 9), (2, 4, 25)]:
             ambient = free_nilpotent_group(r, c)
-            # no count is made, so the order cap may admit 25^8 elements
-            setup = FiniteTwistedSetup.identity_twist(
-                r, c, m, max_order=m ** ambient.k)
+            setup = FiniteTwistedSetup.identity_twist(r, c, m)
             for _ in range(10):
                 a = [rng.randint(-6, 6) for _ in range(ambient.k)]
                 b = [rng.randint(-6, 6) for _ in range(ambient.k)]

@@ -56,13 +56,13 @@ def sample_nonadmissible(g, seed, bound=3):
             return s
 
 
-def orientable_context(g, order="lex"):
+def orientable_context(g):
     """(table, relator quotient, metabelian truncation) for genus g.
 
     The verdicts read the same charpolys off ``SurfaceCharacter``; these
-    towers and quotients, on a Hall table of either order, are its oracle.
+    towers and quotients are its oracle.
     """
-    table = build_hall_basis(2 * g, 4, order=order)
+    table = build_hall_basis(2 * g, 4)
     quotient = ideal_quotient(table, orientable_relator(g, table), 4)
     met = metabelian_truncation(quotient)
     return table, quotient, met
