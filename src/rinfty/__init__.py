@@ -10,8 +10,7 @@ genus g+1 with g >= 2.  See the README for the library tour.
 from .errors import ResourceLimitError
 from .intlinalg import (IntMatrix, IntPoly, SmithDecomposition, charpoly,
                         dominance_root_test, kfold_product_spectrum,
-                        kfold_value_at_one, smith_normal_form,
-                        symmetric_power_charpoly)
+                        kfold_value_at_one, smith_normal_form)
 from .freelie import (GradedQuotient, HallWord, InducedTower, StructureTable,
                       SurfaceCharacter, build_hall_basis,
                       eigenvalue_one_first_degree,

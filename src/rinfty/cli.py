@@ -42,9 +42,9 @@ SPECTRUM_ROW_CAP = 70
 SPECTRUM_COUNT_WORK_CAP = 250_000_000
 # ``padding`` multiplies series over the words of length <= class in the
 # rank-r ambient, one homogeneous part pair at a time.  Fresh process:
-# rank 2 class 6 (126 words) 1.2-1.6 s, class 7 (254) 5.2-5.4 s; rank 3
-# class 5 (363) 1.3-1.4 s, rank 8 class 3 (584) 2.8-3.2 s, rank 9 class 3
-# (819) 5.4-5.7 s (2-core x86, Python 3.11)
+# rank 2 class 6 (126 words) 0.5-0.7 s, class 7 (254) 2.2-2.6 s; rank 3
+# class 5 (363) 0.3 s, rank 8 class 3 (584) 0.2 s, rank 9 class 3 (819)
+# 0.3 s (2-core x86, Python 3.11)
 PADDING_CLASS_CAP = 6
 PADDING_WORD_CAP = 500
 # genus of ``check`` and ``witness``.  ``check --orientable --class 1``
@@ -83,11 +83,12 @@ def _printable(d, det):
     return det
 
 
-def _read_matrix(path):
-    """The ``IntMatrix`` of a matrix file; exit 1 naming the file if bad."""
+def _read_matrix(path, admit):
+    """The ``IntMatrix`` of a matrix file, its size first passed to
+    ``admit(rows, cols)``; exit 1 naming the file if bad."""
     with open(path) as fh:
         try:
-            return IntMatrix.from_text(fh.read())
+            return IntMatrix.from_text(fh.read(), admit)
         except ValueError as exc:
             raise click.ClickException(f"matrix file: {exc}")
 
@@ -162,11 +163,12 @@ def check(matrix_path, orientable, genus, klass, fmt):
     if klass < 1:
         raise click.ClickException("class must be at least 1")
     _cap(genus, GENUS_CAP, f"check of genus {genus}", "genus cap")
-    s = _read_matrix(matrix_path)
     n = spec.rank
-    if s.rows != n or s.cols != n:
-        raise click.ClickException(
-            f"matrix must be {n}x{n} for this surface, got {s.rows}x{s.cols}")
+    def admit(rows, cols):
+        if rows != n or cols != n:
+            raise click.ClickException(
+                f"matrix must be {n}x{n} for this surface, got {rows}x{cols}")
+    s = _read_matrix(matrix_path, admit)
     if orientable:
         computed = min(klass, 4)
         sign, char = surface_character(s, genus, computed)
@@ -360,7 +362,9 @@ def crosscheck(what, rank, klass, count, seed, modulus, matrix_path, fmt):
             raise click.ClickException("spectrum crosscheck failed")
         return
     if matrix_path is not None:
-        m = _read_matrix(matrix_path)
+        FiniteTwistedSetup(0, 1, modulus)  # the modulus, before the file
+        m = _read_matrix(matrix_path, lambda rows, cols: rows == cols
+                         and FiniteTwistedSetup(rows, 1, modulus))
         setup = FiniteTwistedSetup.from_abelian_matrix(m, modulus)
         brute = brute_force_twisted_classes(setup)
         exact = abelian_reidemeister_count(m)

@@ -231,12 +231,15 @@ class IntMatrix:
         return "\n".join(lines) + "\n"
 
     @staticmethod
-    def from_text(text):
-        tokens = text.split()
+    def from_text(text, admit=lambda rows, cols: None):
+        """Parse the 'rows cols' header, which ``admit(rows, cols)`` may
+        refuse before any body token is split or converted, then the body."""
+        tokens = text.split(maxsplit=2)
         if len(tokens) < 2:
             raise ValueError("matrix text needs a 'rows cols' header")
         r, c = int(tokens[0]), int(tokens[1])
-        body = tokens[2:]
+        admit(r, c)
+        body = "".join(tokens[2:]).split()
         if len(body) != r * c:
             raise ValueError(f"expected {r * c} entries, got {len(body)}")
         return IntMatrix([[int(body[i * c + j]) for j in range(c)] for i in range(r)])
@@ -757,16 +760,6 @@ def shape_charpoly(p, shape):
     sums = [_augmented(tuple(shape), lambda k: s[k * n], {(): 1})
             // (perm(p.degree, len(shape)) // size) for n in range(size + 1)]
     return IntPoly(_monic_from_power_sums(sums, size))
-
-
-def symmetric_power_charpoly(p, i):
-    """charpoly(Sym^i W) from monic p = charpoly(W): the product of
-    ``shape_charpoly(p, shape)`` over the partitions of i.  Its roots are
-    those of ``kfold_product_spectrum(p, i)`` as a set."""
-    if i < 1:
-        raise ValueError("need i >= 1")
-    return prod((shape_charpoly(p, shape)
-                 for shape in partitions(i, p.degree)), start=IntPoly.one())
 
 
 def dominance_root_test(p):

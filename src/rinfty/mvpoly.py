@@ -1,27 +1,35 @@
 """Sparse multivariate polynomials over Q.
 
-Just enough ring arithmetic for symbolic collection: terms are stored as
-{exponent tuple: Fraction} against a fixed variable list.  Division is
-only by scalars, which keeps everything exact.
+Just enough ring arithmetic for symbolic collection: integer terms
+{exponent tuple: int} over one positive denominator, in lowest form, against
+a fixed variable list.  Division is only by scalars, which keeps it exact.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import add
 
 
 class MPoly:
     """Immutable sparse polynomial in a fixed tuple of variables."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "denominator")
 
-    def __init__(self, variables, terms):
-        """Wrap ``terms``, {exponent tuple: nonzero Fraction}, as given.
+    def __init__(self, variables, terms, denominator=1):
+        """``terms``, {exponent tuple: nonzero int}, over ``denominator`` > 0.
 
         Only ``constant``, ``variable`` and the ring operations below
-        build an MPoly, and each hands over a clean dict.
+        build an MPoly, and each hands over a clean dict; the common
+        factor of the terms and the denominator is divided out here.
         """
+        if denominator != 1:
+            g = gcd(denominator, *terms.values())
+            if g != 1:
+                terms = {e: c // g for e, c in terms.items()}
+                denominator //= g
         object.__setattr__(self, "vars", variables)
         object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "denominator", denominator)
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
@@ -32,16 +40,15 @@ class MPoly:
     def constant(variables, value):
         variables = tuple(variables)
         c = Fraction(value)
-        if not c:
-            return MPoly(variables, {})
-        return MPoly(variables, {(0,) * len(variables): c})
+        return MPoly(variables, {(0,) * len(variables): c.numerator} if c
+                     else {}, c.denominator)
 
     @staticmethod
     def variable(variables, name):
         variables = tuple(variables)
         i = variables.index(name)
         exps = tuple(1 if j == i else 0 for j in range(len(variables)))
-        return MPoly(variables, {exps: Fraction(1)})
+        return MPoly(variables, {exps: 1})
 
     # -- ring operations -----------------------------------------------
 
@@ -59,28 +66,33 @@ class MPoly:
 
     def __eq__(self, other):
         other = self._coerce(other)
-        return other is not None and self.terms == other.terms
+        return (other is not None and self.terms == other.terms
+                and self.denominator == other.denominator)
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, frozenset(self.terms.items()),
+                     self.denominator))
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
+        den = lcm(self.denominator, other.denominator)
+        fa, fb = den // self.denominator, den // other.denominator
+        out = {e: fa * c for e, c in self.terms.items()}
         for e, c in other.terms.items():
-            v = out.get(e, 0) + c
+            v = out.get(e, 0) + fb * c
             if v:
                 out[e] = v
             else:
                 del out[e]
-        return MPoly(self.vars, out)
+        return MPoly(self.vars, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MPoly(self.vars, {e: -c for e, c in self.terms.items()},
+                     self.denominator)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -93,26 +105,31 @@ class MPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return MPoly(self.vars,
-                         {e: c * v for e, v in self.terms.items()} if c else {})
+            n = other.numerator
+            return MPoly(self.vars, {e: n * v for e, v in self.terms.items()}
+                         if n else {}, self.denominator * other.denominator)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         out = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
+                key = tuple(map(add, ea, eb))
                 out[key] = out.get(key, 0) + ca * cb
-        return MPoly(self.vars, {e: c for e, c in out.items() if c})
+        return MPoly(self.vars, {e: c for e, c in out.items() if c},
+                     self.denominator * other.denominator)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        c = Fraction(scalar)
-        return MPoly(self.vars, {e: v / c for e, v in self.terms.items()})
+        return self * (1 / Fraction(scalar))
+
+    def __floordiv__(self, k):
+        """Division of the integer terms by an int k that divides them."""
+        return MPoly(self.vars, {e: c // k for e, c in self.terms.items()},
+                     self.denominator)
 
     def __pow__(self, k):
         result = MPoly.constant(self.vars, 1)
@@ -130,8 +147,13 @@ class MPoly:
     def is_zero(self):
         return not self.terms
 
+    @property
+    def numerator(self):
+        return MPoly(self.vars, self.terms)
+
     def constant_term(self):
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
+        return Fraction(self.terms.get((0,) * len(self.vars), 0),
+                        self.denominator)
 
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=0)
@@ -141,13 +163,13 @@ class MPoly:
         return any(e[i] for e in self.terms)
 
     def denominator_lcm(self):
-        return lcm(*(c.denominator for c in self.terms.values())) if self.terms else 1
+        return self.denominator  # terms in lowest form: the lcm of them all
 
     # -- substitution / evaluation ----------------------------------------
 
     def substitute(self, assignment):
         """Substitute values (int/Fraction/MPoly on the same vars) per name."""
-        acc = {}
+        acc = MPoly(self.vars, {})
         for exps, coeff in self.terms.items():
             term = MPoly.constant(self.vars, coeff)
             for name, e in zip(self.vars, exps):
@@ -159,27 +181,26 @@ class MPoly:
                 elif not isinstance(val, MPoly):
                     val = MPoly.constant(self.vars, val)
                 term = term * (val ** e)
-            for mono, c in term.terms.items():
-                acc[mono] = acc.get(mono, 0) + c
-        return MPoly(self.vars, {e: c for e, c in acc.items() if c})
+            acc = acc + term
+        return acc / self.denominator
 
     def evaluate(self, assignment):
         """Fully numeric evaluation to a Fraction."""
-        acc = Fraction(0)
+        acc = 0
         for exps, coeff in self.terms.items():
             val = coeff
             for name, e in zip(self.vars, exps):
                 if e:
-                    val *= Fraction(assignment[name]) ** e
+                    val *= assignment[name] ** e
             acc += val
-        return acc
+        return Fraction(acc) / self.denominator
 
     def __repr__(self):
         if not self.terms:
             return "MPoly(0)"
         bits = []
         for exps in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
-            c = self.terms[exps]
+            c = Fraction(self.terms[exps], self.denominator)
             mono = "*".join(f"{v}^{e}" if e > 1 else v
                             for v, e in zip(self.vars, exps) if e)
             bits.append(f"{c}" + (f"*{mono}" if mono else ""))

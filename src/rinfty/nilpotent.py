@@ -10,8 +10,9 @@ length c: group elements are exponential series, kept as their c + 1
 homogeneous parts, so the truncated product multiplies only the parts
 whose degrees sum to at most c.  Powers and roots are one map
 exp(t * log) (``ring_power``), and normal-form coordinates are peeled
-off one homogeneous part at a time.  All coefficients are exact
-rationals; coordinates of group elements are exact integers.
+off one homogeneous part at a time.  Coefficients are exact: integer
+numerators over one common denominator per series, Fractions only at the
+boundary; coordinates of group elements are exact integers.
 
 The same map run with polynomial coefficients yields the power
 polynomials q_i with u^m = prod a_i^(m x_i + q_i(x_1..x_{i-1}, m)), and
@@ -20,9 +21,10 @@ the padding exponents f(n, c) with x^n y^f = (x z)^n.
 
 from fractions import Fraction
 from functools import cache
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from .freelie import _vec_add, build_hall_basis
+from .intlinalg import IntMatrix
 from .mvpoly import MPoly
 
 
@@ -30,14 +32,23 @@ from .mvpoly import MPoly
 # truncated free associative series with generic coefficients
 # ---------------------------------------------------------------------------
 #
-# A series truncated at class c is a list of c + 1 homogeneous parts:
-# part d is a dict {word tuple of length d: coefficient}, so the
-# truncation is the length of the list.  The coefficients are Fractions
-# for group arithmetic and MPoly for the symbolic tables.
+# A series truncated at class c is a pair (den, parts): c + 1 homogeneous
+# parts, part d the dict {word tuple of length d: numerator}, over one
+# positive denominator, in lowest form, so equal series are equal pairs.
+# Numerators are ints for group arithmetic and integer-coefficient MPoly
+# for the symbolic tables.
 
-def ser_unit(c, one=Fraction(1)):
+def ser_unit(c, one=1):
     """The series 1, truncated at class c, over the ring of ``one``."""
-    return [{(): one}] + [{} for _ in range(c)]
+    return 1, [{(): one}] + [{} for _ in range(c)]
+
+def _normal(den, parts):
+    """The series parts / den over its least denominator."""
+    g = gcd(den, *(c for part in parts for v in part.values() for c in
+                   (v.terms.values() if isinstance(v, MPoly) else (v,))))
+    if g == 1:
+        return den, parts
+    return den // g, [{w: v // g for w, v in part.items()} for part in parts]
 
 def _part_mul(out, pa, pb):
     """out += pa * pb for homogeneous parts; zero entries are kept."""
@@ -50,58 +61,69 @@ def _part_mul(out, pa, pb):
     return out
 
 def ser_mul(a, b):
-    """Product at class c = len(a) - 1: part i meets the parts j <= c - i."""
-    c = len(a) - 1
-    out = [{} for _ in a]
-    for i, pa in enumerate(a):
-        if pa:
+    """Product at class c: part i meets the parts j <= c - i."""
+    (da, pa), (db, pb) = a, b
+    c = len(pa) - 1
+    out = [{} for _ in pa]
+    for i, part in enumerate(pa):
+        if part:
             for j in range(c + 1 - i):
-                _part_mul(out[i + j], pa, b[j])
-    return [{w: v for w, v in part.items() if v} for part in out]
+                _part_mul(out[i + j], part, pb[j])
+    return _normal(da * db,
+                   [{w: v for w, v in part.items() if v} for part in out])
 
-def ser_add(a, b, scale=1):
-    """a + scale * b."""
-    return [_vec_add(dict(pa), pb, scale) if pb else pa
-            for pa, pb in zip(a, b)]
+def ser_add(*pairs):
+    """The sum of q * s over the pairs (q, s), each q a rational scale."""
+    den = lcm(*(q.denominator * s[0] for q, s in pairs))
+    out = [{} for _ in pairs[0][1][1]]
+    for q, (d, parts) in pairs:
+        for acc, part in zip(out, parts):
+            _vec_add(acc, part, den // (q.denominator * d) * q.numerator)
+    return _normal(den, out)
 
 def ser_scale(a, s):
-    """s * a for a scalar s of the coefficient ring."""
-    return [{w: s * v for w, v in part.items()} if s else {} for part in a]
+    """s * a for s an int, Fraction or MPoly: numerator over denominator."""
+    den, parts = a
+    n = s.numerator
+    if not n:
+        return 1, [{} for _ in parts]
+    return _normal(den * s.denominator,
+                   [{w: n * v for w, v in part.items()} for part in parts])
 
 def _ser_sum(n, start, coeff):
     """start + sum over j >= 1 of coeff(j) * n^j.
 
     n has zero constant term, so its powers vanish past n^c.
     """
-    out, term = start, n
-    for j in range(1, len(n)):
-        if not any(term):
+    pairs, term = [(1, start)], n
+    for j in range(1, len(n[1])):
+        if not any(term[1]):
             break
-        out = ser_add(out, term, scale=coeff(j))
+        pairs.append((coeff(j), term))
         term = ser_mul(term, n)
-    return out
+    return ser_add(*pairs)
 
-def ser_exp(ell, one=Fraction(1)):
+def ser_exp(ell, one=1):
     """exp of a series with zero constant term."""
-    if ell[0]:
+    if ell[1][0]:
         raise ValueError("exp needs a series with zero constant term")
-    return _ser_sum(ell, ser_unit(len(ell) - 1, one),
+    return _ser_sum(ell, ser_unit(len(ell[1]) - 1, one),
                     lambda j: Fraction(1, factorial(j)))
 
 def _unit_tail(e):
     """e - 1 for a series with constant term 1."""
-    if e[0] != {(): 1}:
+    if e[1][0] != {(): e[0]}:
         raise ValueError("series must have constant term 1")
-    return [{}] + e[1:]
+    return e[0], [{}] + e[1][1:]
 
 def ser_log(e):
     """log of a series with constant term 1."""
-    return _ser_sum(_unit_tail(e), [{} for _ in e],
+    return _ser_sum(_unit_tail(e), (1, [{} for _ in e[1]]),
                     lambda j: Fraction((-1) ** (j - 1), j))
 
 def ser_inv(e):
     """Inverse of a series with constant term 1."""
-    return _ser_sum(_unit_tail(e), ser_unit(len(e) - 1, e[0][()]),
+    return _ser_sum(_unit_tail(e), ser_unit(len(e[1]) - 1, e[1][0][()] // e[0]),
                     lambda j: (-1) ** j)
 
 
@@ -149,9 +171,8 @@ class FreeNilpotentGroup:
         if cached is None:
             w = self.table.words(d)[local]
             if w.left is None:
-                cached = [{} for _ in range(self.c + 1)]
-                cached[d] = {k: Fraction(v)
-                             for k, v in self.lie_series(d, local).items()}
+                cached = (1, [{} for _ in range(self.c + 1)])
+                cached[1][d] = dict(self.lie_series(d, local))
             else:
                 u = ser_exp(self.log_basis(w.left.degree, w.left.local))
                 v = ser_exp(self.log_basis(w.right.degree, w.right.local))
@@ -163,14 +184,14 @@ class FreeNilpotentGroup:
     # -- Lie coordinate extraction -----------------------------------------
 
     def _solver(self, d):
-        """Pivot monomials, inverse matrix and Hall series for degree d.
+        """Pivot monomials, inverse matrix times scale, scale, Hall series.
 
         The degree-d Hall elements expand over the words as the columns of
-        an integer matrix A.  One Gauss-Jordan pass on [A^T | I] brings
-        A^T to reduced echelon form E A^T.  Its pivot columns P are the
-        pivot monomials, and as E A^T is the identity on P, the appended
-        block E is the transpose of the inverse of A restricted to the
-        rows P.  Lie coordinates are unique, so any pivot set gives them.
+        an integer matrix A.  One fraction-free Gauss-Jordan pass on
+        [A^T | I] brings A^T to echelon form E A^T, diagonal on its pivot
+        columns P (the pivot monomials), so with each row over its pivot E
+        is the transpose of the inverse of A restricted to the rows P.
+        Lie coordinates are unique, so any pivot set gives them.
         """
         cached = self._solvers.get(d)
         if cached is not None:
@@ -178,48 +199,48 @@ class FreeNilpotentGroup:
         h = self.table.dim(d)
         cols = [self.lie_series(d, local) for local in range(h)]
         monos = sorted({w for col in cols for w in col})
-        work = [[Fraction(col.get(w, 0)) for w in monos]
-                + [Fraction(int(i == j)) for j in range(h)]
+        work = [[col.get(w, 0) for w in monos] + [int(i == j) for j in range(h)]
                 for i, col in enumerate(cols)]
-        pivots = []
+        pivots, heads = [], []
         for j, w in enumerate(monos):
             rank = len(pivots)
             pick = next((i for i in range(rank, h) if work[i][j]), None)
             if pick is None:
                 continue
             work[rank], work[pick] = work[pick], work[rank]
-            inv = 1 / work[rank][j]
-            work[rank] = [x * inv for x in work[rank]]
+            top = work[rank]
             for i, row in enumerate(work):
                 if i != rank and row[j]:
-                    f = row[j]
-                    work[i] = [x - f * y for x, y in zip(row, work[rank])]
+                    row = [top[j] * x - row[j] * y for x, y in zip(row, top)]
+                    g = gcd(*row)
+                    work[i] = [x // g for x in row]
             pivots.append(w)
+            heads.append(j)
         assert len(pivots) == h, "hall expansions are independent"
-        inverse = [[row[len(monos) + j] for row in work] for j in range(h)]
-        solver = (pivots, inverse, cols)
+        scale = lcm(*(work[i][j] for i, j in enumerate(heads)))
+        inverse = [[row[len(monos) + j] * (scale // row[i_head])
+                    for row, i_head in zip(work, heads)] for j in range(h)]
+        solver = (pivots, inverse, scale, cols)
         self._solvers[d] = solver
         return solver
 
-    def lie_coordinates(self, part, d):
-        """Hall-basis coordinates of a homogeneous degree-d Lie element."""
-        pivot_monos, inverse, cols = self._solver(d)
-        zero = Fraction(0)
-        v = [part.get(w, zero) for w in pivot_monos]
-        coords = [sum((row[i] * v[i] for i in range(len(v))), start=zero)
-                  for row in inverse]
+    def lie_coordinates(self, part, d, den=1):
+        """Hall-basis coordinates of the homogeneous Lie element part / den."""
+        pivot_monos, inverse, scale, cols = self._solver(d)
+        v = [part.get(w, 0) for w in pivot_monos]
+        nums = [sum(r * x for r, x in zip(row, v) if r) for row in inverse]
         # defensive: the degree-d part must be exactly the claimed combination
         recon = {}
-        for x, col in zip(coords, cols):
+        for x, col in zip(nums, cols):
             if x:
                 _vec_add(recon, col, x)
-        if recon != {w: val for w, val in part.items() if val}:
+        if recon != {w: scale * val for w, val in part.items() if val}:
             raise AssertionError("degree part is not a Lie element")
-        return coords
+        return [x * Fraction(1, scale * den) for x in nums]
 
     # -- coordinates <-> series ---------------------------------------------
 
-    def series_from_coords(self, coords, one=Fraction(1)):
+    def series_from_coords(self, coords, one=1):
         """The series of prod a_i^{x_i}; coordinates may be ring elements."""
         out = ser_unit(self.c, one)
         for (dl, x) in zip(self.basis, coords):
@@ -228,12 +249,12 @@ class FreeNilpotentGroup:
                                            one))
         return out
 
-    def peel(self, series, one=Fraction(1)):
+    def peel(self, series, one=1):
         """Normal-form exponents of a group series, degree by degree."""
         w = series
         coords = []
         for d in range(1, self.c + 1):
-            xs = self.lie_coordinates(w[d], d)
+            xs = [x * one for x in self.lie_coordinates(w[1][d], d, w[0])]
             for local, x in enumerate(xs):
                 if x:
                     log_a = self.log_basis(d, local)
@@ -253,17 +274,17 @@ class FreeNilpotentGroup:
         inv = ser_inv(self.series_from_coords(a))
         return _as_int_tuple(self.peel(inv))
 
-    def ring_power(self, coords, t, one=Fraction(1)):
+    def ring_power(self, coords, t, one=1):
         """Coordinates of (prod a_i^{x_i})^t, as peel(exp(t * log(series))).
 
-        The coordinates and t are elements of the ring of ``one``:
-        Fractions for powers and roots, ``MPoly`` for symbolic tables.
+        The coordinates and t are fractions of the ring of ``one``: ints
+        and Fractions for powers and roots, ``MPoly`` for symbolic tables.
         """
         log = ser_log(self.series_from_coords(coords, one))
         return self.peel(ser_exp(ser_scale(log, t), one), one)
 
     def power_coords(self, a, n):
-        return _as_int_tuple(self.ring_power(a, Fraction(n)))
+        return _as_int_tuple(self.ring_power(a, n))
 
     def root_coords(self, a, s):
         coords = self.ring_power(a, Fraction(1, s))
@@ -512,7 +533,8 @@ def free_rank_certificate(elements):
     """True when the abelianized images span a free abelian group of full rank.
 
     The listed elements then generate a free c-step nilpotent subgroup of
-    the same rank.
+    the same rank.  The image matrix A has full row rank exactly when
+    det(A A^T) != 0.
     """
     elements = list(elements)
     if not elements:
@@ -521,6 +543,5 @@ def free_rank_certificate(elements):
     n = len(elements)
     if n > amb.r:
         raise ValueError(f"at most r = {amb.r} elements allowed, got {n}")
-    from .intlinalg import IntMatrix, smith_normal_form
-    rows = [list(e.abelianized()) for e in elements]
-    return smith_normal_form(IntMatrix(rows)).rank == n
+    a = IntMatrix([list(e.abelianized()) for e in elements])
+    return (a @ a.transpose()).det() != 0

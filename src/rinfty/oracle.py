@@ -139,11 +139,13 @@ def _coordinate_maps(r, c):
 def _reduce(poly, m):
     """An ``MPoly`` mod m, sparse as (coeff, ((variable, exponent), ...)).
 
-    Each Fraction coefficient a/b becomes a * b^-1 mod m.
+    Each coefficient a/b, an integer term over the common denominator b,
+    becomes a * b^-1 mod m.
     """
+    inv = pow(poly.denominator, -1, m)
     out = []
     for exps, coeff in poly.terms.items():
-        val = coeff.numerator * pow(coeff.denominator, -1, m) % m
+        val = coeff * inv % m
         if val:
             out.append((val, tuple((v, e) for v, e in enumerate(exps) if e)))
     return tuple(out)

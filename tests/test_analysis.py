@@ -17,11 +17,12 @@ from rinfty.errors import ResourceLimitError
 from rinfty.freelie import build_hall_basis, fixed_point_dets, induced_tower
 from rinfty.intlinalg import (IntMatrix, IntPoly, charpoly,
                               dominance_root_test, kfold_value_at_one,
-                              shape_charpoly, symmetric_power_charpoly)
+                              shape_charpoly)
 from rinfty.nilpotent import padding_exponent
 
 from tower_oracles import (bigcondition_equivalence, orientable_context,
-                           relator_image_sign, sample_nonadmissible)
+                           relator_image_sign, sample_nonadmissible,
+                           symmetric_power_charpoly)
 
 S2 = orientable_witness(2)
 

@@ -342,6 +342,24 @@ class TestCheckCommand:
         assert out == ""
         assert err == "error: matrix file: expected 4 entries, got 3\n"
 
+    @pytest.mark.parametrize("command,err", [
+        (("check", "--orientable", "--genus", "2", "--class", "2"),
+         "error: matrix must be 4x4 for this surface, got 1500x1500\n"),
+        (("crosscheck", "--what", "twisted", "--modulus", "5"),
+         "resource cap: group order 5^1500 exceeds the bound 1000000\n"),
+    ], ids=["check", "crosscheck"])
+    def test_header_refuses_size_before_the_body(self, capsys, tmp_path,
+                                                 command, err):
+        # 2.25 million body tokens took 1.5-2.1 s to parse before the
+        # header's size was refused
+        path = tmp_path / "big.txt"
+        path.write_text("1500 1500\n" + ("0 " * 1500 + "\n") * 1500)
+        start = time.perf_counter()
+        code, out, got = run(capsys, *command, "--matrix", str(path))
+        assert time.perf_counter() - start < 0.3
+        assert code == (1 if err.startswith("error: ") else 2)
+        assert (out, got) == ("", err)
+
     def test_degree_certificate_reverifies_through_check(self, capsys, tmp_path):
         code, out, _ = run(capsys, "degree", "--orientable", "--genus", "2",
                            "--samples", "2", "--format", "json")
@@ -482,8 +500,9 @@ class TestOtherCommands:
 
     def test_witness_genus_six_default_class_refused(self, capsys,
                                                      monkeypatch):
-        # class 9 needs padding_exponent(2, 9), which alone takes 41 s:
-        # refused before the search by the shape-work cap
+        # class 9 takes 22 s with the caps lifted, 4 s of it in
+        # padding_exponent(2, 9): refused before the search by the
+        # shape-work cap
         def refuse(*args):
             raise AssertionError("the witness search started")
 

@@ -14,8 +14,8 @@ from rinfty.freelie import (build_hall_basis, free_lie_factors,
 from rinfty.intlinalg import (IntMatrix, IntPoly, _root_products, charpoly,
                               dominance_root_test, kfold_product_spectrum,
                               kfold_value_at_one, partitions, shape_charpoly,
-                              shape_degree, smith_normal_form,
-                              symmetric_power_charpoly)
+                              shape_degree, smith_normal_form)
+from tower_oracles import symmetric_power_charpoly
 
 
 def square_matrices(max_n=5, lo=-9, hi=9):

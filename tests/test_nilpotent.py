@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import factorial, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,8 @@ from rinfty.mvpoly import MPoly
 from rinfty.nilpotent import (build_power_table,
                               free_nilpotent_group, free_rank_certificate,
                               nth_root, padding_data, padding_exponent,
-                              power_padding, ser_exp, ser_inv, ser_log,
-                              ser_mul, ser_unit)
+                              power_padding, ser_add, ser_exp, ser_inv,
+                              ser_log, ser_mul, ser_scale, ser_unit)
 
 
 def coords_strategy(group, bound=3):
@@ -136,12 +137,46 @@ def _naive_mul(a, b, c):
     return {w: v for w, v in out.items() if v}
 
 
-def _graded(flat, c):
-    """A {word: coeff} dict with words of length <= c as c + 1 parts."""
+def _series(flat, c):
+    """The canonical series of a {word: rational} dict, words of length <= c.
+
+    Over the lcm of the coefficient denominators the numerators have no
+    common factor with it, so the pair is already in lowest form.
+    """
+    den = lcm(*(v.denominator for v in flat.values()))
     parts = [{} for _ in range(c + 1)]
     for w, v in flat.items():
-        parts[len(w)][w] = v
-    return parts
+        parts[len(w)][w] = (v * den).numerator
+    return den, parts
+
+
+def _is_canonical(series):
+    """Positive int denominator, integer numerators, content gcd 1."""
+    den, parts = series
+    g = den
+    for d, part in enumerate(parts):
+        for w, v in part.items():
+            if len(w) != d or not v:
+                return False
+            if isinstance(v, MPoly):
+                if v.denominator != 1:
+                    return False
+                g = gcd(g, *v.terms.values())
+            elif isinstance(v, int):
+                g = gcd(g, v)
+            else:
+                return False
+    return isinstance(den, int) and den > 0 and g == 1
+
+
+def _naive_exp(flat, c, one):
+    """sum over j <= c of flat^j / j!, by naive word-pair products."""
+    out, term = {(): one}, {(): one}
+    for j in range(1, c + 1):
+        term = _naive_mul(term, flat, c)
+        for w, v in term.items():
+            out[w] = out.get(w, 0) + v / factorial(j)
+    return {w: v for w, v in out.items() if v}
 
 
 @st.composite
@@ -157,13 +192,16 @@ _SMALL = st.integers(-3, 3)
 _FRACTIONS = st.builds(Fraction, _SMALL, st.integers(1, 3))
 _POLYS = st.builds(lambda x, y: x * MPoly.variable(M_VARS, "m") + y,
                    _SMALL, _FRACTIONS)
+_RINGS = pytest.mark.parametrize(
+    "coefficient,one", [(_FRACTIONS, 1), (_POLYS, MPoly.constant(M_VARS, 1))],
+    ids=["Fraction", "MPoly"])
 
 
 class TestSeries:
     def test_series_preconditions_raise(self):
         one = MPoly.constant(M_VARS, 1)
-        twice = [{(): Fraction(2)}, {(0,): Fraction(1)}, {}, {}]
-        for series in (twice, [{(): 2 * one}, {}, {}, {}]):
+        twice = (1, [{(): 2}, {(0,): 1}, {}, {}])
+        for series in (twice, (1, [{(): 2 * one}, {}, {}, {}])):
             with pytest.raises(ValueError):
                 ser_log(series)
             with pytest.raises(ValueError):
@@ -171,7 +209,7 @@ class TestSeries:
         with pytest.raises(ValueError):
             ser_exp(ser_unit(3))
         with pytest.raises(AssertionError):
-            G22.peel([{(): Fraction(2)}, {}, {}])
+            G22.peel((1, [{(): 2}, {}, {}]))
 
     @pytest.mark.parametrize("coefficient", [_FRACTIONS, _POLYS],
                              ids=["Fraction", "MPoly"])
@@ -181,18 +219,56 @@ class TestSeries:
         c = data.draw(st.integers(1, 5))
         a = data.draw(flat_series(c, coefficient))
         b = data.draw(flat_series(c, coefficient))
-        assert ser_mul(_graded(a, c), _graded(b, c)) == _graded(
-            _naive_mul(a, b, c), c)
+        prod = ser_mul(_series(a, c), _series(b, c))
+        assert prod == _series(_naive_mul(a, b, c), c)
+        assert _is_canonical(prod)
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
     def test_exp_log_inv_round_trip(self, data):
         c = data.draw(st.integers(1, 4))
-        ell = _graded(data.draw(flat_series(c, _FRACTIONS)), c)
-        ell[0] = {}
+        flat = data.draw(flat_series(c, _FRACTIONS))
+        ell = _series({w: v for w, v in flat.items() if w}, c)
         e = ser_exp(ell)
         assert ser_log(e) == ell
         assert ser_mul(e, ser_inv(e)) == ser_unit(c)
+
+    @_RINGS
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_add_and_exp_match_fraction_reference(self, coefficient, one,
+                                                  data):
+        c = data.draw(st.integers(1, 4))
+        a = data.draw(flat_series(c, coefficient))
+        b = data.draw(flat_series(c, coefficient))
+        scale = data.draw(st.builds(Fraction, _SMALL, st.integers(1, 12)))
+        total = ser_add((1, _series(a, c)), (scale, _series(b, c)))
+        naive = dict(a)
+        for w, v in b.items():
+            naive[w] = naive.get(w, 0) + scale * v
+        assert total == _series({w: v for w, v in naive.items() if v}, c)
+        ell = {w: v for w, v in a.items() if w}
+        e = ser_exp(_series(ell, c), one)
+        assert e == _series(_naive_exp(ell, c, one), c)
+        log = ser_log(e)
+        assert log == _series(ell, c)
+        inv = ser_inv(e)
+        for series in (total, e, log, inv, ser_mul(e, inv),
+                       ser_scale(e, scale)):
+            assert _is_canonical(series)
+        assert ser_mul(e, inv) == ser_unit(c, one)
+
+    @pytest.mark.parametrize("group", [G23, G33], ids=["N23", "N33"])
+    def test_group_series_are_canonical(self, group):
+        rng = random.Random(4)
+        for dl in group.basis:
+            assert _is_canonical(group.log_basis(*dl))
+        for _ in range(5):
+            coords = [rng.randint(-3, 3) for _ in range(group.k)]
+            series = group.series_from_coords(coords)
+            assert _is_canonical(series)
+            assert _is_canonical(ser_log(series))
+            assert group.peel(series) == coords
 
 
 class TestPowerTable:
@@ -328,13 +404,15 @@ class TestPadding:
 
 def _term_listing(polys):
     return "\n".join(
-        f"{i}: " + " ".join(f"{e}:{c}" for e, c in sorted(q.terms.items()))
+        f"{i}: " + " ".join(f"{e}:{Fraction(c, q.denominator)}"
+                            for e, c in sorted(q.terms.items()))
         for i, q in enumerate(polys))
 
 
 # (n, c) -> f(n, c) and a sha256 prefix of ``_term_listing`` of the
 # coordinate polynomials of z, recorded from the separate-exponential
-# computation (a^n, b^m and a^-1 multiplied out as series)
+# computation (a^n, b^m and a^-1 multiplied out as series); (2, 7) from
+# the exp(t * log) map on Fraction coefficients
 PADDING_PINS = {
     (2, 1): (2, "43aec793d92a9c28"),
     (2, 2): (4, "bf4fc234cfcc13f9"),
@@ -342,6 +420,7 @@ PADDING_PINS = {
     (2, 4): (192, "ef6d77a0d6d1f5f2"),
     (2, 5): (384, "8e28d6a5c0703cad"),
     (2, 6): (7680, "b30364ca7fe6cb3c"),
+    (2, 7): (46080, "38670f21289efbce"),
     (3, 1): (3, "b4229c054a950566"),
     (3, 2): (3, "1175ae8c3185b061"),
     (3, 3): (54, "c39925488ffca21b"),

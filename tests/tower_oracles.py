@@ -9,7 +9,19 @@ the two.
 from rinfty.analysis import _seeded_rng, admissibility
 from rinfty.freelie import (build_hall_basis, ideal_quotient, induced_tower,
                             metabelian_truncation, orientable_relator)
-from rinfty.intlinalg import IntMatrix
+from math import prod
+
+from rinfty.intlinalg import IntMatrix, IntPoly, partitions, shape_charpoly
+
+
+def symmetric_power_charpoly(p, i):
+    """charpoly(Sym^i W) from monic p = charpoly(W): the product of
+    ``shape_charpoly(p, shape)`` over the partitions of i.  Its roots are
+    those of ``kfold_product_spectrum(p, i)`` as a set."""
+    if i < 1:
+        raise ValueError("need i >= 1")
+    return prod((shape_charpoly(p, shape)
+                 for shape in partitions(i, p.degree)), start=IntPoly.one())
 
 
 def apply_matrix_to_vector(mat, vec):
