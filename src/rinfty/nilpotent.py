@@ -143,6 +143,7 @@ class FreeNilpotentGroup:
         self.k = len(self.basis)
         self._lie_series = {}
         self._log_series = {}
+        self._exp_series = {}
         self._solvers = {}
         self.identity_coords = (0,) * self.k
 
@@ -174,12 +175,17 @@ class FreeNilpotentGroup:
                 cached = (1, [{} for _ in range(self.c + 1)])
                 cached[1][d] = dict(self.lie_series(d, local))
             else:
-                u = ser_exp(self.log_basis(w.left.degree, w.left.local))
-                v = ser_exp(self.log_basis(w.right.degree, w.right.local))
+                u, v = self._exp_basis(w.left), self._exp_basis(w.right)
                 comm = ser_mul(ser_mul(ser_inv(u), ser_inv(v)), ser_mul(u, v))
                 cached = ser_log(comm)
             self._log_series[key] = cached
         return cached
+
+    def _exp_basis(self, h):
+        """The series of the basis element of Hall word h, kept per group."""
+        if h not in self._exp_series:
+            self._exp_series[h] = ser_exp(self.log_basis(h.degree, h.local))
+        return self._exp_series[h]
 
     # -- Lie coordinate extraction -----------------------------------------
 

@@ -1,7 +1,10 @@
 import random
+import time
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rinfty.oracle
 from rinfty.errors import ResourceLimitError
@@ -228,15 +231,14 @@ class TestComposedMoves:
         assert brute_force_twisted_classes(setup) == stepwise_classes(setup)
 
     @pytest.mark.parametrize("r,c,m", SMALL_CASES)
-    def test_random_images_match_stepwise(self, r, c, m):
-        rng = random.Random(100 * r + 10 * c + m)
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_random_images_match_stepwise(self, r, c, m, data):
         k = free_nilpotent_group(r, c).k
-        for _ in range(2):
-            images = [tuple(rng.randrange(m) for _ in range(k))
-                      for _ in range(r)]
-            setup = FiniteTwistedSetup(r, c, m, images)
-            assert (brute_force_twisted_classes(setup)
-                    == stepwise_classes(setup))
+        coords = st.tuples(*[st.integers(0, m - 1)] * k)
+        images = data.draw(st.lists(coords, min_size=r, max_size=r))
+        setup = FiniteTwistedSetup(r, c, m, images)
+        assert brute_force_twisted_classes(setup) == stepwise_classes(setup)
 
     @pytest.mark.parametrize("r,m", [(r, m) for r, c, m in SMALL_CASES
                                      if c == 1])
@@ -289,6 +291,75 @@ class TestComposedMoves:
             monkeypatch.setattr(FiniteTwistedSetup, name, counted)
         assert brute_force_twisted_classes(setup) == 745
         assert len(calls) <= 2 * setup.r
+
+    def test_moves_evaluated_once_per_low_point(self, monkeypatch):
+        # r * k * m^kl = 3 * 6 * 5^3 evaluations; walking every element
+        # evaluated 3 * 6 * 5^6 = 281,250
+        setup = FiniteTwistedSetup.identity_twist(3, 2, 5)
+        calls = []
+        original = rinfty.oracle._eval_reduced
+
+        def counted(*args):
+            calls.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(rinfty.oracle, "_eval_reduced", counted)
+        assert brute_force_twisted_classes(setup) == 745
+        assert len(calls) <= 3 * 6 * 5 ** 3
+
+    def test_rank_two_class_four_pinned(self):
+        # 5^8 = 390,625 elements; 1345 classes at the element-wise walk too
+        setup = FiniteTwistedSetup.identity_twist(2, 4, 5)
+        start = time.process_time()
+        assert brute_force_twisted_classes(setup) == 1345
+        assert time.process_time() - start < 2
+
+
+def _gain_top_variable(polys, kl):
+    polys[-1] = polys[-1] + ((1, ((kl, 1),)),)
+
+
+def _lose_own_term(polys, kl):
+    j = len(polys) - 1
+    polys[j] = tuple(t for t in polys[j] if t != (1, ((j, 1),)))
+
+
+def _double_own_term(polys, kl):
+    j = len(polys) - 1
+    polys[j] = tuple((2, f) if f == ((j, 1),) else (a, f)
+                     for a, f in polys[j])
+
+
+def _low_uses_top_variable(polys, kl):
+    polys[0] = polys[0] + ((1, ((0, 1), (kl, 1))),)
+
+
+class TestFiberShapeRefused:
+    @pytest.mark.parametrize("broken,coordinate", [
+        (_gain_top_variable, 4), (_lose_own_term, 4), (_double_own_term, 4),
+        (_low_uses_top_variable, 0)],
+        ids=["top-gains-top-variable", "top-loses-own-term",
+             "top-own-term-doubled", "low-uses-top-variable"])
+    def test_broken_move_raises_before_counting(self, monkeypatch, broken,
+                                                coordinate):
+        # rank 2 class 3: k = 5 coordinates, the top two of degree 3; the
+        # last move is broken, so every move must be checked
+        setup = FiniteTwistedSetup.identity_twist(2, 3, 5)
+        original = FiniteTwistedSetup.move_maps
+
+        def move_maps(self):
+            maps = original(self)
+            broken(maps[-1], 3)
+            return maps
+
+        def evaluated(*args):
+            raise AssertionError("a move was evaluated before the check")
+
+        monkeypatch.setattr(FiniteTwistedSetup, "move_maps", move_maps)
+        monkeypatch.setattr(rinfty.oracle, "_eval_reduced", evaluated)
+        with pytest.raises(ValueError,
+                           match=f"^move coordinate {coordinate} "):
+            brute_force_twisted_classes(setup)
 
 
 def _random_unimodular(rng, n):
