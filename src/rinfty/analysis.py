@@ -12,9 +12,10 @@ matrix (block diagonal [[1,2],[1,1]]) induces towers free of eigenvalue
 acquires eigenvalue 1 - at degree 2 with multiplicity >= g-1 in the
 symplectic case, or on a metabelian four-step truncation otherwise.
 These determinants come from charpoly(S) alone: the relator is inert,
-so the equivariant Labute character fixes the characteristic polynomial
-of every degree (``freelie.SurfaceCharacter``), and no tower, Smith form
-or large determinant is built on an orientable verdict path.
+so the equivariant Labute character makes each degree's characteristic
+polynomial a quotient of the non-orientable verdict's partition-shape
+factors, and det(I - M_d) is read at x = 1 from the multiplicity of the
+root 1 in each (``freelie.SurfaceCharacter``): no tower is built.
 
 Non-orientable surfaces of genus h = g+1 >= 3: the answer is 2g.  An
 explicit composition of a generator rotation with a twisted shift gives
@@ -35,13 +36,12 @@ count and says so.  A verdict is a deterministic function of its surface
 
 import json
 import random
-from itertools import accumulate
 from math import prod
 
 from .errors import ResourceLimitError
-from .freelie import SurfaceCharacter, shape_work, surface_work
+from .freelie import SURFACE_WORK_CAP, SurfaceCharacter, shape_work
 from .intlinalg import (IntMatrix, IntPoly, charpoly, dominance_root_test,
-                        partitions, shape_charpoly)
+                        partitions, shape_charpoly, split_at_one)
 from .nilpotent import padding_exponent
 
 SCHEMA_VERDICT = "rinf-verdict/3"
@@ -63,10 +63,11 @@ NONORIENTABLE_GENUS_CAP = 4  # surface genus g+1 with g <= 3
 # 3.11: (g, c) = (4, 7) 0.5 s, (5, 7) 1.5 s, (9, 4) 3.6 s, (40, 2) 2.1 s;
 # refused (10, 4) 11.3 s, (50, 2) 12.1 s, (5, 9) 22 s (padding_exponent 4 s)
 WITNESS_SPECTRUM_CAP = 2_500_000
-# An orientable verdict costs per sample the Newton steps of its character
-# through degree 4 plus about 10,000 for drawing and checking the sample:
-# genus 2 0.74 ms, genus 3 6.0 ms, genus 4 66 ms, so about 0.07 us per
-# step; the cap is about 7 s (2-core x86, Python 3.11)
+# An orientable verdict costs per sample the ``shape_work`` of its character
+# through degree 4 plus about 10,000 for drawing and checking the sample.
+# Largest admitted ``degree``, fresh process: genus 2 (9,447 samples) 6.9 s,
+# genus 3 (6,017) 8.5 s, 4 (1,839) 6.4 s, 5 (457) 5.2 s, 6 (127) 4.0 s, 7
+# (41) 2.5 s: the cap is about 7 s (2-core x86, Python 3.11)
 SAMPLE_WORK_CAP = 100_000_000
 
 
@@ -395,20 +396,10 @@ def structural_sample_report(s, g):
                  None)
     report = {"sign": sign, "first_eigenvalue_one_degree": first}
     if sign == "plus":
-        report["degree2_multiplicity"] = _multiplicity_of_one(char.charpoly(2))
+        report["degree2_multiplicity"] = split_at_one(char.charpoly(2))[0]
     else:
         report["has_i_eigenvalue"] = _has_root_i(char.p)
     return report
-
-
-def _multiplicity_of_one(p):
-    """Multiplicity of the root 1 of p, by synthetic division by x - 1."""
-    c, mult = p.coeffs, 0
-    while c and sum(c) == 0:
-        # quotient coefficient j is c_(j+1) + ... + c_n
-        c = list(accumulate(reversed(c)))[-2::-1]
-        mult += 1
-    return mult
 
 
 def _has_root_i(p):
@@ -459,7 +450,7 @@ def rinf_degree(spec, samples=DEFAULT_SAMPLES, seed=0):
         # witness alone takes 2 s and 290 MB); the surface cap first, as no
         # sample count is admitted at a genus that it refuses
         SurfaceCharacter.check_work(2 * g, 4)
-        work = samples * (surface_work(2 * g, 4) + 10_000)
+        work = samples * (shape_work(2 * g, 4, SURFACE_WORK_CAP) + 10_000)
         if work > SAMPLE_WORK_CAP:
             raise ResourceLimitError(
                 f"{samples} samples of genus {g} take {work} Newton steps, "

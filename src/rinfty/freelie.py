@@ -15,29 +15,32 @@ degree-2 words.
 
 The towers are not needed to know M_d up to similarity over Q: on the
 free ring charpoly(M_d) is a product of one polynomial per partition
-shape of d (``free_lie_factors``), and the surface relator is inert, so
-the equivariant Labute character gives it on the orientable quotient
-(``SurfaceCharacter``), both from charpoly(S) alone.  The towers and
-quotients remain their test oracles.
+shape of d (``free_lie_factors``); the surface relator is inert, so the
+Labute character makes it a quotient of those factors and their sign
+twists on the orientable quotient, with det(I - M_d) read at x = 1 from
+each factor's (x - 1)-adic valuation (``SurfaceCharacter``).  Both come
+from charpoly(S) alone; the towers and quotients are their test oracles.
 
 Tables are built once and immutable afterwards; towers and quotients are
 pure derivations, so per-degree work can be farmed out freely.
 """
 
+from functools import cache
 from math import factorial, gcd, prod
 
 from .errors import ResourceLimitError
-from .intlinalg import (IntMatrix, IntPoly, _monic_from_power_sums,
-                        _power_sums, partitions, shape_charpoly, shape_degree,
-                        smith_normal_form)
+from .intlinalg import (IntMatrix, IntPoly, partitions, shape_charpoly,
+                        shape_degree, smith_normal_form, split_at_one)
 
 DEFAULT_TABLE_CAP = 10 ** 7
-# Newton steps (``surface_work``) of a ``SurfaceCharacter``, timed on
-# ``sample --sign minus --seed 1 --length 8`` matrices: genus 4 degree 4
-# (919,418) 1.2 s, genus 8 degree 3 (1.8 million) 0.8 s, genus 29 degree 2
-# (2.7 million) 1.9 s; genus 9 degree 3 (3.7 million) 10 s, genus 5
-# degree 4 (5.7 million) 40 s, genus 12 degree 3 (21 million) 143 s (2-core
-# x86, Python 3.11).  Bits are not counted: larger entries cost more
+# Newton steps (``shape_work``) of a ``SurfaceCharacter``.  Fresh process,
+# degree 4 on the witness and on a ``sample --sign minus --length 8`` matrix
+# free of eigenvalue 1 below degree 4: genus 5 (208,750) 0.08 and 0.05 s,
+# genus 6 (773,161) 0.34 and 0.22 s, genus 7 (2.4 million) 2.2 and 1.4 s;
+# genus 11 degree 3 and genus 29 degree 2 (2.6 and 2.7 million) 1.5 s;
+# refused: genus 8 degree 4 (6.6 million) 15 s, genus 12 degree 3 4.6 s,
+# genus 35 degree 2 6.5 s (2-core x86, Python 3.11).  Bits are not
+# counted: larger entries cost more
 SURFACE_WORK_CAP = 3_000_000
 
 
@@ -57,8 +60,9 @@ def _mobius(n):
 
 
 def witt_dimension(r, d):
-    """Rank of degree d of the free Lie ring on r generators."""
-    return _surface_trace([r] * (d + 1), 0, d, 1)
+    """Rank of degree d of the free Lie ring on r generators (Witt)."""
+    return _exact_div(sum(_mobius(e) * r ** (d // e)
+                          for e in range(1, d + 1) if d % e == 0), d)
 
 
 def shape_multiplicity(shape):
@@ -78,17 +82,7 @@ def free_lie_factors(p, d):
     return [(shape_charpoly(p, pi), mult) for pi, mult in pairs if mult]
 
 
-def surface_ranks(r, degree):
-    """Labute's ranks {d: D_d} of the rank-r surface Lie ring, d <= degree."""
-    return {d: _surface_trace([r] * (d + 1), 1, d, 1)
-            for d in range(1, degree + 1)}
-
-
-def surface_work(r, degree):
-    """Newton steps sum D_d^2 of a rank-r ``SurfaceCharacter``."""
-    return sum(x * x for x in surface_ranks(r, degree).values())
-
-
+@cache
 def shape_work(g, c, cap):
     """Newton steps sum deg(R_pi)^2 over the partitions pi of 1..c into at
     most g parts, counted from the partitions alone; stops past ``cap``."""
@@ -451,32 +445,38 @@ def metabelian_truncation(quotient):
 def _exact_div(num, den):
     q, r = divmod(num, den)
     if r:
-        raise AssertionError("character trace is not an integer")
+        raise AssertionError("division is not exact")
     return q
 
 
-def _lucas(a, b, m):
-    """Lucas sequence P_m = x^m + y^m for the roots x, y of z^2 - a z + b.
+def _exact_quotient(num, den):
+    """num / den for monic den; the remainder must be zero."""
+    r, n = list(num.coeffs), den.degree
+    for i in reversed(range(len(r) - n)):  # r[i + n] is quotient coefficient i
+        for j, b in enumerate(den.coeffs[:-1]):
+            r[i + j] -= r[i + n] * b
+    if any(r[:n]):
+        raise AssertionError("polynomial division is not exact")
+    return IntPoly(r[n:])
 
-    P_0 = 2, P_1 = a and P_m = a P_(m-1) - b P_(m-2).
-    """
-    prev, cur = 2, a
-    for _ in range(m):
-        prev, cur = cur, a * cur - b * prev
-    return prev
+
+# (shape, twisted, exponent) of L_d over free L_d, see ``SurfaceCharacter``
+_RELATOR_FACTORS = {
+    1: (), 2: (((), True, -1),), 3: (((1,), True, -1),),
+    4: (((2,), True, -1), ((1, 1), True, -2), ((), False, 1)),
+    "metabelian": (((2, 1, 1), False, -1), ((1, 1, 1, 1), False, -3),
+                   ((2,), True, -1), ((1, 1), True, -1)),
+}
 
 
-def _surface_trace(t, eps, d, n):
-    """tr(M_d^n) on the surface Lie ring from the power sums t[j] = tr(S^j).
-
-    d tr(M_d^n) = sum over e | d of mu(e) P_(d/e)(t_(ne), eps^(ne)), the
-    Moebius inversion of log 1/(1 - tr(S^n) t + eps^n t^2).  The free Lie
-    ring is the case eps = 0, since ``_lucas(a, 0, m) = a^m`` for m >= 1: at
-    S = I on r generators it is Witt's formula (``witt_dimension``).
-    """
-    total = sum(_mobius(e) * _lucas(t[n * e], eps ** (n * e), d // e)
-                for e in range(1, d + 1) if d % e == 0)
-    return _exact_div(total, d)
+@cache
+def _surface_factors(r, key):
+    """(rank, ((shape, twisted, e), ...)) of ``key`` on the rank-r surface
+    Lie ring: its charpoly is prod F^e, see ``SurfaceCharacter``."""
+    factors = tuple((pi, False, e) for pi in partitions(
+        4 if key == "metabelian" else key, r) if (e := shape_multiplicity(pi)))
+    factors += _RELATOR_FACTORS[key]
+    return sum(e * shape_degree(r, pi) for pi, _, e in factors), factors
 
 
 class SurfaceCharacter:
@@ -484,82 +484,99 @@ class SurfaceCharacter:
 
     The surface relator is inert (Labute 1970), so over Q the enveloping
     algebra of L = L(V) / (relator) has the S-equivariant Hilbert series
-    1 / (1 - tr(S) t + eps t^2), where eps = +-1 is the sign S puts on the
-    relator.  That fixes every tr(M_d^n) as a polynomial in the power
-    sums of charpoly(S), and Newton's identities turn the first D_d of
-    them into charpoly(M_d); D_d is Labute's number, the same formula at
-    S = I.  The metabelian truncation at degree 4 is L_4 / [L_2, L_2],
-    and over Q [L_2, L_2] is Lambda^2 L_2.
-    The quotients are torsion-free, so these are the charpolys of the
-    projected integer towers, with no tower, Smith form or determinant
-    built.  Degrees 1 through ``degree`` are covered; power sums are
-    computed only as far as the degrees asked for.  ``check_work``, which
-    ``analysis.surface_character`` runs before any arithmetic, bounds the
-    Newton steps.
+    1 / (1 - ch(V) t + eps t^2), where eps = +-1 is the sign S puts on the
+    relator.  So ch(L_d) = (1/d) sum over e | d of mu(e) P_(d/e)(p_e,
+    eps^e), P_m the Lucas sequence; with Lambda^2 (A - eps) = Lambda^2 A
+    - eps A + 1 and free L_d = prod R_pi^L(pi) (``free_lie_factors``):
+      L_2 = Lambda^2 V - eps,   L_3 = free L_3 - eps V,
+      L_4 = free L_4 - eps V (x) V + 1,   V (x) V = R_(2) R_(1,1)^2,
+      metabelian L_4 / [L_2, L_2] = L_4 - Lambda^2 L_2
+        = free L_4 - Lambda^2 Lambda^2 V - eps Sym^2 V
+        = free L_4 / (R_(2,1,1) R_(1,1,1,1)^3 eps R_(2) eps R_(1,1)).
+    Here 1 = R_() = x - 1 and eps A has charpoly eps^n q(eps x), q =
+    charpoly(A).  Each charpoly is thus a quotient of shape factors F =
+    (x - 1)^v G with G(1) != 0, and det(I - M_d) is 0 if the exponent-
+    weighted sum of v is positive, prod G(1)^e otherwise.  The quotients
+    are torsion-free, so these are the charpolys of the projected integer
+    towers; ``ranks`` are Labute's D_d, the factor degrees summed.  Only
+    the shapes of degrees 1..``degree`` are built, after ``check_work``
+    (run by ``analysis.surface_character``) bounds their Newton steps.
     """
 
     @staticmethod
     def check_work(r, degree):
         """Refuse a rank-r character through ``degree`` over the surface cap."""
-        work = surface_work(r, degree)
+        work = shape_work(r, degree, SURFACE_WORK_CAP)
         if work > SURFACE_WORK_CAP:
             raise ResourceLimitError(
                 f"surface character of genus {r // 2} through degree "
-                f"{degree} takes {work} Newton steps, above the surface cap "
-                f"{SURFACE_WORK_CAP}")
+                f"{degree} takes at least {work} Newton steps, above the "
+                f"surface cap {SURFACE_WORK_CAP}")
 
     def __init__(self, p, eps, degree=4):
         if eps not in (1, -1):
             raise ValueError("the relator sign must be +1 or -1")
         self.p = p
         self.eps = eps
-        self.ranks = surface_ranks(p.degree, degree)
-        self._t = [0]
+        self.ranks = {d: _surface_factors(p.degree, d)[0]
+                      for d in range(1, degree + 1)}
+        self._shapes = {}
         self._charpolys = {}
 
-    def _rank(self, d):
+    def _factors(self, key):
+        """[(shape, twisted, e)]: the charpoly of ``key`` is prod F^e."""
+        d = 4 if key == "metabelian" else key
         if d not in self.ranks:
             raise ValueError(f"degree {d} is above the character's "
                              f"degree {len(self.ranks)}")
-        return self.ranks[d]
+        return _surface_factors(self.p.degree, key)[1]
 
-    def _sums(self, count):
-        if len(self._t) <= count:
-            self._t = _power_sums(self.p, count)
-        return self._t
+    def _factor(self, shape, twisted):
+        if shape not in self._shapes:
+            self._shapes[shape] = shape_charpoly(self.p, shape)
+        f = self._shapes[shape]
+        if twisted and self.eps == -1:
+            f = IntPoly(-c if (f.degree - j) % 2 else c
+                        for j, c in enumerate(f.coeffs))
+        return f
 
-    def trace(self, d, n):
-        """tr(M_d^n) on the degree-d quotient."""
-        return _surface_trace(self._sums(d * n), self.eps, d, n)
+    def _det(self, key):
+        splits = [(split_at_one(self._factor(shape, twisted)), e)
+                  for shape, twisted, e in self._factors(key)]
+        order = sum(v * e for (v, _), e in splits)
+        if order < 0:
+            raise AssertionError("the character has a pole at x = 1")
+        return 0 if order else _exact_div(
+            prod(at ** e for (_, at), e in splits if e > 0),
+            prod(at ** -e for (_, at), e in splits if e < 0))
 
-    def _from_traces(self, rank, top, trace):
-        # trace(n) reads power sums up to top * n: compute them in one pass
-        self._sums(top * rank)
-        s = [0] + [trace(n) for n in range(1, rank + 1)]
-        return IntPoly(_monic_from_power_sums(s, rank))
+    def _charpoly(self, key):
+        if key not in self._charpolys:
+            factors = [(self._factor(shape, twisted), e)
+                       for shape, twisted, e in self._factors(key)]
+            q = prod((f ** e for f, e in factors if e > 0),
+                     start=IntPoly.one())
+            for f, e in factors:
+                for _ in range(-e):
+                    q = _exact_quotient(q, f)
+            self._charpolys[key] = q
+        return self._charpolys[key]
 
     def charpoly(self, d):
         """charpoly(M_d) on the degree-d relator quotient."""
-        if d not in self._charpolys:
-            self._charpolys[d] = self._from_traces(
-                self._rank(d), d, lambda n: self.trace(d, n))
-        return self._charpolys[d]
+        return self._charpoly(d)
 
     def metabelian_charpoly(self):
         """charpoly(M_4) on the metabelian four-step truncation."""
-        r2 = self._rank(2)
-        return self._from_traces(
-            self._rank(4) - r2 * (r2 - 1) // 2, 4,
-            lambda n: self.trace(4, n) - _exact_div(
-                self.trace(2, n) ** 2 - self.trace(2, 2 * n), 2))
+        return self._charpoly("metabelian")
 
     def det(self, d):
         """det(I - M_d) on the degree-d relator quotient."""
-        return self.charpoly(d)(1)
+        return self._det(d)
 
     def metabelian_det(self):
         """det(I - M_4) on the metabelian four-step truncation."""
-        return self.metabelian_charpoly()(1)
+        return self._det("metabelian")
 
 
 def fixed_point_dets(tower, quotient, degrees):

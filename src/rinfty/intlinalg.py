@@ -16,6 +16,9 @@ All objects are immutable after construction, so values can be shared
 freely between threads; every operation is a pure function.
 """
 
+from collections import Counter
+from functools import cache
+from itertools import accumulate
 from math import factorial, perm, prod
 
 
@@ -713,6 +716,16 @@ def _unit_reversal(p):
     return r * r.leading
 
 
+def split_at_one(p):
+    """(v, q(1)) for p = (x - 1)^v q with q(1) != 0, by synthetic division."""
+    c, v = p.coeffs, 0
+    while c and sum(c) == 0:
+        # quotient coefficient j is c_(j+1) + ... + c_n
+        c = list(accumulate(reversed(c)))[-2::-1]
+        v += 1
+    return v, sum(c)
+
+
 def partitions(d, parts, top=None):
     """Partitions of d into at most ``parts`` parts, as descending tuples."""
     if not d:
@@ -727,17 +740,20 @@ def shape_degree(g, shape):
                                        for k in set(shape))
 
 
-def _augmented(shape, ps, memo):
-    """sum over distinct i_j of prod lambda_(i_j)^(shape_j), from ps(k) = p_k,
-    by a(a, rest) = p_a a(rest) - sum_j a(rest with a added to part j)."""
-    if shape not in memo:
-        a, rest = shape[0], shape[1:]
-        merged = (rest[:j] + (rest[j] + a,) + rest[j + 1:]
-                  for j in range(len(rest)))
-        memo[shape] = ps(a) * _augmented(rest, ps, memo) - sum(
-            _augmented(tuple(sorted(m, reverse=True)), ps, memo)
-            for m in merged)
-    return memo[shape]
+@cache
+def _augmented_terms(shape):
+    """Augmented monomial sum over distinct i_j of prod lambda_(i_j)^shape_j
+    as ((ks, c), ...), the sum of c prod p_k over k in ks, by a(a, rest) =
+    p_a a(rest) - sum_j a(rest with a added to part j)."""
+    if not shape:
+        return (((), 1),)
+    a, rest = shape[0], shape[1:]
+    terms = Counter({tuple(sorted(ks + (a,))): c
+                     for ks, c in _augmented_terms(rest)})
+    for j in range(len(rest)):
+        merged = sorted(rest[:j] + (rest[j] + a,) + rest[j + 1:], reverse=True)
+        terms.subtract(dict(_augmented_terms(tuple(merged))))
+    return tuple((ks, c) for ks, c in terms.items() if c)
 
 
 def shape_charpoly(p, shape):
@@ -757,8 +773,9 @@ def shape_charpoly(p, shape):
     if not size:
         return IntPoly.one()
     s = _power_sums(p, size * sum(shape))
-    sums = [_augmented(tuple(shape), lambda k: s[k * n], {(): 1})
-            // (perm(p.degree, len(shape)) // size) for n in range(size + 1)]
+    terms, den = _augmented_terms(tuple(shape)), perm(p.degree, len(shape))
+    sums = [0] + [sum(c * prod(s[k * n] for k in ks) for ks, c in terms)
+                  // (den // size) for n in range(1, size + 1)]
     return IntPoly(_monic_from_power_sums(sums, size))
 
 

@@ -1,12 +1,11 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rinfty.analysis
 import rinfty.freelie
 from rinfty.analysis import (RinfVerdict, SurfaceSpec, _has_root_i,
-                             _multiplicity_of_one, admissibility,
-                             is_automorphism_matrix,
+                             admissibility, is_automorphism_matrix,
                              nonorientable_base_matrices,
                              nonorientable_charpoly_formula,
                              nonorientable_witness, omega, orientable_witness,
@@ -17,12 +16,12 @@ from rinfty.errors import ResourceLimitError
 from rinfty.freelie import build_hall_basis, fixed_point_dets, induced_tower
 from rinfty.intlinalg import (IntMatrix, IntPoly, charpoly,
                               dominance_root_test, kfold_value_at_one,
-                              shape_charpoly)
+                              shape_charpoly, split_at_one)
 from rinfty.nilpotent import padding_exponent
 
-from tower_oracles import (bigcondition_equivalence, orientable_context,
-                           relator_image_sign, sample_nonadmissible,
-                           symmetric_power_charpoly)
+from tower_oracles import (LabuteCharacter, bigcondition_equivalence,
+                           orientable_context, relator_image_sign,
+                           sample_nonadmissible, symmetric_power_charpoly)
 
 S2 = orientable_witness(2)
 
@@ -284,7 +283,7 @@ class TestPolynomialFacts:
 
     @given(_POLYS.filter(lambda q: q(1) != 0), st.integers(0, 5))
     def test_multiplicity_of_one(self, q, k):
-        assert _multiplicity_of_one(IntPoly([-1, 1]) ** k * q) == k
+        assert split_at_one(IntPoly([-1, 1]) ** k * q) == (k, q(1))
 
     @given(_POLYS.filter(lambda q: not q.is_zero), st.integers(0, 3))
     def test_root_i(self, q, k):
@@ -451,21 +450,21 @@ class TestRinfDegree:
 
     def test_resource_guards(self):
         with pytest.raises(ResourceLimitError):
-            rinf_degree(SurfaceSpec(True, 5))
+            rinf_degree(SurfaceSpec(True, 8))
 
     def test_document_bounded_by_the_sample_cap(self, monkeypatch):
-        # 8,116 sample reports at genus 2 pass the sample-work cap in
+        # 9,448 sample reports at genus 2 pass the sample-work cap in
         # ``rinf_degree``, as in ``degree``, before any sample is drawn
         data = rinf_degree(SurfaceSpec(True, 2), samples=2).to_json_dict()
-        data["samples"] = 8116
-        data["structural"]["sample_reports"] *= 4058
+        data["samples"] = 9448
+        data["structural"]["sample_reports"] *= 4724
 
         def refuse(*args, **kwargs):
             raise AssertionError("a sample was drawn")
 
         monkeypatch.setattr(rinfty.analysis, "sample_admissible", refuse)
-        with pytest.raises(ResourceLimitError, match="^8116 samples of genus "
-                           "2 take 100005352 Newton steps, above the sample "
+        with pytest.raises(ResourceLimitError, match="^9448 samples of genus "
+                           "2 take 100007080 Newton steps, above the sample "
                            "work cap 100000000$"):
             RinfVerdict.from_json_dict(data)
 
@@ -539,6 +538,29 @@ class TestSurfaceCharacter:
                                 met.project(tower.matrix(4), 4), (name, "met"))
         assert signs == {"plus", "minus"}
 
+    @staticmethod
+    def _assert_matches_labute(s, g):
+        _, char = surface_character(s, g)
+        oracle = LabuteCharacter(char.p, char.eps)
+        assert char.ranks == oracle.ranks
+        for d in range(1, 5):
+            assert char.charpoly(d) == oracle.charpoly(d), d
+            assert char.det(d) == oracle.det(d), d
+        assert char.metabelian_charpoly() == oracle.metabelian_charpoly()
+        assert char.metabelian_det() == oracle.metabelian_det()
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(2, 4), st.sampled_from(["plus", "minus"]),
+           st.integers(0, 2 ** 32), st.integers(1, 10))
+    def test_matches_the_labute_oracle(self, g, sign, seed, length):
+        self._assert_matches_labute(
+            sample_admissible(g, sign, seed, length=length), g)
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_identity_and_witness_match_the_labute_oracle(self, g):
+        self._assert_matches_labute(IntMatrix.identity(2 * g), g)
+        self._assert_matches_labute(orientable_witness(g), g)
+
     def test_ranks_ignore_the_sign(self):
         # D_d is the character at S = I with eps = +1 whatever the sign
         _, plus = surface_character(IntMatrix.identity(4), 2)
@@ -550,7 +572,9 @@ class TestSurfaceCharacter:
         _, char = surface_character(S2, 2, 2)
         assert char.ranks == {1: 4, 2: 5}
         assert char.charpoly(2) is char.charpoly(2)
-        assert len(char._t) == 2 * char.ranks[2] + 1
+        assert char.det(1) and char.det(2)
+        # no shape of degree above 2 is built
+        assert set(char._shapes) == {(), (1,), (1, 1)}
         with pytest.raises(ValueError, match="above"):
             char.det(3)
         with pytest.raises(ValueError, match="above"):

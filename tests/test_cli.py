@@ -668,18 +668,18 @@ class TestSizeCaps:
                        f"class {klass} {detail}\n")
 
     @pytest.mark.parametrize("genus,klass,detail", [
-        ("5", "4", "degree 4 takes 5749812"),
-        ("6", "4", "degree 4 takes 25367994"),
-        ("8", "4", "degree 4 takes 259904978"),
-        ("9", "3", "degree 3 takes 3709828"),
-        ("30", "2", "degree 2 takes 3132961"),
+        ("8", "4", "degree 4 takes at least 3281024"),
+        ("9", "4", "degree 4 takes at least 6893946"),
+        ("11", "4", "degree 4 takes at least 24251546"),
+        ("12", "3", "degree 3 takes at least 4479184"),
+        ("30", "2", "degree 2 takes at least 3140100"),
     ])
     def test_orientable_check_newton_work(self, capsys, monkeypatch, tmp_path,
                                           genus, klass, detail):
         path = tmp_path / "s.txt"
         path.write_text(rinfty.analysis.sample_admissible(
             int(genus), "minus", 1, length=8).to_text())
-        monkeypatch.setattr(rinfty.freelie, "_monic_from_power_sums", _refuse)
+        monkeypatch.setattr(rinfty.intlinalg, "_power_sums", _refuse)
         monkeypatch.setattr(rinfty.analysis, "admissibility", _refuse)
         monkeypatch.setattr(rinfty.analysis, "charpoly", _refuse)
         err = self.refused(capsys, "check", "--matrix", str(path),
@@ -689,24 +689,24 @@ class TestSizeCaps:
                        f"cap 3000000\n")
 
     def test_surface_character_refuses_past_the_cap(self, monkeypatch):
-        monkeypatch.setattr(rinfty.freelie, "_monic_from_power_sums", _refuse)
-        s = rinfty.analysis.sample_admissible(5, "minus", 1, length=8)
+        monkeypatch.setattr(rinfty.intlinalg, "_power_sums", _refuse)
+        s = rinfty.analysis.sample_admissible(8, "minus", 1, length=8)
         with pytest.raises(rinfty.errors.ResourceLimitError,
-                           match="genus 5 through degree 4 takes 5749812 "
-                                 "Newton steps"):
-            rinfty.analysis.surface_character(s, 5, 4)
+                           match="genus 8 through degree 4 takes at least "
+                                 "3281024 Newton steps"):
+            rinfty.analysis.surface_character(s, 8, 4)
 
     @pytest.mark.parametrize("samples", ["10", "20"])
     def test_degree_surface_cap_comes_first(self, capsys, monkeypatch,
                                             samples):
-        # no sample count is admitted at genus 5, so the sample-work cap,
+        # no sample count is admitted at genus 8, so the sample-work cap,
         # which would suggest fewer samples, must not be the one to answer
         monkeypatch.setattr(rinfty.analysis, "orientable_witness", _refuse)
-        err = self.refused(capsys, "degree", "--orientable", "--genus", "5",
+        err = self.refused(capsys, "degree", "--orientable", "--genus", "8",
                            "--samples", samples)
-        assert err == ("resource cap: surface character of genus 5 through "
-                       "degree 4 takes 5749812 Newton steps, above the "
-                       "surface cap 3000000\n")
+        assert err == ("resource cap: surface character of genus 8 through "
+                       "degree 4 takes at least 3281024 Newton steps, above "
+                       "the surface cap 3000000\n")
 
     @pytest.mark.parametrize("family", ["--orientable", "--nonorientable"])
     def test_check_genus(self, capsys, monkeypatch, tmp_path, family):
@@ -729,10 +729,10 @@ class TestSizeCaps:
         with pytest.raises(rinfty.errors.ResourceLimitError,
                            match="genus 1000 through degree 4"):
             rinfty.analysis.rinf_degree(SurfaceSpec(True, 1000))
-        err = self.refused(capsys, "degree", "--orientable", "--genus", "5")
-        assert err == ("resource cap: surface character of genus 5 through "
-                       "degree 4 takes 5749812 Newton steps, above the "
-                       "surface cap 3000000\n")
+        err = self.refused(capsys, "degree", "--orientable", "--genus", "8")
+        assert err == ("resource cap: surface character of genus 8 through "
+                       "degree 4 takes at least 3281024 Newton steps, above "
+                       "the surface cap 3000000\n")
 
     def test_witness_search_builds_only_the_accepted_matrix(self, capsys,
                                                             monkeypatch):
@@ -756,11 +756,11 @@ class TestSizeCaps:
         assert calls == {"charpoly": 1, "det": 1}
 
     @pytest.mark.parametrize("genus,samples,work", [
-        ("4", "108", "100377144"),
-        ("4", "200", "185883600"),
-        ("3", "1079", "100053512"),
-        ("2", "8116", "100005352"),
-        ("2", "1000000000", "12322000000000"),
+        ("4", "1840", "100015040"),
+        ("4", "2000", "108712000"),
+        ("3", "6018", "100013142"),
+        ("2", "9448", "100007080"),
+        ("2", "1000000000", "10585000000000"),
     ])
     def test_degree_samples(self, capsys, monkeypatch, genus, samples, work):
         monkeypatch.setattr(rinfty.analysis, "orientable_witness", _refuse)

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import comb, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rinfty.analysis import nonorientable_base_matrices
@@ -15,7 +15,7 @@ from rinfty.intlinalg import (IntMatrix, IntPoly, _root_products, charpoly,
                               dominance_root_test, kfold_product_spectrum,
                               kfold_value_at_one, partitions, shape_charpoly,
                               shape_degree, smith_normal_form)
-from tower_oracles import symmetric_power_charpoly
+from tower_oracles import recursive_shape_charpoly, symmetric_power_charpoly
 
 
 def square_matrices(max_n=5, lo=-9, hi=9):
@@ -587,6 +587,19 @@ class TestShapeKernel:
                 _exterior_square(w)), w
             if w.rows == 3:
                 assert shape_charpoly(p, (1, 1, 1)) == IntPoly([-w.det(), 1])
+
+    @settings(max_examples=100, deadline=None)
+    @example(IntPoly([1, 0, 3, 1]))  # p(0) = 1, |a_1| < |a_2|: via W^-1
+    @given(st.lists(st.integers(-4, 4), min_size=1, max_size=6).flatmap(
+        lambda low: st.sampled_from([low, [1] + low[1:], [-1] + low[1:]])
+    ).map(lambda low: IntPoly(low + [1])))
+    def test_expanded_kernel_matches_the_recursion(self, p):
+        # monic p of degree <= 6, p(0) = +-1 included, every shape of size
+        # <= 5: the cached expansion against the per-power recursion
+        for d in range(6):
+            for shape in partitions(d, d):
+                assert shape_charpoly(p, shape) == \
+                    recursive_shape_charpoly(p, shape), (p, shape)
 
     def test_shape_work(self):
         assert shape_work(4, 7, 10 ** 9) == 3953

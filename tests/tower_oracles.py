@@ -3,15 +3,119 @@
 The verdicts read every charpoly off ``SurfaceCharacter`` and the
 partition-shape kernel; these helpers rebuild the same facts from Hall
 tables, induced towers and relator quotients, so the tests can compare
-the two.
+the two.  ``LabuteCharacter`` and ``recursive_shape_charpoly`` are the
+earlier power-sum routes to the same charpolys: the trace formula with
+Lucas sequences, and the augmented monomial rebuilt by recursion for
+every power.
 """
 
-from rinfty.analysis import _seeded_rng, admissibility
-from rinfty.freelie import (build_hall_basis, ideal_quotient, induced_tower,
-                            metabelian_truncation, orientable_relator)
-from math import prod
+from math import perm, prod
 
-from rinfty.intlinalg import IntMatrix, IntPoly, partitions, shape_charpoly
+from rinfty.analysis import _seeded_rng, admissibility
+from rinfty.freelie import (_exact_div, _mobius, build_hall_basis,
+                            ideal_quotient, induced_tower,
+                            metabelian_truncation, orientable_relator)
+from rinfty.intlinalg import (IntMatrix, IntPoly, _monic_from_power_sums,
+                              _power_sums, _require_monic, _unit_reversal,
+                              partitions, shape_charpoly, shape_degree)
+
+
+def _augmented(shape, ps, memo):
+    """sum over distinct i_j of prod lambda_(i_j)^(shape_j), from ps(k) = p_k,
+    by a(a, rest) = p_a a(rest) - sum_j a(rest with a added to part j)."""
+    if shape not in memo:
+        a, rest = shape[0], shape[1:]
+        merged = (rest[:j] + (rest[j] + a,) + rest[j + 1:]
+                  for j in range(len(rest)))
+        memo[shape] = ps(a) * _augmented(rest, ps, memo) - sum(
+            _augmented(tuple(sorted(m, reverse=True)), ps, memo)
+            for m in merged)
+    return memo[shape]
+
+
+def recursive_shape_charpoly(p, shape):
+    """``shape_charpoly`` with the augmented monomial rebuilt by recursion,
+    with a fresh memo, for every power sum n."""
+    _require_monic(p)
+    a = p.coeffs
+    if len(a) > 2 and a[0] in (1, -1) and abs(a[1]) < abs(a[-2]):
+        return _unit_reversal(recursive_shape_charpoly(_unit_reversal(p),
+                                                       shape))
+    size = shape_degree(p.degree, shape)
+    if not size:
+        return IntPoly.one()
+    s = _power_sums(p, size * sum(shape))
+    sums = [_augmented(tuple(shape), lambda k: s[k * n], {(): 1})
+            // (perm(p.degree, len(shape)) // size) for n in range(size + 1)]
+    return IntPoly(_monic_from_power_sums(sums, size))
+
+
+def _lucas(a, b, m):
+    """Lucas sequence P_m = x^m + y^m for the roots x, y of z^2 - a z + b.
+
+    P_0 = 2, P_1 = a and P_m = a P_(m-1) - b P_(m-2).
+    """
+    prev, cur = 2, a
+    for _ in range(m):
+        prev, cur = cur, a * cur - b * prev
+    return prev
+
+
+def _surface_trace(t, eps, d, n):
+    """tr(M_d^n) on the surface Lie ring from the power sums t[j] = tr(S^j).
+
+    d tr(M_d^n) = sum over e | d of mu(e) P_(d/e)(t_(ne), eps^(ne)), the
+    Moebius inversion of log 1/(1 - tr(S^n) t + eps^n t^2).
+    """
+    total = sum(_mobius(e) * _lucas(t[n * e], eps ** (n * e), d // e)
+                for e in range(1, d + 1) if d % e == 0)
+    return _exact_div(total, d)
+
+
+class LabuteCharacter:
+    """``SurfaceCharacter`` from the traces: Labute's formula gives every
+    tr(M_d^n) from the power sums of charpoly(S), and Newton's identities
+    turn the first D_d of them into charpoly(M_d); D_d is the same formula
+    at S = I.  The metabelian truncation removes Lambda^2 L_2."""
+
+    def __init__(self, p, eps, degree=4):
+        self.p = p
+        self.eps = eps
+        self.ranks = {d: _surface_trace([p.degree] * (d + 1), 1, d, 1)
+                      for d in range(1, degree + 1)}
+        self._t = [0]
+
+    def _sums(self, count):
+        if len(self._t) <= count:
+            self._t = _power_sums(self.p, count)
+        return self._t
+
+    def trace(self, d, n):
+        """tr(M_d^n) on the degree-d quotient."""
+        return _surface_trace(self._sums(d * n), self.eps, d, n)
+
+    def _from_traces(self, rank, top, trace):
+        # trace(n) reads power sums up to top * n: compute them in one pass
+        self._sums(top * rank)
+        s = [0] + [trace(n) for n in range(1, rank + 1)]
+        return IntPoly(_monic_from_power_sums(s, rank))
+
+    def charpoly(self, d):
+        return self._from_traces(self.ranks[d], d,
+                                 lambda n: self.trace(d, n))
+
+    def metabelian_charpoly(self):
+        r2 = self.ranks[2]
+        return self._from_traces(
+            self.ranks[4] - r2 * (r2 - 1) // 2, 4,
+            lambda n: self.trace(4, n) - _exact_div(
+                self.trace(2, n) ** 2 - self.trace(2, 2 * n), 2))
+
+    def det(self, d):
+        return self.charpoly(d)(1)
+
+    def metabelian_det(self):
+        return self.metabelian_charpoly()(1)
 
 
 def symmetric_power_charpoly(p, i):
