@@ -670,8 +670,8 @@ class TestSizeCaps:
     @pytest.mark.parametrize("genus,klass,detail", [
         ("8", "4", "degree 4 takes at least 3281024"),
         ("9", "4", "degree 4 takes at least 6893946"),
-        ("11", "4", "degree 4 takes at least 24251546"),
         ("12", "3", "degree 3 takes at least 4479184"),
+        ("13", "3", "degree 3 takes at least 7290153"),
         ("30", "2", "degree 2 takes at least 3140100"),
     ])
     def test_orientable_check_newton_work(self, capsys, monkeypatch, tmp_path,
