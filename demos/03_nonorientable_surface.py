@@ -11,14 +11,11 @@ of i eigenvalues are the eigenvalues of the symmetric power Sym^i W, so
 the test is charpoly(Sym^i W)(1), built from the power sums of charpoly(W).
 """
 
-from math import prod
-
 from rinfty import (IntMatrix, SurfaceSpec, charpoly, dominance_root_test,
                     nonorientable_witness, rinf_degree)
 from rinfty.analysis import (nonorientable_base_matrices,
                              nonorientable_charpoly_formula)
-from rinfty.freelie import build_hall_basis, induced_tower
-from rinfty.intlinalg import partitions, shape_charpoly
+from rinfty.freelie import ShapeCharacter, build_hall_basis, induced_tower
 
 print(__doc__)
 
@@ -32,8 +29,7 @@ for genus in (3, 4):
     assert p == nonorientable_charpoly_formula(g, m)
     print(f"  closed formula check: (1+x)(x-1)^{g-1} + sum (mx)^k (x-1)^...: ok")
     print(f"  det = {w.det()}, dominance test: {dominance_root_test(p)}")
-    sym[2 * g] = prod(shape_charpoly(p, shape)(1)
-                      for shape in partitions(2 * g, g))
+    sym[2 * g] = ShapeCharacter(p, "sym", 2 * g).det(2 * g)
     assert sym[2 * g] == 0 and 0 not in list(sym.values())[:-1]
     for i, val in sym.items():
         tag = ("ZERO (eigenvalue 1 appears)" if val == 0

@@ -12,7 +12,7 @@ from .intlinalg import (IntMatrix, IntPoly, SmithDecomposition, charpoly,
                         dominance_root_test, kfold_product_spectrum,
                         kfold_value_at_one, smith_normal_form)
 from .freelie import (GradedQuotient, HallWord, InducedTower, StructureTable,
-                      SurfaceCharacter, build_hall_basis,
+                      ShapeCharacter, build_hall_basis,
                       eigenvalue_one_first_degree,
                       fixed_point_dets, ideal_quotient, induced_tower,
                       metabelian_truncation, orientable_relator,

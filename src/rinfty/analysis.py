@@ -15,7 +15,7 @@ These determinants come from charpoly(S) alone: the relator is inert,
 so the equivariant Labute character makes each degree's characteristic
 polynomial a quotient of the non-orientable verdict's partition-shape
 factors, and det(I - M_d) is read at x = 1 from the multiplicity of the
-root 1 in each (``freelie.SurfaceCharacter``): no tower is built.
+root 1 in each (``freelie.ShapeCharacter``): no tower is built.
 
 Non-orientable surfaces of genus h = g+1 >= 3: the answer is 2g.  An
 explicit composition of a generator rotation with a twisted shift gives
@@ -24,7 +24,8 @@ an abelianized action with one dominant real eigenvalue and determinant
 the full eigenvalue product is (det)^2 = 1, which forces eigenvalue 1 at
 degree 2g for every automorphism.  No tower is built: each eigenvalue
 of M_d is a d-fold product of eigenvalues of W (Reutenauer, ch. 8), that
-is an eigenvalue of Sym^d W, so the witness test is charpoly(Sym^i W)(1).
+is an eigenvalue of Sym^d W, so the witness test is charpoly(Sym^i W)(1),
+the det of a "sym" ``ShapeCharacter`` over charpoly(W).
 
 Randomized admissibility samples substitute for quantification over all
 orientable automorphisms; that certificate records its seed and sample
@@ -36,12 +37,10 @@ count and says so.  A verdict is a deterministic function of its surface
 
 import json
 import random
-from math import prod
 
 from .errors import ResourceLimitError
-from .freelie import SURFACE_WORK_CAP, SurfaceCharacter, shape_work
-from .intlinalg import (IntMatrix, IntPoly, charpoly, dominance_root_test,
-                        partitions, shape_charpoly, split_at_one)
+from .freelie import SURFACE_WORK_CAP, ShapeCharacter, shape_work
+from .intlinalg import IntMatrix, IntPoly, charpoly, dominance_root_test
 from .nilpotent import padding_exponent
 
 SCHEMA_VERDICT = "rinf-verdict/3"
@@ -177,11 +176,10 @@ def nonorientable_witness(g, c):
     ``nonorientable_charpoly_formula``, passes the coefficient-dominance
     test and no i-fold product of its roots equals 1 for any i <= c: those
     products are the roots of Sym^i W, so ``sym`` maps each i <= c to
-    charpoly(Sym^i W)(1), the product of ``shape_charpoly(charpoly(W),
-    pi)(1)`` over the partitions pi of i, zero exactly when one of them is
-    1; a rejected candidate stops there.  Only the accepted W is built, and
-    charpoly(W) = formula and det(W) = -1 are asserted on it.  The search
-    gives up past m = ``MAX_M``.
+    charpoly(Sym^i W)(1), the "sym" ``ShapeCharacter`` det of charpoly(W),
+    zero exactly when such a product is 1; a rejected candidate stops
+    there.  Only the accepted W is built, and charpoly(W) = formula and
+    det(W) = -1 are asserted on it.  The search gives up past m = ``MAX_M``.
     """
     if g < 2:
         raise ValueError("need g >= 2")
@@ -201,10 +199,9 @@ def nonorientable_witness(g, c):
             raise ResourceLimitError(f"witness search passed the cap {MAX_M}")
         p = nonorientable_charpoly_formula(g, m)
         if dominance_root_test(p):
-            sym = {}
+            sym, char = {}, ShapeCharacter(p, "sym", c)
             for i in range(1, c + 1):
-                sym[i] = prod(shape_charpoly(p, shape)(1)
-                              for shape in partitions(i, g))
+                sym[i] = char.det(i)
                 if sym[i] == 0:
                     break
             else:
@@ -362,23 +359,17 @@ class RinfVerdict:
 
 
 def surface_character(s, g, degree=4):
-    """Admissibility sign of S and its ``SurfaceCharacter`` through ``degree``.
+    """Admissibility sign of S and its ``ShapeCharacter`` through ``degree``.
 
     A character over the surface cap is refused before any arithmetic.
     """
-    SurfaceCharacter.check_work(2 * g, degree)
+    ShapeCharacter.check_work(2 * g, degree)
     sign = admissibility(s, g)
     if sign == "none":
         raise ValueError("matrix is not admissible: S*Omega*S^T equals "
                          "neither Omega nor -Omega")
-    return sign, SurfaceCharacter(charpoly(s), 1 if sign == "plus" else -1,
-                                  degree)
-
-
-def _orientable_witness_dets(g, witness, up_to_class):
-    _, char = surface_character(witness, g)
-    dets = {d: char.det(d) for d in range(1, up_to_class + 1)}
-    return dets, char.metabelian_det()
+    return sign, ShapeCharacter(charpoly(s), "surface", degree,
+                                1 if sign == "plus" else -1)
 
 
 def structural_sample_report(s, g):
@@ -392,11 +383,10 @@ def structural_sample_report(s, g):
     """
     sign, char = surface_character(s, g)
     first = next((d for d in range(1, 5)
-                  if (char.metabelian_det() if d == 4 else char.det(d)) == 0),
-                 None)
+                  if char.det("metabelian" if d == 4 else d) == 0), None)
     report = {"sign": sign, "first_eigenvalue_one_degree": first}
     if sign == "plus":
-        report["degree2_multiplicity"] = split_at_one(char.charpoly(2))[0]
+        report["degree2_multiplicity"] = char.split(2)[0]
     else:
         report["has_i_eigenvalue"] = _has_root_i(char.p)
     return report
@@ -439,7 +429,7 @@ def rinf_degree(spec, samples=DEFAULT_SAMPLES, seed=0):
     eigenvalue 1 through degree 3 on the relator quotient and (b)
     eigenvalue 1 at degree <= 4 for the witness and every sampled
     admissible matrix (symplectic multiplicity at degree 2, metabelian
-    determinant at degree 4), all read off ``SurfaceCharacter``.
+    determinant at degree 4), all read off the surface ``ShapeCharacter``.
     Non-orientable genus g+1: verdict 2g, from a witness passing the
     exact Sym^i test through i = 2g-1 and the determinant-squared
     product criterion at degree 2g; ``samples`` and ``seed`` are unread.
@@ -449,22 +439,23 @@ def rinf_degree(spec, samples=DEFAULT_SAMPLES, seed=0):
         # before the 2g-row witness and samples exist (at genus 2,000 the
         # witness alone takes 2 s and 290 MB); the surface cap first, as no
         # sample count is admitted at a genus that it refuses
-        SurfaceCharacter.check_work(2 * g, 4)
+        ShapeCharacter.check_work(2 * g, 4)
         work = samples * (shape_work(2 * g, 4, SURFACE_WORK_CAP) + 10_000)
         if work > SAMPLE_WORK_CAP:
             raise ResourceLimitError(
                 f"{samples} samples of genus {g} take {work} Newton steps, "
                 f"above the sample work cap {SAMPLE_WORK_CAP}")
         witness = orientable_witness(g)
-        dets, met_det = _orientable_witness_dets(g, witness, 3)
-        if any(v == 0 for v in dets.values()):
+        _, char = surface_character(witness, g)
+        dets = {d: char.det(d) for d in (1, 2, 3)}
+        if 0 in dets.values():
             raise AssertionError("witness unexpectedly hit eigenvalue 1 early")
-        if met_det != 0:
+        if char.det("metabelian") != 0:
             raise AssertionError("witness metabelian determinant must vanish")
         structural = {
             "kind": "structural-rinf",
             "class": 4,
-            "witness_metabelian_det": met_det,
+            "witness_metabelian_det": char.det("metabelian"),
             "sample_reports": _sample_reports(g, samples, seed),
             "claim": "every admissible abelianized action acquires eigenvalue "
                      "1 by degree 4 (degree 2 in the symplectic case, the "

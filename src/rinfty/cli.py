@@ -18,7 +18,7 @@ from .analysis import (DEFAULT_SAMPLES, SurfaceSpec, admissibility,
                        nonorientable_witness, orientable_witness, rinf_degree,
                        sample_admissible, surface_character)
 from .errors import ResourceLimitError
-from .freelie import (build_hall_basis, check_hall_table, free_lie_factors,
+from .freelie import (ShapeCharacter, build_hall_basis, check_hall_table,
                       shape_work, witt_dimension)
 from .intlinalg import IntMatrix, IntPoly, charpoly
 from .nilpotent import free_nilpotent_group, power_padding
@@ -172,7 +172,6 @@ def check(matrix_path, orientable, genus, klass, fmt):
     if orientable:
         computed = min(klass, 4)
         sign, char = surface_character(s, genus, computed)
-        det_of = char.det
         extra = {"admissibility": sign}
     else:
         computed = min(klass, 2 * n)
@@ -180,12 +179,8 @@ def check(matrix_path, orientable, genus, klass, fmt):
         _cap(work, SHAPE_WORK_CAP, f"shape kernel on rank {n} through degree "
              f"{computed} takes at least {work} Newton steps", "shape cap")
         extra = {"unimodular": is_automorphism_matrix(s)}
-        p = charpoly(s)
-
-        def det_of(d):
-            return math.prod(r(1) ** mult
-                             for r, mult in free_lie_factors(p, d))
-    dets = {d: _printable(d, det_of(d)) for d in range(1, computed + 1)}
+        char = ShapeCharacter(charpoly(s), "free", computed)
+    dets = {d: _printable(d, char.det(d)) for d in range(1, computed + 1)}
     first = next((d for d, v in dets.items() if v == 0), None)
     if first is not None:
         verdict = f"R infinite (degree {first})"
@@ -363,8 +358,11 @@ def crosscheck(what, rank, klass, count, seed, modulus, matrix_path, fmt):
         return
     if matrix_path is not None:
         FiniteTwistedSetup(0, 1, modulus)  # the modulus, before the file
-        m = _read_matrix(matrix_path, lambda rows, cols: rows == cols
-                         and FiniteTwistedSetup(rows, 1, modulus))
+        def admit(rows, cols):
+            if rows != cols:
+                raise click.ClickException("endomorphism matrix must be square")
+            FiniteTwistedSetup(rows, 1, modulus)
+        m = _read_matrix(matrix_path, admit)
         setup = FiniteTwistedSetup.from_abelian_matrix(m, modulus)
         brute = brute_force_twisted_classes(setup)
         exact = abelian_reidemeister_count(m)

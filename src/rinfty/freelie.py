@@ -15,11 +15,12 @@ degree-2 words.
 
 The towers are not needed to know M_d up to similarity over Q: on the
 free ring charpoly(M_d) is a product of one polynomial per partition
-shape of d (``free_lie_factors``); the surface relator is inert, so the
-Labute character makes it a quotient of those factors and their sign
-twists on the orientable quotient, with det(I - M_d) read at x = 1 from
-each factor's (x - 1)-adic valuation (``SurfaceCharacter``).  Both come
-from charpoly(S) alone; the towers and quotients are their test oracles.
+shape of d, as is charpoly(Sym^i S), and the inert surface relator
+makes charpoly(M_d) on the orientable quotient a quotient of those
+factors and their sign twists.  ``ShapeCharacter`` holds all three over
+charpoly(S) alone; it is the one place that reads det(I - M) and the
+multiplicity of eigenvalue 1 off each factor's (x - 1)-adic valuation.
+The towers and quotients are its test oracles.
 
 Tables are built once and immutable afterwards; towers and quotients are
 pure derivations, so per-degree work can be farmed out freely.
@@ -29,11 +30,11 @@ from functools import cache
 from math import factorial, gcd, prod
 
 from .errors import ResourceLimitError
-from .intlinalg import (IntMatrix, IntPoly, partitions, shape_charpoly,
+from .intlinalg import (IntMatrix, IntPoly, _ShapeKernel, partitions,
                         shape_degree, smith_normal_form, split_at_one)
 
 DEFAULT_TABLE_CAP = 10 ** 7
-# Newton steps (``shape_work``) of a ``SurfaceCharacter``.  Fresh process,
+# Newton steps (``shape_work``) of a ``ShapeCharacter``.  Fresh process,
 # degree 4 on the witness and on a ``sample --sign minus --length 8`` matrix
 # free of eigenvalue 1 below degree 4: genus 5 (208,750) 0.08 and 0.05 s,
 # genus 6 (773,161) 0.34 and 0.22 s, genus 7 (2.4 million) 2.2 and 1.4 s;
@@ -71,15 +72,6 @@ def shape_multiplicity(shape):
     return _exact_div(sum(_mobius(e) * factorial(d // e)
                           // prod(factorial(k // e) for k in shape)
                           for e in range(1, top + 1) if top % e == 0), d)
-
-
-def free_lie_factors(p, d):
-    """[(R_pi, L(pi))]: charpoly(M_d) = prod R_pi^L(pi) on the free Lie ring.
-
-    M_d has eigenvalues lambda^alpha, |alpha| = d, each L(shape) times
-    (Reutenauer, Free Lie Algebras, ch. 8); L = 0 is skipped."""
-    pairs = ((pi, shape_multiplicity(pi)) for pi in partitions(d, p.degree))
-    return [(shape_charpoly(p, pi), mult) for pi, mult in pairs if mult]
 
 
 @cache
@@ -460,7 +452,7 @@ def _exact_quotient(num, den):
     return IntPoly(r[n:])
 
 
-# (shape, twisted, exponent) of L_d over free L_d, see ``SurfaceCharacter``
+# (shape, twisted, exponent) of L_d over free L_d, see ``ShapeCharacter``
 _RELATOR_FACTORS = {
     1: (), 2: (((), True, -1),), 3: (((1,), True, -1),),
     4: (((2,), True, -1), ((1, 1), True, -2), ((), False, 1)),
@@ -470,37 +462,44 @@ _RELATOR_FACTORS = {
 
 
 @cache
-def _surface_factors(r, key):
-    """(rank, ((shape, twisted, e), ...)) of ``key`` on the rank-r surface
-    Lie ring: its charpoly is prod F^e, see ``SurfaceCharacter``."""
-    factors = tuple((pi, False, e) for pi in partitions(
-        4 if key == "metabelian" else key, r) if (e := shape_multiplicity(pi)))
-    factors += _RELATOR_FACTORS[key]
+def _shape_factors(kind, r, key):
+    """(rank, ((shape, twisted, e), ...)) of ``key`` of ``kind`` over rank r:
+    its charpoly is prod F^e, see ``ShapeCharacter``."""
+    pis = partitions(4 if key == "metabelian" else key, r)
+    factors = tuple((pi, False, e) for pi in pis if (
+        e := 1 if kind == "sym" else shape_multiplicity(pi)))
+    factors += _RELATOR_FACTORS[key] if kind == "surface" else ()
     return sum(e * shape_degree(r, pi) for pi, _, e in factors), factors
 
 
-class SurfaceCharacter:
-    """Tower charpolys of S on the orientable relator quotient.
+class ShapeCharacter:
+    """Spectra over p = charpoly(S) as products of partition-shape factors.
 
-    The surface relator is inert (Labute 1970), so over Q the enveloping
+    Per degree key, each ``kind`` caches a list ((shape, twisted, e), ...)
+    meaning prod F^e, F = R_shape (``intlinalg.shape_charpoly``) or its
+    sign twist: "free" is M_d on the free Lie ring, prod R_pi^L(pi)
+    (Reutenauer, Free Lie Algebras, ch. 8); "sym" is Sym^i S, prod R_pi
+    over the partitions of i; "surface" is M_d on the orientable relator
+    quotient, keys 1..4 and "metabelian", eps = +-1 the sign S puts on the
+    relator.  That relator is inert (Labute 1970), so over Q the enveloping
     algebra of L = L(V) / (relator) has the S-equivariant Hilbert series
-    1 / (1 - ch(V) t + eps t^2), where eps = +-1 is the sign S puts on the
-    relator.  So ch(L_d) = (1/d) sum over e | d of mu(e) P_(d/e)(p_e,
-    eps^e), P_m the Lucas sequence; with Lambda^2 (A - eps) = Lambda^2 A
-    - eps A + 1 and free L_d = prod R_pi^L(pi) (``free_lie_factors``):
+    1 / (1 - ch(V) t + eps t^2).  So ch(L_d) = (1/d) sum over e | d of
+    mu(e) P_(d/e)(p_e, eps^e), P_m the Lucas sequence; with Lambda^2 (A -
+    eps) = Lambda^2 A - eps A + 1:
       L_2 = Lambda^2 V - eps,   L_3 = free L_3 - eps V,
       L_4 = free L_4 - eps V (x) V + 1,   V (x) V = R_(2) R_(1,1)^2,
       metabelian L_4 / [L_2, L_2] = L_4 - Lambda^2 L_2
         = free L_4 - Lambda^2 Lambda^2 V - eps Sym^2 V
         = free L_4 / (R_(2,1,1) R_(1,1,1,1)^3 eps R_(2) eps R_(1,1)).
     Here 1 = R_() = x - 1 and eps A has charpoly eps^n q(eps x), q =
-    charpoly(A).  Each charpoly is thus a quotient of shape factors F =
-    (x - 1)^v G with G(1) != 0, and det(I - M_d) is 0 if the exponent-
-    weighted sum of v is positive, prod G(1)^e otherwise.  The quotients
-    are torsion-free, so these are the charpolys of the projected integer
-    towers; ``ranks`` are Labute's D_d, the factor degrees summed.  Only
-    the shapes of degrees 1..``degree`` are built, after ``check_work``
-    (run by ``analysis.surface_character``) bounds their Newton steps.
+    charpoly(A).  The quotients are torsion-free, so these are the
+    charpolys of the projected integer towers; ``ranks`` are their degrees
+    (Labute's D_d).  ``split`` writes each F as (x - 1)^v G, G(1) != 0:
+    the multiplicity of eigenvalue 1 is the exponent-weighted sum of v,
+    and det(I - M) is 0 if it is positive, prod G(1)^e otherwise.  Only
+    ``charpoly`` multiplies polynomials.  One list of power sums of p
+    serves every shape, built only for the keys asked for, once the caller
+    has bounded their Newton steps (``check_work`` on the surface).
     """
 
     @staticmethod
@@ -513,44 +512,51 @@ class SurfaceCharacter:
                 f"{degree} takes at least {work} Newton steps, above the "
                 f"surface cap {SURFACE_WORK_CAP}")
 
-    def __init__(self, p, eps, degree=4):
+    def __init__(self, p, kind, degree, eps=1):
         if eps not in (1, -1):
             raise ValueError("the relator sign must be +1 or -1")
-        self.p = p
-        self.eps = eps
-        self.ranks = {d: _surface_factors(p.degree, d)[0]
+        self.p, self.kind, self.eps = p, kind, eps
+        self.ranks = {d: _shape_factors(kind, p.degree, d)[0]
                       for d in range(1, degree + 1)}
-        self._shapes = {}
-        self._charpolys = {}
+        self._kernel = _ShapeKernel(p)
+        self._shapes, self._splits, self._charpolys = {}, {}, {}
 
     def _factors(self, key):
         """[(shape, twisted, e)]: the charpoly of ``key`` is prod F^e."""
-        d = 4 if key == "metabelian" else key
+        d = 4 if key == "metabelian" and self.kind == "surface" else key
         if d not in self.ranks:
             raise ValueError(f"degree {d} is above the character's "
                              f"degree {len(self.ranks)}")
-        return _surface_factors(self.p.degree, key)[1]
+        return _shape_factors(self.kind, self.p.degree, key)[1]
 
     def _factor(self, shape, twisted):
         if shape not in self._shapes:
-            self._shapes[shape] = shape_charpoly(self.p, shape)
+            self._shapes[shape] = self._kernel(shape)
         f = self._shapes[shape]
         if twisted and self.eps == -1:
             f = IntPoly(-c if (f.degree - j) % 2 else c
                         for j, c in enumerate(f.coeffs))
         return f
 
-    def _det(self, key):
-        splits = [(split_at_one(self._factor(shape, twisted)), e)
-                  for shape, twisted, e in self._factors(key)]
-        order = sum(v * e for (v, _), e in splits)
-        if order < 0:
-            raise AssertionError("the character has a pole at x = 1")
-        return 0 if order else _exact_div(
-            prod(at ** e for (_, at), e in splits if e > 0),
-            prod(at ** -e for (_, at), e in splits if e < 0))
+    def split(self, key):
+        """(multiplicity of eigenvalue 1, det(I - M)) of ``key``."""
+        if key not in self._splits:
+            splits = [(split_at_one(self._factor(shape, twisted)), e)
+                      for shape, twisted, e in self._factors(key)]
+            order = sum(v * e for (v, _), e in splits)
+            if order < 0:
+                raise AssertionError("the character has a pole at x = 1")
+            self._splits[key] = order, 0 if order else _exact_div(
+                prod(at ** e for (_, at), e in splits if e > 0),
+                prod(at ** -e for (_, at), e in splits if e < 0))
+        return self._splits[key]
 
-    def _charpoly(self, key):
+    def det(self, key):
+        """det(I - M) of ``key``."""
+        return self.split(key)[1]
+
+    def charpoly(self, key):
+        """charpoly(M) of ``key``: the exact product and quotient."""
         if key not in self._charpolys:
             factors = [(self._factor(shape, twisted), e)
                        for shape, twisted, e in self._factors(key)]
@@ -562,27 +568,11 @@ class SurfaceCharacter:
             self._charpolys[key] = q
         return self._charpolys[key]
 
-    def charpoly(self, d):
-        """charpoly(M_d) on the degree-d relator quotient."""
-        return self._charpoly(d)
-
-    def metabelian_charpoly(self):
-        """charpoly(M_4) on the metabelian four-step truncation."""
-        return self._charpoly("metabelian")
-
-    def det(self, d):
-        """det(I - M_d) on the degree-d relator quotient."""
-        return self._det(d)
-
-    def metabelian_det(self):
-        """det(I - M_4) on the metabelian four-step truncation."""
-        return self._det("metabelian")
-
 
 def fixed_point_dets(tower, quotient, degrees):
     """Lazily yield (d, det(I - M_d)) for each requested degree d.
 
-    The test oracle of ``free_lie_factors`` and ``SurfaceCharacter``:
+    The test oracle of ``ShapeCharacter``:
     M_d is projected onto the quotient lattice modulo torsion when a
     quotient is supplied, otherwise it acts on the free lattice.
     """

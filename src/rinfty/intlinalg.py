@@ -633,17 +633,18 @@ def _require_monic(*polys):
             raise ValueError(f"product spectra need monic polynomials, got {p}")
 
 
-def _power_sums(p, count):
-    """Power sums s_1..s_count of the roots of monic p (s_0 is unused)."""
+def _power_sums(p, count, s=None):
+    """Power sums s_1..s_count of the roots of monic p (s_0 is unused); a
+    list ``s`` of the first ones is extended in place."""
     n = p.degree
     e = [1] + [(-1) ** i * p.coeffs[n - i] for i in range(1, n + 1)]
-    s = [0] * (count + 1)
-    for k in range(1, count + 1):
+    s = [0] if s is None else s
+    for k in range(len(s), count + 1):
         acc = 0
         for i in range(1, min(k, n) + 1):
             term = e[i] if i % 2 == 1 else -e[i]
             acc = acc + term * (k if i == k else s[k - i])
-        s[k] = acc
+        s.append(acc)
     return s
 
 
@@ -756,6 +757,30 @@ def _augmented_terms(shape):
     return tuple((ks, c) for ks, c in terms.items() if c)
 
 
+class _ShapeKernel:
+    """``shape_charpoly`` of one p for any number of shapes, from one list of
+    power sums, extended in place when a shape needs more of them."""
+
+    def __init__(self, p):
+        _require_monic(p)
+        a = p.coeffs
+        rev = len(a) > 2 and a[0] in (1, -1) and abs(a[1]) < abs(a[-2])
+        self.reverse, self.p = rev, (_unit_reversal(p) if rev else p)
+        self.power_sums = [0]
+
+    def __call__(self, shape):
+        n = self.p.degree
+        size = shape_degree(n, shape)
+        if not size:
+            return IntPoly.one()
+        s = _power_sums(self.p, size * sum(shape), self.power_sums)
+        terms, den = _augmented_terms(tuple(shape)), perm(n, len(shape))
+        sums = [0] + [sum(c * prod(s[k * m] for k in ks) for ks, c in terms)
+                      // (den // size) for m in range(1, size + 1)]
+        r = IntPoly(_monic_from_power_sums(sums, size))
+        return _unit_reversal(r) if self.reverse else r
+
+
 def shape_charpoly(p, shape):
     """R_shape, whose roots are lambda^alpha over the contents alpha of shape.
 
@@ -765,18 +790,7 @@ def shape_charpoly(p, shape):
     over prod mult! (Macdonald, ch. I).  A unimodular W whose reciprocal
     roots look smaller (|a_1| < |a_(g-1)|) goes through W^-1.
     """
-    _require_monic(p)
-    a = p.coeffs
-    if len(a) > 2 and a[0] in (1, -1) and abs(a[1]) < abs(a[-2]):
-        return _unit_reversal(shape_charpoly(_unit_reversal(p), shape))
-    size = shape_degree(p.degree, shape)
-    if not size:
-        return IntPoly.one()
-    s = _power_sums(p, size * sum(shape))
-    terms, den = _augmented_terms(tuple(shape)), perm(p.degree, len(shape))
-    sums = [0] + [sum(c * prod(s[k * n] for k in ks) for ks, c in terms)
-                  // (den // size) for n in range(1, size + 1)]
-    return IntPoly(_monic_from_power_sums(sums, size))
+    return _ShapeKernel(p)(shape)
 
 
 def dominance_root_test(p):

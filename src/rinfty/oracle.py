@@ -24,18 +24,18 @@ each top x_j to x_j plus a low shift.  That shape is checked on every
 move; the count evaluates each move once per low point and streams the
 images of that point's fiber, a translate of it, without storing them.
 
-The spectrum check holds each induced tower on the free Lie ring to
-``freelie.free_lie_factors``, the kernel of ``check --nonorientable``:
-charpoly(M_i) must equal their product, multiplicities included.
+The spectrum check holds each induced tower on the free Lie ring to the
+"free" ``freelie.ShapeCharacter``, the kernel of ``check --nonorientable``:
+charpoly(M_i) must equal its shape-factor product, multiplicities included.
 """
 
 from functools import cache
 from itertools import product
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from .errors import ResourceLimitError
-from .intlinalg import IntMatrix, IntPoly, charpoly
-from .freelie import (check_hall_table, free_lie_factors, induced_tower,
+from .intlinalg import IntMatrix, charpoly
+from .freelie import (ShapeCharacter, check_hall_table, induced_tower,
                       witt_dimension)
 from .mvpoly import MPoly
 from .nilpotent import free_nilpotent_group, ser_mul
@@ -281,14 +281,25 @@ def _fiber_split(polys, kl):
     return polys[:kl], rests[kl:]
 
 
+def _fiber_images(move, x, weights, m):
+    """Indices of the ``move`` images of the fiber of low point x, in index
+    order: k evaluations, then sums of rotated top digits."""
+    low, shifts = move
+    base = sum(w * _eval_reduced(p, x, m) for w, p in zip(weights, low))
+    tops = [_eval_reduced(s, x, m) for s in shifts]
+    rotations = [[w * ((t + s) % m) for t in range(m)]
+                 for w, s in zip(weights[len(x):], tops)]
+    return map(sum, product([base], *rotations))
+
+
 def brute_force_twisted_classes(setup):
     """Exact orbit count of x ~ z x phi(z)^-1 by generator-move union-find.
 
     The relation is the orbit partition of a group action, so moves by
     the r generators already connect every orbit.  Per low point and move
-    (``_fiber_split``) the k polynomials are evaluated once; the fiber's
-    images, streamed as sums of rotated top digits, are unioned with it.
-    Classes are the order less the successful unions; class 1 is one fiber.
+    (``_fiber_split``) the fiber's images (``_fiber_images``) are unioned
+    with it.  Classes are the order less the successful unions; class 1
+    is one fiber.
     """
     if setup.r == 0:
         return 1
@@ -308,12 +319,8 @@ def brute_force_twisted_classes(setup):
 
     unions = 0
     for start, x in zip(range(0, order, fiber), product(range(m), repeat=kl)):
-        for low, shifts in moves:
-            base = sum(w * _eval_reduced(p, x, m) for w, p in zip(weights, low))
-            tops = [_eval_reduced(s, x, m) for s in shifts]
-            rotations = [[w * ((t + s) % m) for t in range(m)]
-                         for w, s in zip(weights[kl:], tops)]
-            for src, dst in enumerate(map(sum, product([base], *rotations)),
+        for move in moves:
+            for src, dst in enumerate(_fiber_images(move, x, weights, m),
                                       start):
                 rx, ry = find(src), find(dst)
                 if rx != ry:
@@ -323,12 +330,11 @@ def brute_force_twisted_classes(setup):
 
 
 def spectrum_crosscheck(s, table, i):
-    """Degree-i tower charpoly equals prod R_pi^L(pi) of ``free_lie_factors``.
+    """Degree-i tower charpoly equals prod R_pi^L(pi), the "free" one.
 
     That checks each eigenvalue of M_i, with its multiplicity, against the
     i-fold products of base eigenvalues that the multigraded Witt numbers
     assign to degree i.
     """
-    factors = free_lie_factors(charpoly(s), i)
-    return charpoly(induced_tower(table, s).matrix(i)) == prod(
-        (r ** mult for r, mult in factors), start=IntPoly.one())
+    return charpoly(induced_tower(table, s).matrix(i)) == ShapeCharacter(
+        charpoly(s), "free", i).charpoly(i)

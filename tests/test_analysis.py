@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rinfty.analysis
 import rinfty.freelie
+import rinfty.intlinalg
 from rinfty.analysis import (RinfVerdict, SurfaceSpec, _has_root_i,
                              admissibility, is_automorphism_matrix,
                              nonorientable_base_matrices,
@@ -13,10 +14,11 @@ from rinfty.analysis import (RinfVerdict, SurfaceSpec, _has_root_i,
                              solvability_quotient_check,
                              structural_sample_report, surface_character)
 from rinfty.errors import ResourceLimitError
-from rinfty.freelie import build_hall_basis, fixed_point_dets, induced_tower
-from rinfty.intlinalg import (IntMatrix, IntPoly, charpoly,
+from rinfty.freelie import (ShapeCharacter, build_hall_basis,
+                            fixed_point_dets, induced_tower)
+from rinfty.intlinalg import (IntMatrix, IntPoly, _ShapeKernel, charpoly,
                               dominance_root_test, kfold_value_at_one,
-                              shape_charpoly, split_at_one)
+                              split_at_one)
 from rinfty.nilpotent import padding_exponent
 
 from tower_oracles import (LabuteCharacter, bigcondition_equivalence,
@@ -396,8 +398,8 @@ class TestRinfDegree:
                 return func(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(rinfty.analysis, "shape_charpoly",
-                            counting("sym", shape_charpoly))
+        monkeypatch.setattr(_ShapeKernel, "__call__",
+                            counting("sym", _ShapeKernel.__call__))
         monkeypatch.setattr(rinfty.freelie.InducedTower, "__init__",
                             counting("tower",
                                      rinfty.freelie.InducedTower.__init__))
@@ -534,7 +536,7 @@ class TestSurfaceCharacter:
                 _assert_charpoly_of(char.charpoly(d),
                                     quotient.project(tower.matrix(d), d),
                                     (name, d))
-            _assert_charpoly_of(char.metabelian_charpoly(),
+            _assert_charpoly_of(char.charpoly("metabelian"),
                                 met.project(tower.matrix(4), 4), (name, "met"))
         assert signs == {"plus", "minus"}
 
@@ -546,8 +548,8 @@ class TestSurfaceCharacter:
         for d in range(1, 5):
             assert char.charpoly(d) == oracle.charpoly(d), d
             assert char.det(d) == oracle.det(d), d
-        assert char.metabelian_charpoly() == oracle.metabelian_charpoly()
-        assert char.metabelian_det() == oracle.metabelian_det()
+        assert char.charpoly("metabelian") == oracle.charpoly("metabelian")
+        assert char.det("metabelian") == oracle.det("metabelian")
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(2, 4), st.sampled_from(["plus", "minus"]),
@@ -566,7 +568,7 @@ class TestSurfaceCharacter:
         _, plus = surface_character(IntMatrix.identity(4), 2)
         _, minus = surface_character(S2, 2)
         assert plus.ranks == minus.ranks == {1: 4, 2: 5, 3: 16, 4: 45}
-        assert minus.metabelian_charpoly().degree == 35
+        assert minus.charpoly("metabelian").degree == 35
 
     def test_power_sums_stop_at_the_requested_degree(self):
         _, char = surface_character(S2, 2, 2)
@@ -578,7 +580,31 @@ class TestSurfaceCharacter:
         with pytest.raises(ValueError, match="above"):
             char.det(3)
         with pytest.raises(ValueError, match="above"):
-            char.metabelian_det()
+            char.det("metabelian")
+
+    def test_one_power_sum_list_per_character(self, monkeypatch):
+        # genus 2 through degree 4: shapes (3, 1) and (2, 1, 1) need 48
+        # power sums, and one list serves all ten shapes (196 when each
+        # shape computed its own); a plus sample stops at degree 2's 12
+        terms = []
+        original = rinfty.intlinalg._power_sums
+
+        def counted(p, count, s=None):
+            before = 1 if s is None else len(s)
+            out = original(p, count, s)
+            terms.append(len(out) - before)
+            return out
+
+        monkeypatch.setattr(rinfty.intlinalg, "_power_sums", counted)
+        _, char = surface_character(S2, 2)
+        for key in (1, 2, 3, 4, "metabelian"):
+            char.split(key), char.charpoly(key)
+        assert sum(terms) == 48
+        terms.clear()
+        plus = sample_admissible(2, "plus", 3, length=8)
+        report = structural_sample_report(plus, 2)
+        assert report["first_eigenvalue_one_degree"] == 2
+        assert sum(terms) == 12
 
     def test_table_cap_guards_the_character(self):
         identity = IntMatrix.identity(58)
@@ -589,3 +615,44 @@ class TestSurfaceCharacter:
     def test_inadmissible_matrix_rejected(self):
         with pytest.raises(ValueError, match="not admissible"):
             surface_character(2 * IntMatrix.identity(4), 2)
+
+
+_MONIC = st.lists(st.integers(-4, 4), min_size=1, max_size=4).map(
+    lambda low: IntPoly(low + [1]))
+
+
+class TestShapeCharacterPaths:
+    """``split`` against the exact charpoly, on every kind and key."""
+
+    @staticmethod
+    def _assert_split_is_exact(char, keys):
+        # the multiplicity of 1 read from the factors' valuations is that
+        # of the exact product and quotient, and so is the det
+        for key in keys:
+            q = char.charpoly(key)
+            assert char.split(key) == (split_at_one(q)[0], q(1)), key
+
+    @classmethod
+    def _assert_free_and_sym(cls, p):
+        for kind in ("free", "sym"):
+            cls._assert_split_is_exact(ShapeCharacter(p, kind, 4),
+                                       (1, 2, 3, 4))
+        sym = ShapeCharacter(p, "sym", 4)
+        for i in (1, 2, 3, 4):
+            assert sym.det(i) == symmetric_power_charpoly(p, i)(1), i
+
+    @settings(max_examples=10, deadline=None)
+    @example(2, "plus", 0, 0)  # S = I: eigenvalue 1 in every factor
+    @given(st.integers(2, 4), st.sampled_from(["plus", "minus"]),
+           st.integers(0, 2 ** 32), st.integers(0, 8))
+    def test_admissible_samples(self, g, sign, seed, length):
+        s = sample_admissible(g, sign, seed, length=length)
+        _, char = surface_character(s, g)
+        self._assert_split_is_exact(char, (1, 2, 3, 4, "metabelian"))
+        self._assert_free_and_sym(char.p)
+
+    @settings(max_examples=30, deadline=None)
+    @example(IntPoly([1, -1, -1, 1]))  # (x - 1)^2 (x + 1)
+    @given(_MONIC)
+    def test_random_monic_polynomials(self, p):
+        self._assert_free_and_sym(p)

@@ -270,8 +270,8 @@ class TestCheckCommand:
         def refuse(*args, **kwargs):
             raise AssertionError("the shape kernel started")
 
-        for module in (rinfty.intlinalg, rinfty.freelie):
-            monkeypatch.setattr(module, "shape_charpoly", refuse)
+        monkeypatch.setattr(rinfty.intlinalg, "shape_charpoly", refuse)
+        monkeypatch.setattr(rinfty.intlinalg._ShapeKernel, "__call__", refuse)
         monkeypatch.setattr(rinfty.cli, "charpoly", refuse)
         path = tmp_path / "id6.txt"
         path.write_text(IntMatrix.identity(6).to_text())
@@ -359,6 +359,16 @@ class TestCheckCommand:
         assert time.perf_counter() - start < 0.3
         assert code == (1 if err.startswith("error: ") else 2)
         assert (out, got) == ("", err)
+
+    def test_crosscheck_refuses_a_non_square_header(self, capsys, tmp_path):
+        # the header is refused before the body, which is not even integers;
+        # a 1500x1499 zero file was parsed in full first (0.7-0.9 s)
+        path = tmp_path / "m.txt"
+        path.write_text("3 2\na b\nc d\ne f\n")
+        code, out, err = run(capsys, "crosscheck", "--what", "twisted",
+                             "--modulus", "5", "--matrix", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: endomorphism matrix must be square\n"
 
     def test_degree_certificate_reverifies_through_check(self, capsys, tmp_path):
         code, out, _ = run(capsys, "degree", "--orientable", "--genus", "2",

@@ -8,9 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rinfty.analysis import nonorientable_base_matrices
-from rinfty.freelie import (build_hall_basis, free_lie_factors,
-                            induced_tower, shape_multiplicity, shape_work,
-                            witt_dimension)
+from rinfty.freelie import (ShapeCharacter, build_hall_basis, induced_tower,
+                            shape_multiplicity, shape_work, witt_dimension)
 from rinfty.intlinalg import (IntMatrix, IntPoly, _root_products, charpoly,
                               dominance_root_test, kfold_product_spectrum,
                               kfold_value_at_one, partitions, shape_charpoly,
@@ -543,14 +542,14 @@ class TestShapeKernel:
         # det(I - M_6) stands for its charpoly
         tables = {g: build_hall_basis(g, d) for g in (1, 2, 3)}
         for w in _sym_test_matrices():
-            factors = free_lie_factors(charpoly(w), d)
+            char = ShapeCharacter(charpoly(w), "free", d)
             mat = induced_tower(tables[w.rows], w).matrix(d)
+            assert char.ranks[d] == mat.rows
             if w.rows == 3 and d == 6:
-                assert prod(r(1) ** mult for r, mult in factors) == \
+                assert char.det(d) == \
                     (IntMatrix.identity(mat.rows) - mat).det(), w
             else:
-                assert prod((r ** mult for r, mult in factors),
-                            start=IntPoly.one()) == charpoly(mat), (w, d)
+                assert char.charpoly(d) == charpoly(mat), (w, d)
 
     @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
     def test_degrees_and_multiplicities_give_witt(self, g):

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 import rinfty.oracle
 from rinfty.errors import ResourceLimitError
-from rinfty.freelie import build_hall_basis
+from rinfty.freelie import build_hall_basis, witt_dimension
 from rinfty.intlinalg import IntMatrix, smith_normal_form
 from rinfty.nilpotent import free_nilpotent_group
-from rinfty.oracle import (FiniteTwistedSetup, abelian_reidemeister_count,
+from rinfty.oracle import (FiniteTwistedSetup, _fiber_images, _fiber_split,
+                           abelian_reidemeister_count,
                            brute_force_twisted_classes, spectrum_crosscheck)
 
 
@@ -259,6 +260,32 @@ class TestComposedMoves:
         setup = FiniteTwistedSetup.identity_twist(r, 2, p)
         assert brute_force_twisted_classes(setup) == (
             p ** m + p ** (m + 1) - p ** (m - r + 1))
+
+    @pytest.mark.parametrize("r,c,m", SMALL_CASES)
+    def test_fiber_images_are_the_moves(self, r, c, m):
+        # every index the walk streams is that of z x phi(z)^-1 by the
+        # reduced group law, under the identity twist and a seeded one
+        ambient = free_nilpotent_group(r, c)
+        k, rng = ambient.k, random.Random(f"{r} {c} {m}")
+        kl = k - witt_dimension(r, c)
+        weights = [m ** (k - 1 - j) for j in range(k)]
+        seeded = [[rng.randrange(m) for _ in range(k)] for _ in range(r)]
+
+        def index(y):
+            return sum(wt * v for wt, v in zip(weights, y))
+
+        for images in (None, seeded):
+            setup = FiniteTwistedSetup(r, c, m, images)
+            moves = [_fiber_split(polys, kl) for polys in setup.move_maps()]
+            for i, move in enumerate(moves):
+                z = ambient.generator(i).coords
+                w = setup.inverse(setup.images[i])
+                for x in product(range(m), repeat=kl):
+                    expected = [index(setup.multiply(setup.multiply(
+                        z, x + top), w))
+                        for top in product(range(m), repeat=k - kl)]
+                    assert list(_fiber_images(move, x, weights, m)) == \
+                        expected, (images, i, x)
 
     def test_multiply_matches_exact_group_law(self, monkeypatch):
         rng = random.Random(5)

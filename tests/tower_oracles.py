@@ -1,6 +1,6 @@
 """Tower-side oracles for the verdict layer, used only by the tests.
 
-The verdicts read every charpoly off ``SurfaceCharacter`` and the
+The verdicts read every charpoly off ``ShapeCharacter`` and the
 partition-shape kernel; these helpers rebuild the same facts from Hall
 tables, induced towers and relator quotients, so the tests can compare
 the two.  ``LabuteCharacter`` and ``recursive_shape_charpoly`` are the
@@ -73,10 +73,11 @@ def _surface_trace(t, eps, d, n):
 
 
 class LabuteCharacter:
-    """``SurfaceCharacter`` from the traces: Labute's formula gives every
-    tr(M_d^n) from the power sums of charpoly(S), and Newton's identities
-    turn the first D_d of them into charpoly(M_d); D_d is the same formula
-    at S = I.  The metabelian truncation removes Lambda^2 L_2."""
+    """The surface ``ShapeCharacter`` from the traces: Labute's formula
+    gives every tr(M_d^n) from the power sums of charpoly(S), and Newton's
+    identities turn the first D_d of them into charpoly(M_d); D_d is the
+    same formula at S = I.  The metabelian truncation removes Lambda^2
+    L_2."""
 
     def __init__(self, p, eps, degree=4):
         self.p = p
@@ -100,22 +101,18 @@ class LabuteCharacter:
         s = [0] + [trace(n) for n in range(1, rank + 1)]
         return IntPoly(_monic_from_power_sums(s, rank))
 
-    def charpoly(self, d):
-        return self._from_traces(self.ranks[d], d,
-                                 lambda n: self.trace(d, n))
-
-    def metabelian_charpoly(self):
+    def charpoly(self, key):
+        if key != "metabelian":
+            return self._from_traces(self.ranks[key], key,
+                                     lambda n: self.trace(key, n))
         r2 = self.ranks[2]
         return self._from_traces(
             self.ranks[4] - r2 * (r2 - 1) // 2, 4,
             lambda n: self.trace(4, n) - _exact_div(
                 self.trace(2, n) ** 2 - self.trace(2, 2 * n), 2))
 
-    def det(self, d):
-        return self.charpoly(d)(1)
-
-    def metabelian_det(self):
-        return self.metabelian_charpoly()(1)
+    def det(self, key):
+        return self.charpoly(key)(1)
 
 
 def symmetric_power_charpoly(p, i):
@@ -175,7 +172,7 @@ def sample_nonadmissible(g, seed, bound=3):
 def orientable_context(g):
     """(table, relator quotient, metabelian truncation) for genus g.
 
-    The verdicts read the same charpolys off ``SurfaceCharacter``; these
+    The verdicts read the same charpolys off ``ShapeCharacter``; these
     towers and quotients are its oracle.
     """
     table = build_hall_basis(2 * g, 4)
