@@ -63,10 +63,11 @@ NONORIENTABLE_GENUS_CAP = 4  # surface genus g+1 with g <= 3
 # refused (10, 4) 11.3 s, (50, 2) 12.1 s, (5, 9) 22 s (padding_exponent 4 s)
 WITNESS_SPECTRUM_CAP = 2_500_000
 # An orientable verdict costs per sample the ``shape_work`` of its character
-# through degree 4 plus about 10,000 for drawing and checking the sample.
-# Largest admitted ``degree``, fresh process: genus 2 (9,447 samples) 6.9 s,
-# genus 3 (6,017) 8.5 s, 4 (1,839) 6.4 s, 5 (457) 5.2 s, 6 (127) 4.0 s, 7
-# (41) 2.5 s: the cap is about 7 s (2-core x86, Python 3.11)
+# through degree 4 plus 10,000 for drawing and checking the sample, which
+# is high: a draw and its check take 60-130 us at genus 2-7, about 200
+# Newton steps' time at genus 2.  Largest admitted ``degree``, fresh
+# process: genus 2 (9,447 samples) 2.7 s, genus 3 (6,017) 4.2 s, 4 (1,839)
+# 4.1 s, 5 (457) 3.7 s, 6 (127) 3.5 s, 7 (41) 2.3 s (2-core x86, Python 3.11)
 SAMPLE_WORK_CAP = 100_000_000
 
 
@@ -115,16 +116,38 @@ def omega(g):
 
 
 def admissibility(s, g):
-    """Classify S * Omega * S^T as plus (+Omega), minus (-Omega) or none."""
-    if s.rows != 2 * g or s.cols != 2 * g:
-        raise ValueError(f"matrix must be {2 * g}x{2 * g}")
-    om = omega(g)
-    prod = (s @ om) @ s.transpose()
-    if prod == om:
-        return "plus"
-    if prod == -om:
-        return "minus"
-    return "none"
+    """Classify S * Omega * S^T as plus (+Omega), minus (-Omega) or none.
+
+    No product is formed.  (S Omega)[i][j^1] = +-S[i][j] (+ for even j), so
+    row i of S Omega S^T pairs the nonzeros of row i with those of column
+    j^1; the cost grows with those pairs.  Each row must be +-e_(i^1), one
+    sign for all rows (Omega's row i is e_(i^1) for even i, -e_(i^1) for
+    odd i); the first row that is not ends the test with "none".
+    """
+    n = 2 * g
+    if s.rows != n or s.cols != n:
+        raise ValueError(f"matrix must be {n}x{n}")
+    if g < 1:
+        raise ValueError("need g >= 1")
+    rows = [[(j, x) for j, x in enumerate(row) if x] for row in s.entries]
+    cols = [[] for _ in range(n)]
+    for l, row in enumerate(rows):
+        for k, x in row:
+            cols[k].append((l, x))
+    sign = None
+    for i, row in enumerate(rows):
+        acc = {}
+        for j, x in row:
+            a = -x if j & 1 else x
+            for l, y in cols[j ^ 1]:
+                acc[l] = acc.get(l, 0) + a * y
+        got = acc.pop(i ^ 1, 0)
+        if i & 1:
+            got = -got
+        if got not in (1, -1) or sign not in (None, got) or any(acc.values()):
+            return "none"
+        sign = got
+    return "plus" if sign == 1 else "minus"
 
 
 def is_automorphism_matrix(s):
@@ -225,9 +248,12 @@ def _seeded_rng(seed):
 def sample_admissible(g, sign, seed, length=10):
     """Random admissible matrix: a product of symplectic transvections.
 
-    Each factor I - c v (v^T Omega) preserves the form exactly for any
-    integer vector v and scalar c; the minus sign is reached by composing
-    with the block swap P = diag([[0,1],[1,0]], ...), P Omega P^T = -Omega.
+    Each factor T = I - c v w^T, w^T = v^T Omega, preserves the form
+    exactly for any integer vector v and scalar c; the minus sign is
+    reached by composing with the block swap P = diag([[0,1],[1,0]], ...),
+    P Omega P^T = -Omega.  S is kept as row lists: S T is the rank-1 update
+    S - c (S v) w^T with w[2b] = -v[2b+1], w[2b+1] = v[2b], which touches
+    only the rows where S v is nonzero, and S P swaps columns j and j^1.
     Deterministic in the seed; entries grow with the length.
     """
     if sign not in ("plus", "minus"):
@@ -236,20 +262,27 @@ def sample_admissible(g, sign, seed, length=10):
         raise ValueError(f"length must be at least 0, got {length}")
     n = 2 * g
     rng = _seeded_rng(seed)
-    om = omega(g)
-    s = IntMatrix.identity(n)
+    s = [[0] * n for _ in range(n)]
+    for i in range(n):
+        s[i][i] = 1
     for _ in range(length):
-        v = [0] * n
+        # each assignment draws the sign before the index; seeds are part
+        # of the certificate, so these draws and their order are fixed
+        v = {}
         v[rng.randrange(n)] = rng.choice((1, -1))
         if rng.randrange(2):
             v[rng.randrange(n)] = rng.choice((1, -1))
         c = rng.choice((1, -1))
-        vt_om = [sum(v[i] * om[i, j] for i in range(n)) for j in range(n)]
-        t = IntMatrix([[((1 if i == j else 0) - c * v[i] * vt_om[j])
-                        for j in range(n)] for i in range(n)])
-        s = s @ t
+        cw = [(k ^ 1, -c * x if k & 1 else c * x) for k, x in v.items()]
+        for row in s:
+            sv = sum(row[k] * x for k, x in v.items())
+            if sv:
+                for j, y in cw:
+                    row[j] -= sv * y
     if sign == "minus":
-        s = s @ IntMatrix.block_diag([IntMatrix([[0, 1], [1, 0]])] * g)
+        for row in s:
+            row[0::2], row[1::2] = row[1::2], row[0::2]
+    s = IntMatrix(s)
     got = admissibility(s, g)
     if got != sign:
         raise AssertionError(f"sampler produced {got}, wanted {sign}")

@@ -52,12 +52,13 @@ PADDING_WORD_CAP = 500
 # --length 8`` matrix: 2.1 s at 50, 4.7 s at 60, 23 s at 100.  The
 # orientable witness prints a closed-form charpoly, 0.3 s at 50; the
 # non-orientable one at class 1, one charpoly of the accepted W: 1.0 s at
-# 50, 1.9 s (in-library) at 60.  ``sample``: 1.5 s at genus 200, 3.6 s at
-# 300 (length 10); 4.9 s at length 50, 11.6 s at 100 (genus 200, same
-# machine)
+# 50, 1.9 s (in-library) at 60.  ``sample``, text or JSON: 1.2 s at genus
+# 750, 1.1-1.6 s at 800 (length 10); length 1000 takes at most 0.8 s below
+# genus 200 and 1.6 s at 750, length 2000 4.9 s at genus 200, where the
+# transvections have filled the matrix in (same machine)
 GENUS_CAP = 50
-SAMPLE_GENUS_CAP = 200
-SAMPLE_LENGTH_CAP = 50
+SAMPLE_GENUS_CAP = 750
+SAMPLE_LENGTH_CAP = 1000
 # ``lie-dims`` prints c entries below max(r, 2)^c, of D digits at most.
 # c * D near 5 million: 2.9 s at rank 2, 1.2 s at 10, 0.8 s at 1,000, 1.1 s
 # at rank 1 (its Witt loop is quadratic in c too).  D < 4,300, Python's

@@ -235,12 +235,15 @@ class IntMatrix:
 
     @staticmethod
     def from_text(text, admit=lambda rows, cols: None):
-        """Parse the 'rows cols' header, which ``admit(rows, cols)`` may
-        refuse before any body token is split or converted, then the body."""
+        """Parse the 'rows cols' header, refusing a negative size, which
+        ``admit(rows, cols)`` may also refuse before any body token is split
+        or converted, then the body."""
         tokens = text.split(maxsplit=2)
         if len(tokens) < 2:
             raise ValueError("matrix text needs a 'rows cols' header")
         r, c = int(tokens[0]), int(tokens[1])
+        if r < 0 or c < 0:
+            raise ValueError(f"header size {r}x{c} is negative")
         admit(r, c)
         body = "".join(tokens[2:]).split()
         if len(body) != r * c:

@@ -22,6 +22,7 @@ from rinfty.intlinalg import (IntMatrix, IntPoly, _ShapeKernel, charpoly,
 from rinfty.nilpotent import padding_exponent
 
 from tower_oracles import (LabuteCharacter, bigcondition_equivalence,
+                           dense_admissibility, dense_sample_admissible,
                            orientable_context, relator_image_sign,
                            sample_nonadmissible, symmetric_power_charpoly)
 
@@ -30,6 +31,13 @@ S2 = orientable_witness(2)
 # minus-admissible with characteristic polynomial (x^2+1)^2: the +-i sub-case
 S_PM_I = IntMatrix([[0, 0, -1, 1], [0, -1, -2, 3], [2, 1, 2, -2], [1, 0, 1, -1]])
 
+
+# genus 1..6, sign, an int, str or tuple seed and a length 0..20
+_SAMPLE_ARGS = st.tuples(
+    st.integers(1, 6), st.sampled_from(["plus", "minus"]),
+    st.one_of(st.integers(-2 ** 64, 2 ** 64), st.text(max_size=6),
+              st.tuples(st.text(max_size=3), st.integers(0, 99))),
+    st.integers(0, 20))
 
 _DROP = object()
 
@@ -106,6 +114,57 @@ class TestAdmissibility:
         with pytest.raises(ValueError):
             admissibility(IntMatrix.identity(4), 3)
 
+    @pytest.mark.parametrize("s,g,message", [
+        (IntMatrix.identity(4), 3, "matrix must be 6x6"),
+        (IntMatrix.identity(6), 2, "matrix must be 4x4"),
+        (IntMatrix.zeros(4, 6), 2, "matrix must be 4x4"),
+        (IntMatrix.zeros(6, 4), 3, "matrix must be 6x6"),
+        (IntMatrix.identity(2), 0, "matrix must be 0x0"),
+        (IntMatrix([]), -1, "matrix must be -2x-2"),
+        (IntMatrix([]), 0, "need g >= 1")])
+    def test_size_mismatch_like_the_dense_oracle(self, s, g, message):
+        for classify in (admissibility, dense_admissibility):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                classify(s, g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_SAMPLE_ARGS)
+    def test_samples_match_the_dense_oracle(self, args):
+        g, sign, seed, length = args
+        s = sample_admissible(g, sign, seed, length=length)
+        assert admissibility(s, g) == dense_admissibility(s, g) == sign
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda g: st.tuples(
+        st.just(g), st.lists(st.lists(st.integers(-2, 2), min_size=2 * g,
+                                      max_size=2 * g),
+                             min_size=2 * g, max_size=2 * g))))
+    def test_random_matrices_match_the_dense_oracle(self, args):
+        g, rows = args
+        s = IntMatrix(rows)
+        assert admissibility(s, g) == dense_admissibility(s, g)
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [-3, -2, -1, 0, 1, 2, 3])
+    def test_multiples_of_identity_and_omega(self, g, k):
+        # k Omega gives k^2 Omega: plus for k = +-1, none otherwise; k I
+        # gives k^2 Omega too
+        for s in (k * omega(g), k * IntMatrix.identity(2 * g)):
+            got = admissibility(s, g)
+            assert got == dense_admissibility(s, g)
+            assert got == ("plus" if k in (1, -1) else "none")
+
+    @settings(max_examples=100, deadline=None)
+    @given(_SAMPLE_ARGS, st.data())
+    def test_one_perturbed_entry_matches_the_dense_oracle(self, args, data):
+        g, sign, seed, length = args
+        rows = [list(r) for r in sample_admissible(g, sign, seed,
+                                                   length=length).entries]
+        i, j = (data.draw(st.integers(0, 2 * g - 1)) for _ in range(2))
+        rows[i][j] += data.draw(st.integers(-3, 3).filter(bool))
+        s = IntMatrix(rows)
+        assert admissibility(s, g) == dense_admissibility(s, g)
+
 
 class TestBigcondition:
     def test_witness_sign_minus(self, table_g2):
@@ -127,6 +186,13 @@ class TestBigcondition:
 
 
 class TestSampling:
+    @settings(max_examples=150, deadline=None)
+    @given(_SAMPLE_ARGS)
+    def test_matches_the_dense_oracle(self, args):
+        g, sign, seed, length = args
+        s = sample_admissible(g, sign, seed, length=length)
+        assert s == dense_sample_admissible(g, sign, seed, length=length)
+
     def test_requested_signs(self):
         for i in range(10):
             assert admissibility(sample_admissible(2, "plus", i), 2) == "plus"
@@ -302,6 +368,17 @@ class TestRinfDegree:
         assert verdict.structural["witness_metabelian_det"] == 0
         assert verdict.structural["kind"] == "structural-rinf"
         assert verdict.samples == 4
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_orientable_verdict_forms_no_matrix_product(self, monkeypatch, g):
+        # sampling, admissibility and the characters work on rows and
+        # nonzeros: the verdict is the same with every product refused
+        spec = SurfaceSpec(True, g)
+        expected = rinf_degree(spec, samples=20).to_json_dict()
+        def refuse(*args):
+            raise AssertionError("matrix product in the orientable verdict")
+        monkeypatch.setattr(IntMatrix, "__matmul__", refuse)
+        assert rinf_degree(spec, samples=20).to_json_dict() == expected
 
     def test_verdict_json_roundtrip_and_reverify(self):
         verdict = rinf_degree(SurfaceSpec(True, 2), samples=2, seed=5)

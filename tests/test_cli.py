@@ -370,6 +370,23 @@ class TestCheckCommand:
         assert (code, out) == (1, "")
         assert err == "error: endomorphism matrix must be square\n"
 
+    @pytest.mark.parametrize("header", ["-1 -1", "-2 -3", "2 -2", "-2 2"])
+    @pytest.mark.parametrize("command", [
+        ("check", "--orientable", "--genus", "2", "--class", "2"),
+        ("crosscheck", "--what", "twisted", "--modulus", "5"),
+    ], ids=["check", "crosscheck"])
+    def test_negative_header_is_refused_as_a_file_error(self, capsys, tmp_path,
+                                                        header, command):
+        # before the check, "-1 -1" read as the twisted setup's rank and
+        # "-2 -3" as a wrong surface size; "-2 -3" with six body tokens
+        # parsed to an empty matrix
+        path = tmp_path / "m.txt"
+        path.write_text(f"{header}\n1 2 3\n4 5 6\n")
+        code, out, err = run(capsys, *command, "--matrix", str(path))
+        assert (code, out) == (1, "")
+        r, c = header.split()
+        assert err == f"error: matrix file: header size {r}x{c} is negative\n"
+
     def test_degree_certificate_reverifies_through_check(self, capsys, tmp_path):
         code, out, _ = run(capsys, "degree", "--orientable", "--genus", "2",
                            "--samples", "2", "--format", "json")
@@ -629,13 +646,13 @@ class TestSizeCaps:
         assert err == (f"resource cap: orientable witness of genus {genus}"
                        f", above the genus cap 50\n")
 
-    @pytest.mark.parametrize("genus", ["201", "3000"])
+    @pytest.mark.parametrize("genus", ["751", "3000"])
     def test_sample_genus(self, capsys, monkeypatch, genus):
         monkeypatch.setattr(rinfty.cli, "sample_admissible", _refuse)
         err = self.refused(capsys, "sample", "--genus", genus, "--sign",
                            "plus")
         assert err == (f"resource cap: sample of genus {genus}, above the "
-                       f"genus cap 200\n")
+                       f"genus cap 750\n")
 
     @pytest.mark.parametrize("genus,klass", [("51", "1"), ("100", "1"),
                                              ("1026", "1"), ("51", None)])
@@ -650,13 +667,13 @@ class TestSizeCaps:
                        f"{genus}, above the genus cap 50\n")
 
     @pytest.mark.parametrize("genus", ["2", "200"])
-    @pytest.mark.parametrize("length", ["51", "100", "100000"])
+    @pytest.mark.parametrize("length", ["1001", "2000", "100000"])
     def test_sample_length(self, capsys, monkeypatch, genus, length):
         monkeypatch.setattr(rinfty.cli, "sample_admissible", _refuse)
         err = self.refused(capsys, "sample", "--genus", genus, "--sign",
                            "minus", "--length", length)
         assert err == (f"resource cap: sample of length {length}, above the "
-                       f"length cap 50\n")
+                       f"length cap 1000\n")
 
     @pytest.mark.parametrize("rank,klass,detail", [
         # 4,001 digits: printing an entry past 4,300 would be exit 1

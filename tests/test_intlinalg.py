@@ -80,6 +80,14 @@ class TestIntMatrix:
         with pytest.raises(ValueError):
             IntMatrix.from_text("2 2\n1 2 3")
 
+    def test_text_rejects_a_negative_size_before_admit(self):
+        def admit(rows, cols):
+            raise AssertionError("admit saw a negative size")
+        for header in ("-1 -1", "-2 -3", "0 -1", "-1 0"):
+            with pytest.raises(ValueError, match="is negative"):
+                IntMatrix.from_text(f"{header}\n1 2 3 4 5 6", admit)
+        assert IntMatrix.from_text("0 0\n") == IntMatrix([])
+
 
 def fraction_det(m):
     """Reference determinant: Gaussian elimination over the rationals."""

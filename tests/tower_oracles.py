@@ -6,12 +6,15 @@ tables, induced towers and relator quotients, so the tests can compare
 the two.  ``LabuteCharacter`` and ``recursive_shape_charpoly`` are the
 earlier power-sum routes to the same charpolys: the trace formula with
 Lucas sequences, and the augmented monomial rebuilt by recursion for
-every power.
+every power.  ``dense_sample_admissible`` and ``dense_admissibility``
+are the sampler and classifier of the verdict layer written with matrix
+products: a product of n x n transvection matrices, and (S Omega) S^T
+compared with +-Omega.
 """
 
 from math import perm, prod
 
-from rinfty.analysis import _seeded_rng, admissibility
+from rinfty.analysis import _seeded_rng, admissibility, omega
 from rinfty.freelie import (_exact_div, _mobius, build_hall_basis,
                             ideal_quotient, induced_tower,
                             metabelian_truncation, orientable_relator)
@@ -123,6 +126,42 @@ def symmetric_power_charpoly(p, i):
         raise ValueError("need i >= 1")
     return prod((shape_charpoly(p, shape)
                  for shape in partitions(i, p.degree)), start=IntPoly.one())
+
+
+def dense_admissibility(s, g):
+    """Classify S * Omega * S^T as plus (+Omega), minus (-Omega) or none."""
+    if s.rows != 2 * g or s.cols != 2 * g:
+        raise ValueError(f"matrix must be {2 * g}x{2 * g}")
+    om = omega(g)
+    prod = (s @ om) @ s.transpose()
+    if prod == om:
+        return "plus"
+    if prod == -om:
+        return "minus"
+    return "none"
+
+
+def dense_sample_admissible(g, sign, seed, length=10):
+    """``sample_admissible`` as a product of n x n transvection matrices
+    I - c v (v^T Omega), times the block swap for the minus sign; the same
+    random draws in the same order."""
+    n = 2 * g
+    rng = _seeded_rng(seed)
+    om = omega(g)
+    s = IntMatrix.identity(n)
+    for _ in range(length):
+        v = [0] * n
+        v[rng.randrange(n)] = rng.choice((1, -1))
+        if rng.randrange(2):
+            v[rng.randrange(n)] = rng.choice((1, -1))
+        c = rng.choice((1, -1))
+        vt_om = [sum(v[i] * om[i, j] for i in range(n)) for j in range(n)]
+        t = IntMatrix([[((1 if i == j else 0) - c * v[i] * vt_om[j])
+                        for j in range(n)] for i in range(n)])
+        s = s @ t
+    if sign == "minus":
+        s = s @ IntMatrix.block_diag([IntMatrix([[0, 1], [1, 0]])] * g)
+    return s
 
 
 def apply_matrix_to_vector(mat, vec):
