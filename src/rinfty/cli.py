@@ -47,12 +47,13 @@ SPECTRUM_COUNT_WORK_CAP = 250_000_000
 # 0.3 s (2-core x86, Python 3.11)
 PADDING_CLASS_CAP = 6
 PADDING_WORD_CAP = 500
-# genus of ``check`` and ``witness``.  ``check --orientable --class 1``
-# (admissibility and one Berkowitz) on a ``sample --sign minus --seed 1
-# --length 8`` matrix: 2.1 s at 50, 4.7 s at 60, 23 s at 100.  The
-# orientable witness prints a closed-form charpoly, 0.3 s at 50; the
-# non-orientable one at class 1, one charpoly of the accepted W: 1.0 s at
-# 50, 1.9 s (in-library) at 60.  ``sample``, text or JSON: 1.2 s at genus
+# genus of ``check`` and ``witness``, fresh process (above 50 with the cap
+# lifted).  ``check --orientable --class 1`` (admissibility and one
+# Berkowitz) on a ``sample --sign minus --seed 1 --length 8`` matrix:
+# 1.4-1.7 s at 50, 2.7-2.8 s at 60, 19 s at 100.  The orientable witness
+# prints a closed-form charpoly, 0.14-0.17 s at 50; the non-orientable one
+# at class 1, one charpoly of the accepted W: 0.62-0.71 s at 50, 1.5 s at
+# 60.  ``sample``, text or JSON: 1.2 s at genus
 # 750, 1.1-1.6 s at 800 (length 10); length 1000 takes at most 0.8 s below
 # genus 200 and 1.6 s at 750, length 2000 4.9 s at genus 200, where the
 # transvections have filled the matrix in (same machine)
@@ -403,13 +404,13 @@ def sample(genus, sign, seed, length, fmt):
     _cap(genus, SAMPLE_GENUS_CAP, f"sample of genus {genus}", "genus cap")
     _cap(length, SAMPLE_LENGTH_CAP, f"sample of length {length}",
          "length cap")
-    s = sample_admissible(genus, sign, seed, length=length)
+    s = sample_admissible(genus, sign, seed, length=length)  # asserts sign
     payload = {"schema": SCHEMA_REPORT, "command": "sample",
                "config": {"genus": genus, "sign": sign, "seed": seed,
                           "length": length},
                "matrix": [list(r) for r in s.entries],
                "matrix_text": s.to_text(),
-               "admissibility": admissibility(s, genus)}
+               "admissibility": sign}
     _emit(payload, fmt, [s.to_text().rstrip("\n")])
 
 

@@ -7,10 +7,10 @@ is nonzero.  For nilpotent desk-scale checks we reduce the Malcev
 coordinates of a free nilpotent group modulo a prime power p^e with
 p exceeding the class: every denominator in the collection polynomials
 is then invertible, the reduced coordinate maps define an honest finite
-group of order m^k, and twisted classes can be counted by orbit
-enumeration and compared against the exact linear-algebra predictions.
+group of order m^k, and twisted classes can be counted as orbits and
+compared against the exact linear-algebra predictions.
 
-The enumeration works with the multiplication map over Z/m.  Each
+The count works with the multiplication map over Z/m.  Each
 generator move x -> z x phi(z)^-1 is composed over Q, as ``MPoly``
 substitutions into the multiplication polynomials, into k polynomials
 in the k coordinates of x, and reduced mod m once (each coefficient a/b
@@ -21,8 +21,13 @@ map, and substitution commutes with ring maps, so both equal computing
 step by step in Z/m.  Top-degree coordinates are central: a move maps
 the low coordinates (degrees below c) by polynomials in the low ones and
 each top x_j to x_j plus a low shift.  That shape is checked on every
-move; the count evaluates each move once per low point and streams the
-images of that point's fiber, a translate of it, without storing them.
+move, and the count never visits the m^k elements.  It evaluates each
+move once per low point, in a union-find over the m^kl low points whose
+potentials, in the top group T, record how fibers are translated onto
+their root's; every cycle of the low graph adds its total shift to the
+stabiliser subgroup H of its component, and the component holds |T| / |H|
+classes.  |H| comes from an echelon pass over Z/p^e, so time and memory
+grow with m^kl, not m^k.
 
 The spectrum check holds each induced tower on the free Lie ring to the
 "free" ``freelie.ShapeCharacter``, the kernel of ``check --nonorientable``:
@@ -40,8 +45,11 @@ from .freelie import (ShapeCharacter, check_hall_table, induced_tower,
 from .mvpoly import MPoly
 from .nilpotent import free_nilpotent_group, ser_mul
 
-# the largest group order m^k admitted; one crosscheck process, 2-core x86:
-# 15,625 elements 0.14 s 18 MB, 390,625 0.66 s 32 MB, 912,673 1.1 s 52 MB
+# the largest group order m^k admitted; one crosscheck process, 2-core x86,
+# medians of 5 in two rounds: 15,625 elements 0.13-0.18 s 18 MB, 390,625
+# (rank 2 class 4) 0.20-0.31 s 19 MB, 912,673 (``--matrix`` 3x3 mod 97)
+# 0.12-0.20 s 18 MB.  The count walks the m^kl low points, not the m^k
+# elements, so m^k overprices it
 MAX_ORDER = 10 ** 6
 
 
@@ -281,52 +289,91 @@ def _fiber_split(polys, kl):
     return polys[:kl], rests[kl:]
 
 
-def _fiber_images(move, x, weights, m):
-    """Indices of the ``move`` images of the fiber of low point x, in index
-    order: k evaluations, then sums of rotated top digits."""
-    low, shifts = move
-    base = sum(w * _eval_reduced(p, x, m) for w, p in zip(weights, low))
-    tops = [_eval_reduced(s, x, m) for s in shifts]
-    rotations = [[w * ((t + s) % m) for t in range(m)]
-                 for w, s in zip(weights[len(x):], tops)]
-    return map(sum, product([base], *rotations))
+def _subgroup_order(gens, m):
+    """Order of the subgroup of (Z/m)^n, m = p^e, generated by ``gens``.
+
+    An echelon pass, column by column.  The pivot is a row of least
+    p-valuation v in the column, whose entry there has gcd p^v with m;
+    scaled by the inverse of its unit part to p^v, it clears the column
+    from the other rows and contributes p^(e-v), the order of the column's
+    image.  p^(e-v) times the pivot row is zero in the column but, for
+    e >= 2, not always in later ones: with the cleared rows it generates
+    the kernel, so it stays as a row.
+    """
+    rows = [list(g) for g in gens if any(g)]
+    order = 1
+    for col in range(len(rows[0]) if rows else 0):
+        live = [(gcd(row[col], m), i)
+                for i, row in enumerate(rows) if row[col]]
+        if not live:
+            continue
+        low, i = min(live)
+        pivot = rows.pop(i)
+        unit = pow(pivot[col] // low, -1, m)
+        pivot = [a * unit % m for a in pivot]
+        rows = [[(a - row[col] // low * b) % m for a, b in zip(row, pivot)]
+                for row in rows]
+        order *= m // low
+        rows.append([a * (m // low) % m for a in pivot])
+        rows = [row for row in rows if any(row)]
+    return order
 
 
 def brute_force_twisted_classes(setup):
-    """Exact orbit count of x ~ z x phi(z)^-1 by generator-move union-find.
+    """Exact orbit count of x ~ z x phi(z)^-1, over the low points.
 
     The relation is the orbit partition of a group action, so moves by
-    the r generators already connect every orbit.  Per low point and move
-    (``_fiber_split``) the fiber's images (``_fiber_images``) are unioned
-    with it.  Classes are the order less the successful unions; class 1
-    is one fiber.
+    the r generators already connect every orbit.  Write x = (l, t), l in
+    Low = (Z/m)^kl the coordinates of degree below the class and t in
+    T = (Z/m)^(k-kl) the central top ones.  Each move sends (l, t) to
+    (f(l), t + s(l)) (``_fiber_split`` checks that shape), so it is
+    evaluated once per low point.  A union-find over the low points keeps,
+    per point, a potential in T: (l, t) lies in the orbit of
+    (root, t + pot(l)).  An edge that closes a cycle yields the generator
+    s(l) + pot(f(l)) - pot(l) of the stabiliser subgroup H of its
+    component O, and the orbits over O are the cosets T / H.  So the count
+    is the sum over components of m^(k-kl) / |H| (``_subgroup_order``).
     """
     if setup.r == 0:
         return 1
     m, k = setup.modulus, setup.k
     kl = k - witt_dimension(setup.r, setup.c)
     moves = [_fiber_split(polys, kl) for polys in setup.move_maps()]
-    order, fiber = m ** k, m ** (k - kl)
-    # element x has index sum_j x_j m^(k-1-j), the order of product()
-    weights = [m ** (k - 1 - j) for j in range(k)]
-    parent = list(range(order))
+    zero = (0,) * (k - kl)
+    parent, pot = list(range(m ** kl)), [zero] * m ** kl
 
     def find(x):
+        """The root of x and pot(x), compressing the path from x."""
+        path = []
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
+            path.append(x)
             x = parent[x]
-        return x
+        acc = zero
+        for y in reversed(path):
+            acc = tuple((a + b) % m for a, b in zip(pot[y], acc))
+            parent[y], pot[y] = x, acc
+        return x, acc
 
-    unions = 0
-    for start, x in zip(range(0, order, fiber), product(range(m), repeat=kl)):
-        for move in moves:
-            for src, dst in enumerate(_fiber_images(move, x, weights, m),
-                                      start):
-                rx, ry = find(src), find(dst)
-                if rx != ry:
-                    parent[ry] = rx
-                    unions += 1
-    return order - unions
+    cycles = []
+    # low point l has index sum_j l_j m^(kl-1-j), the order of product()
+    for ix, x in enumerate(product(range(m), repeat=kl)):
+        for low, shifts in moves:
+            iy = 0
+            for poly in low:
+                iy = iy * m + _eval_reduced(poly, x, m)
+            rx, px = find(ix)
+            ry, py = find(iy)
+            g = tuple((_eval_reduced(s, x, m) + b - a) % m
+                      for s, a, b in zip(shifts, px, py))
+            if rx != ry:
+                parent[ry], pot[ry] = rx, tuple(-a % m for a in g)
+            elif any(g):
+                cycles.append((rx, g))
+    stabilisers = {x: [] for x in range(m ** kl) if parent[x] == x}
+    for x, g in cycles:
+        stabilisers[find(x)[0]].append(g)
+    return sum(m ** (k - kl) // _subgroup_order(gens, m)
+               for gens in stabilisers.values())
 
 
 def spectrum_crosscheck(s, table, i):

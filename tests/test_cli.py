@@ -603,6 +603,22 @@ class TestOtherCommands:
         doc = json.loads(out1)
         assert doc["admissibility"] == "minus"
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    def test_sample_classifies_once(self, capsys, monkeypatch, sign, fmt):
+        # the sampler asserts the sign; the payload reports the one asked
+        # for, so the command's output is the same without a second check
+        args = ("sample", "--genus", "3", "--sign", sign, "--seed", "4",
+                "--format", fmt)
+        expected = run(capsys, *args)
+
+        def refuse(*args):
+            raise AssertionError("sample classified its matrix again")
+
+        monkeypatch.setattr(rinfty.cli, "admissibility", refuse)
+        assert run(capsys, *args) == expected
+        assert expected[0] == 0
+
     def test_usage_error_is_exit_one(self, capsys):
         code, _, err = run(capsys, "degree", "--genus", "2")
         assert code == 1

@@ -11,8 +11,8 @@ from rinfty.errors import ResourceLimitError
 from rinfty.freelie import build_hall_basis, witt_dimension
 from rinfty.intlinalg import IntMatrix, smith_normal_form
 from rinfty.nilpotent import free_nilpotent_group
-from rinfty.oracle import (FiniteTwistedSetup, _fiber_images, _fiber_split,
-                           abelian_reidemeister_count,
+from rinfty.oracle import (FiniteTwistedSetup, _eval_reduced, _fiber_split,
+                           _subgroup_order, abelian_reidemeister_count,
                            brute_force_twisted_classes, spectrum_crosscheck)
 
 
@@ -221,6 +221,48 @@ SMALL_CASES = [
     and m ** free_nilpotent_group(r, c).k <= 5 ** 5]
 
 
+# prime powers p^e with e >= 2 past those above, orders up to 27^3
+PRIME_POWER_CASES = [(2, 1, 27), (3, 1, 27), (2, 2, 27), (2, 1, 49)]
+
+
+def fiber_walk_classes(setup):
+    """Second reference: union-find over all m^k elements.
+
+    Each move sends (l, t) to (f(l), t + s(l)) as ``_fiber_split`` reads
+    it, streamed over the whole fiber of each low point l; classes are the
+    order less the successful unions.  For groups too large for
+    ``stepwise_classes``.
+    """
+    m, k = setup.modulus, setup.k
+    kl = k - witt_dimension(setup.r, setup.c)
+    moves = [_fiber_split(polys, kl) for polys in setup.move_maps()]
+    order, fiber = m ** k, m ** (k - kl)
+    weights = [m ** (k - 1 - j) for j in range(k)]
+    parent = list(range(order))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    unions = 0
+    for start, x in zip(range(0, order, fiber), product(range(m), repeat=kl)):
+        for low, shifts in moves:
+            base = sum(w * _eval_reduced(f, x, m)
+                       for w, f in zip(weights, low))
+            rotations = [[w * ((t + _eval_reduced(s, x, m)) % m)
+                          for t in range(m)]
+                         for w, s in zip(weights[kl:], shifts)]
+            for src, dst in enumerate(map(sum, product([base], *rotations)),
+                                      start):
+                rx, ry = find(src), find(dst)
+                if rx != ry:
+                    parent[ry] = rx
+                    unions += 1
+    return order - unions
+
+
 class TestComposedMoves:
     def test_case_grid(self):
         assert len(SMALL_CASES) == 15
@@ -240,6 +282,26 @@ class TestComposedMoves:
         images = data.draw(st.lists(coords, min_size=r, max_size=r))
         setup = FiniteTwistedSetup(r, c, m, images)
         assert brute_force_twisted_classes(setup) == stepwise_classes(setup)
+
+    @pytest.mark.parametrize("r,c,m", PRIME_POWER_CASES)
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_prime_power_images_match_stepwise(self, r, c, m, data):
+        k = free_nilpotent_group(r, c).k
+        coords = st.tuples(*[st.integers(0, m - 1)] * k)
+        images = data.draw(st.lists(coords, min_size=r, max_size=r))
+        setup = FiniteTwistedSetup(r, c, m, images)
+        assert brute_force_twisted_classes(setup) == stepwise_classes(setup)
+
+    @settings(max_examples=3, deadline=None)
+    @given(data=st.data())
+    def test_rank_three_class_two_mod_nine_matches_fiber_walk(self, data):
+        # 9^6 = 531,441 elements: past what ``stepwise_classes`` does in
+        # a test, so the reference is the walk over every element
+        coords = st.tuples(*[st.integers(0, 8)] * 6)
+        images = data.draw(st.lists(coords, min_size=3, max_size=3))
+        setup = FiniteTwistedSetup(3, 2, 9, images)
+        assert brute_force_twisted_classes(setup) == fiber_walk_classes(setup)
 
     @pytest.mark.parametrize("r,m", [(r, m) for r, c, m in SMALL_CASES
                                      if c == 1])
@@ -263,29 +325,28 @@ class TestComposedMoves:
 
     @pytest.mark.parametrize("r,c,m", SMALL_CASES)
     def test_fiber_images_are_the_moves(self, r, c, m):
-        # every index the walk streams is that of z x phi(z)^-1 by the
-        # reduced group law, under the identity twist and a seeded one
+        # each move sends (l, t) to (f(l), t + s(l)), with f and s read
+        # off ``_fiber_split``, as z (l, t) phi(z)^-1 by the reduced group
+        # law does, for every low point l and top value t, under the
+        # identity twist and a seeded one
         ambient = free_nilpotent_group(r, c)
         k, rng = ambient.k, random.Random(f"{r} {c} {m}")
         kl = k - witt_dimension(r, c)
-        weights = [m ** (k - 1 - j) for j in range(k)]
         seeded = [[rng.randrange(m) for _ in range(k)] for _ in range(r)]
-
-        def index(y):
-            return sum(wt * v for wt, v in zip(weights, y))
-
         for images in (None, seeded):
             setup = FiniteTwistedSetup(r, c, m, images)
             moves = [_fiber_split(polys, kl) for polys in setup.move_maps()]
-            for i, move in enumerate(moves):
+            for i, (low, shifts) in enumerate(moves):
                 z = ambient.generator(i).coords
                 w = setup.inverse(setup.images[i])
                 for x in product(range(m), repeat=kl):
-                    expected = [index(setup.multiply(setup.multiply(
-                        z, x + top), w))
-                        for top in product(range(m), repeat=k - kl)]
-                    assert list(_fiber_images(move, x, weights, m)) == \
-                        expected, (images, i, x)
+                    fx = tuple(_eval_reduced(f, x, m) for f in low)
+                    sx = [_eval_reduced(s, x, m) for s in shifts]
+                    for top in product(range(m), repeat=k - kl):
+                        moved = fx + tuple((t + s) % m
+                                           for t, s in zip(top, sx))
+                        assert setup.multiply(setup.multiply(z, x + top),
+                                              w) == moved, (images, i, x)
 
     def test_multiply_matches_exact_group_law(self, monkeypatch):
         rng = random.Random(5)
@@ -334,12 +395,64 @@ class TestComposedMoves:
         assert brute_force_twisted_classes(setup) == 745
         assert len(calls) <= 3 * 6 * 5 ** 3
 
+    def test_moves_evaluated_exactly_once_per_low_point(self, monkeypatch):
+        # rank 3 class 2 mod 9: r * m^kl * k = 3 * 9^3 * 6 evaluations,
+        # against 3 * 9^6 * 6 for one per element
+        setup = FiniteTwistedSetup.identity_twist(3, 2, 9)
+        calls = []
+        original = rinfty.oracle._eval_reduced
+
+        def counted(*args):
+            calls.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(rinfty.oracle, "_eval_reduced", counted)
+        brute_force_twisted_classes(setup)
+        assert len(calls) == 3 * 9 ** 3 * 6
+
     def test_rank_two_class_four_pinned(self):
         # 5^8 = 390,625 elements; 1345 classes at the element-wise walk too
         setup = FiniteTwistedSetup.identity_twist(2, 4, 5)
         start = time.process_time()
         assert brute_force_twisted_classes(setup) == 1345
         assert time.process_time() - start < 2
+
+
+def closure_order(gens, m, n):
+    """Order of the subgroup of (Z/m)^n generated by gens, by closure."""
+    seen, frontier = {(0,) * n}, [(0,) * n]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = tuple((a + b) % m for a, b in zip(x, g))
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return len(seen)
+
+
+class TestSubgroupOrder:
+    @pytest.mark.parametrize("m,p", [(2, 2), (4, 2), (8, 2), (3, 3), (9, 3),
+                                     (27, 3), (25, 5)])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_closure(self, m, p, data):
+        n = data.draw(st.integers(1, 3))
+        # multiples of powers of p, so that valuations vary
+        entry = st.builds(lambda a, v: a * p ** v % m, st.integers(0, m - 1),
+                          st.integers(0, 3))
+        gens = data.draw(st.lists(st.tuples(*[entry] * n), max_size=5))
+        assert _subgroup_order(gens, m) == closure_order(gens, m, n)
+
+    def test_tail_row_carries_to_later_columns(self):
+        # (3, 1) has order 9 in (Z/9)^2: the column-0 pivot 3 leaves
+        # 3 * (3, 1) = (0, 3), of order 3, in column 1
+        assert _subgroup_order([(3, 1)], 9) == 9
+        assert closure_order([(3, 1)], 9, 2) == 9
+
+    def test_no_generators(self):
+        assert _subgroup_order([], 25) == 1
+        assert _subgroup_order([(0, 0)], 25) == 1
 
 
 def _gain_top_variable(polys, kl):
