@@ -1,11 +1,12 @@
 """Exact integer matrices and univariate integer polynomials.
 
 Everything in here is arbitrary-precision and exact: determinants are
-fraction-free (Bareiss) and sparse, pivoting on the sparsest column and
-the smallest entry in it, characteristic polynomials division-free
-(Berkowitz), and Smith normal forms carry their unimodular transforms so
-results can be re-verified.  Matrix products and determinants only touch
-nonzero entries, since the lattices met here are mostly zero.
+dense and fraction-free (Bareiss), characteristic polynomials
+division-free (Berkowitz), and Smith normal forms carry their unimodular
+transforms so results can be re-verified.  Only the matrix product skips
+zero entries: the free Lie towers and their projections onto relator
+quotients are mostly zero, while the matrices whose determinants are
+taken are small and fill in under elimination.
 
 Polynomials are integer-only as well.  Spectra composed from a monic
 characteristic polynomial (ordered root products, partition shapes,
@@ -146,76 +147,33 @@ class IntMatrix:
         return sum(self.entries[i][i] for i in range(self.rows))
 
     def det(self):
-        """Exact determinant by sparse, pivoted fraction-free (Bareiss) elimination.
+        """Exact determinant by dense fraction-free (Bareiss) elimination.
 
-        Rows are {column: entry} dicts.  Each step pivots on the column
-        with the fewest nonzeros (Markowitz) and, within it, on the entry
-        of fewest bits, ties going to the sparsest row: a large pivot
-        would inflate every later minor.  Only rows with an entry in the
-        pivot column are touched.  Any other row keeps the entries of the
-        step that last updated it, together with that step's pivot as its
-        denominator; its next update divides by that denominator, and the
-        division is exact because the result is a minor of the matrix.
-        The sign is the parity of the pivot row order times that of the
-        pivot column order.
+        Step k swaps into row k the nonzero of least absolute value in
+        column k at or below it, flipping the sign, then replaces each
+        later entry by a 2x2 minor through the pivot, divided by the
+        previous pivot.  Every such entry is a minor of the matrix, so the
+        division is exact (Bareiss, Math. Comp. 22, 1968).
         """
         self._require_square()
-        n = self.rows
-        rows = {i: {j: x for j, x in enumerate(row) if x}
-                for i, row in enumerate(self.entries)}
-        counts = [0] * n
-        for row in rows.values():
-            for j in row:
-                counts[j] += 1
-        live_cols = list(range(n))
-        dens = [1] * n
-        prev = 1
-        row_order, col_order = [], []
-        for _ in range(n):
-            c = min(live_cols, key=counts.__getitem__)
-            if not counts[c]:
+        a = [list(row) for row in self.entries]
+        n = len(a)
+        sign = prev = 1
+        for k in range(n):
+            holders = [i for i in range(k, n) if a[i][k]]
+            if not holders:
                 return 0
-            live_cols.remove(c)
-            holders = [i for i, row in rows.items() if c in row]
-            r = min(holders, key=lambda i: (
-                rows[i][c].bit_length() - dens[i].bit_length(),
-                len(rows[i]), i))
-            pivot_row = rows.pop(r)
-            if dens[r] != prev:
-                den = dens[r]
-                pivot_row = {j: x * prev // den for j, x in pivot_row.items()}
-            pivot = pivot_row.pop(c)
-            for j in pivot_row:
-                counts[j] -= 1
-            row_order.append(r)
-            col_order.append(c)
-            for i in holders:
-                if i == r:
-                    continue
-                row = rows[i]
-                m = row.pop(c)
-                if pivot != 1:
-                    for j in row:
-                        row[j] *= pivot
-                for j, y in pivot_row.items():
-                    x = row.get(j)
-                    if x is None:
-                        row[j] = -m * y
-                        counts[j] += 1
-                    elif x == m * y:
-                        del row[j]
-                        counts[j] -= 1
-                    else:
-                        row[j] = x - m * y
-                if not row:
-                    return 0
-                den = dens[i]
-                if den != 1:
-                    for j in row:
-                        row[j] //= den
-                dens[i] = pivot
+            r = min(holders, key=lambda i: abs(a[i][k]))
+            if r != k:
+                a[k], a[r] = a[r], a[k]
+                sign = -sign
+            pivot, tail = a[k][k], a[k][k + 1:]
+            for row in a[k + 1:]:
+                m = row[k]
+                row[k + 1:] = [(pivot * x - m * y) // prev
+                               for x, y in zip(row[k + 1:], tail)]
             prev = pivot
-        return _permutation_sign(row_order) * _permutation_sign(col_order) * prev
+        return sign * prev
 
     def _same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -249,24 +207,6 @@ class IntMatrix:
         if len(body) != r * c:
             raise ValueError(f"expected {r * c} entries, got {len(body)}")
         return IntMatrix([[int(body[i * c + j]) for j in range(c)] for i in range(r)])
-
-
-def _permutation_sign(perm):
-    """Sign of a permutation of 0..n-1, from the parity of its cycles."""
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 class IntPoly:
