@@ -12,18 +12,16 @@ from .intlinalg import (IntMatrix, IntPoly, SmithDecomposition, charpoly,
                         dominance_root_test, kfold_product_spectrum,
                         kfold_value_at_one, smith_normal_form)
 from .freelie import (GradedQuotient, HallWord, InducedTower, StructureTable,
-                      ShapeCharacter, build_hall_basis,
-                      eigenvalue_one_first_degree,
-                      fixed_point_dets, ideal_quotient, induced_tower,
-                      metabelian_truncation, orientable_relator,
+                      ShapeCharacter, build_hall_basis, ideal_quotient,
+                      induced_tower, metabelian_truncation, orientable_relator,
                       witt_dimension)
 from .nilpotent import (FreeNilpotentGroup, MalcevElement,
                         PowerPolynomialTable, build_power_table,
                         free_nilpotent_group, free_rank_certificate,
                         nth_root, padding_exponent, power_padding)
 from .analysis import (RinfVerdict, SurfaceSpec, admissibility,
-                       is_automorphism_matrix, nonorientable_witness, omega,
-                       orientable_witness, rinf_degree, sample_admissible,
+                       nonorientable_witness, omega, orientable_witness,
+                       rinf_degree, sample_admissible,
                        solvability_quotient_check, surface_character)
 from .oracle import (FiniteTwistedSetup, abelian_reidemeister_count,
                      brute_force_twisted_classes, spectrum_crosscheck)

@@ -150,11 +150,6 @@ def admissibility(s, g):
     return "plus" if sign == 1 else "minus"
 
 
-def is_automorphism_matrix(s):
-    """Surjectivity-on-abelianization test: the matrix must be unimodular."""
-    return s.is_square and s.det() in (1, -1)
-
-
 # ---------------------------------------------------------------------------
 # witnesses
 # ---------------------------------------------------------------------------

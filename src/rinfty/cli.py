@@ -14,9 +14,9 @@ import sys
 import click
 
 from .analysis import (DEFAULT_SAMPLES, SurfaceSpec, admissibility,
-                       is_automorphism_matrix, nonorientable_charpoly_formula,
-                       nonorientable_witness, orientable_witness, rinf_degree,
-                       sample_admissible, surface_character)
+                       nonorientable_charpoly_formula, nonorientable_witness,
+                       orientable_witness, rinf_degree, sample_admissible,
+                       surface_character)
 from .errors import ResourceLimitError
 from .freelie import (ShapeCharacter, build_hall_basis, check_hall_table,
                       shape_work, witt_dimension)
@@ -180,8 +180,9 @@ def check(matrix_path, orientable, genus, klass, fmt):
         work = shape_work(n, computed, SHAPE_WORK_CAP)
         _cap(work, SHAPE_WORK_CAP, f"shape kernel on rank {n} through degree "
              f"{computed} takes at least {work} Newton steps", "shape cap")
-        extra = {"unimodular": is_automorphism_matrix(s)}
-        char = ShapeCharacter(charpoly(s), "free", computed)
+        p = charpoly(s)
+        extra = {"unimodular": p(0) in (1, -1)}  # p(0) = (-1)^n det(S)
+        char = ShapeCharacter(p, "free", computed)
     dets = {d: _printable(d, char.det(d)) for d in range(1, computed + 1)}
     first = next((d for d, v in dets.items() if v == 0), None)
     if first is not None:

@@ -322,10 +322,6 @@ class GradedQuotient:
 
     # -- ideal spans ------------------------------------------------------
 
-    def ideal_generators(self, d):
-        """Raw spanning vectors of the degree-d ideal component."""
-        return self._degree_data(d).generators
-
     def _generators(self, d):
         out = list(self.generators.get(d, ()))
         if d > 1:
@@ -568,23 +564,3 @@ class ShapeCharacter:
             self._charpolys[key] = q
         return self._charpolys[key]
 
-
-def fixed_point_dets(tower, quotient, degrees):
-    """Lazily yield (d, det(I - M_d)) for each requested degree d.
-
-    The test oracle of ``ShapeCharacter``:
-    M_d is projected onto the quotient lattice modulo torsion when a
-    quotient is supplied, otherwise it acts on the free lattice.
-    """
-    for d in degrees:
-        mat = tower.matrix(d)
-        if quotient is not None:
-            mat = quotient.project(mat, d)
-        yield d, (IntMatrix.identity(mat.rows) - mat).det()
-
-
-def eigenvalue_one_first_degree(tower, quotient, c):
-    """Smallest degree i <= c where det(I - M_i) vanishes, or None."""
-    return next((d for d, det in fixed_point_dets(tower, quotient,
-                                                  range(1, c + 1))
-                 if det == 0), None)

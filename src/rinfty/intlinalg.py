@@ -8,10 +8,11 @@ zero entries: the free Lie towers and their projections onto relator
 quotients are mostly zero, while the matrices whose determinants are
 taken are small and fill in under elimination.
 
-Polynomials are integer-only as well.  Spectra composed from a monic
-characteristic polynomial (ordered root products, partition shapes,
-symmetric powers) come from its power sums through Newton's identities,
-whose divisions are exact over the integers.  No fractions, no floats.
+Polynomials are integer-only as well.  Every spectrum composed from a
+monic characteristic polynomial is a product of partition-shape factors
+(ordered i-fold root products and symmetric powers alike), and each
+factor comes from its power sums through Newton's identities, whose
+divisions are exact over the integers.  No fractions, no floats.
 
 All objects are immutable after construction, so values can be shared
 freely between threads; every operation is a pure function.
@@ -141,10 +142,6 @@ class IntMatrix:
 
     def transpose(self):
         return IntMatrix(list(zip(*self.entries)) if self.entries else [])
-
-    def trace(self):
-        self._require_square()
-        return sum(self.entries[i][i] for i in range(self.rows))
 
     def det(self):
         """Exact determinant by dense fraction-free (Bareiss) elimination.
@@ -564,16 +561,15 @@ def smith_normal_form(m):
 
 
 # ---------------------------------------------------------------------------
-# root-product spectra
+# partition-shape spectra
 # ---------------------------------------------------------------------------
 #
 # Every spectrum composed here is that of an integer matrix, so its
 # polynomial is monic and all of the arithmetic below stays integral.
 
-def _require_monic(*polys):
-    for p in polys:
-        if not p.is_monic:
-            raise ValueError(f"product spectra need monic polynomials, got {p}")
+def _require_monic(p):
+    if not p.is_monic:
+        raise ValueError(f"product spectra need monic polynomials, got {p}")
 
 
 def _power_sums(p, count, s=None):
@@ -608,50 +604,6 @@ def _monic_from_power_sums(s, n):
             raise AssertionError("Newton recursion left the integers")
         e[k] = q
     return [((-1) ** (n - j)) * e[n - j] for j in range(n + 1)]
-
-
-def _valuation(p):
-    v = 0
-    while v < len(p.coeffs) and p.coeffs[v] == 0:
-        v += 1
-    return v
-
-
-def _root_products(factors):
-    """Monic polynomial whose roots are the products a_1 * ... * a_k.
-
-    Each a_j runs over the roots of factors[j], with multiplicity.  A
-    product with a zero root is zero, so the zero roots are split off
-    first.  On the nonzero roots, the n-th power sum of the products is
-    the product of the factors' n-th power sums, and Newton's identities
-    turn those back into coefficients without the coefficient blowup of
-    a resultant.
-    """
-    _require_monic(*factors)
-    cores = [IntPoly(f.coeffs[_valuation(f):]) for f in factors]
-    big = prod(core.degree for core in cores)
-    s = [1] * (big + 1)
-    for core in cores:
-        for k, x in enumerate(_power_sums(core, big)):
-            s[k] *= x
-    total = prod(f.degree for f in factors)
-    return IntPoly(_monic_from_power_sums(s, big)).shift(total - big)
-
-
-def kfold_product_spectrum(p, i):
-    """Roots are all products over ordered i-tuples of roots of monic p.
-
-    Equal to iterating the pairwise composed product; the power sums of
-    the result are the pointwise i-th powers of the power sums of p.
-    """
-    if i < 1:
-        raise ValueError("need i >= 1")
-    return _root_products((p,) * i)
-
-
-def kfold_value_at_one(p, i):
-    """kfold_product_spectrum(p, i)(1), the product of all 1 - a_1 ... a_i."""
-    return kfold_product_spectrum(p, i)(1)
 
 
 def _unit_reversal(p):
@@ -734,6 +686,32 @@ def shape_charpoly(p, shape):
     roots look smaller (|a_1| < |a_(g-1)|) goes through W^-1.
     """
     return _ShapeKernel(p)(shape)
+
+
+def kfold_product_spectrum(p, i):
+    """Roots are all products over ordered i-tuples of roots of monic p.
+
+    An i-tuple whose exponent vector is a rearrangement of the partition
+    pi of i gives one root of R_pi (``shape_charpoly``), and i! / prod pi_j!
+    tuples share each vector, so this is the product of R_pi to that power.
+    """
+    return prod((f ** e for f, e in _kfold_factors(p, i)), start=IntPoly.one())
+
+
+def kfold_value_at_one(p, i):
+    """kfold_product_spectrum(p, i)(1), the product of all 1 - a_1 ... a_i,
+    read off each factor R_pi at 1 with no polynomial product."""
+    return prod(f(1) ** e for f, e in _kfold_factors(p, i))
+
+
+def _kfold_factors(p, i):
+    """[(R_pi, i! / prod pi_j!)] over the partitions pi of i into at most
+    deg p parts, all from one shape kernel."""
+    if i < 1:
+        raise ValueError("need i >= 1")
+    kernel = _ShapeKernel(p)
+    return [(kernel(pi), factorial(i) // prod(map(factorial, pi)))
+            for pi in partitions(i, p.degree)]
 
 
 def dominance_root_test(p):

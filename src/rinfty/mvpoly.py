@@ -155,9 +155,6 @@ class MPoly:
         return Fraction(self.terms.get((0,) * len(self.vars), 0),
                         self.denominator)
 
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
     def uses_variable(self, name):
         i = self.vars.index(name)
         return any(e[i] for e in self.terms)

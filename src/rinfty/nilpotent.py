@@ -371,15 +371,6 @@ class MalcevElement:
             return self.ambient.identity
         return MalcevElement(self.ambient, self.ambient.power_coords(self.coords, n))
 
-    @property
-    def is_identity(self):
-        return all(x == 0 for x in self.coords)
-
-    def in_lower_central(self, d):
-        """True when the element lies in gamma_d (coordinates of degree < d vanish)."""
-        return all(x == 0 for (deg, _), x in zip(self.ambient.basis, self.coords)
-                   if deg < d)
-
     def abelianized(self):
         """Images of the element in the free abelianization Z^r."""
         return self.coords[:self.ambient.r]

@@ -12,15 +12,15 @@ import time
 
 from rinfty.analysis import sample_admissible, structural_sample_report
 from rinfty.cli import main
-from rinfty.freelie import (build_hall_basis, eigenvalue_one_first_degree,
-                            induced_tower)
+from rinfty.freelie import build_hall_basis, induced_tower
 from rinfty.intlinalg import IntMatrix, charpoly
 from rinfty.nilpotent import free_nilpotent_group, nth_root, power_padding
 from rinfty.oracle import (FiniteTwistedSetup, abelian_reidemeister_count,
                            brute_force_twisted_classes, spectrum_crosscheck)
 
 from conftest import one_relator_quotient_ranks
-from tower_oracles import bigcondition_equivalence, sample_nonadmissible
+from tower_oracles import (bigcondition_equivalence,
+                           eigenvalue_one_first_degree, sample_nonadmissible)
 
 
 def _run_cli(capsys, *args):

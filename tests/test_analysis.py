@@ -6,16 +6,14 @@ import rinfty.analysis
 import rinfty.freelie
 import rinfty.intlinalg
 from rinfty.analysis import (RinfVerdict, SurfaceSpec, _has_root_i,
-                             admissibility, is_automorphism_matrix,
-                             nonorientable_base_matrices,
+                             admissibility, nonorientable_base_matrices,
                              nonorientable_charpoly_formula,
                              nonorientable_witness, omega, orientable_witness,
                              rinf_degree, sample_admissible,
                              solvability_quotient_check,
                              structural_sample_report, surface_character)
 from rinfty.errors import ResourceLimitError
-from rinfty.freelie import (ShapeCharacter, build_hall_basis,
-                            fixed_point_dets, induced_tower)
+from rinfty.freelie import ShapeCharacter, build_hall_basis, induced_tower
 from rinfty.intlinalg import (IntMatrix, IntPoly, _ShapeKernel, charpoly,
                               dominance_root_test, kfold_value_at_one,
                               split_at_one)
@@ -23,8 +21,9 @@ from rinfty.nilpotent import padding_exponent
 
 from tower_oracles import (LabuteCharacter, bigcondition_equivalence,
                            dense_admissibility, dense_sample_admissible,
-                           orientable_context, relator_image_sign,
-                           sample_nonadmissible, symmetric_power_charpoly)
+                           fixed_point_dets, orientable_context,
+                           relator_image_sign, sample_nonadmissible,
+                           symmetric_power_charpoly)
 
 S2 = orientable_witness(2)
 
@@ -222,7 +221,7 @@ class TestSampling:
     def test_samples_are_unimodular(self):
         for i in range(6):
             s = sample_admissible(2, "plus" if i % 2 else "minus", i)
-            assert is_automorphism_matrix(s)
+            assert s.det() in (1, -1)
 
     def test_reciprocal_symmetry_never_fails(self):
         for g in (2, 3):
@@ -588,7 +587,7 @@ def _assert_charpoly_of(p, mat, where):
         assert p == charpoly(mat), where
         return
     e = mat.entries
-    tr = mat.trace()
+    tr = sum(e[i][i] for i in range(n))
     tr2 = sum(e[i][j] * e[j][i] for i in range(n) for j in range(n))
     assert (p(1), p.coeffs[n - 1], p.coeffs[n - 2]) == (
         (IntMatrix.identity(n) - mat).det(), -tr, (tr * tr - tr2) // 2), where

@@ -99,7 +99,6 @@ class TestDegreeCommand:
             assert not hasattr(rinfty.analysis, name)
         for module in (rinfty.freelie, rinfty.cli):
             monkeypatch.setattr(module, "build_hall_basis", refuse)
-        monkeypatch.setattr(rinfty.freelie, "fixed_point_dets", refuse)
         monkeypatch.setattr(rinfty.freelie.InducedTower, "__init__", refuse)
         verdict = rinfty.analysis.rinf_degree(SurfaceSpec(False, 4))
         assert verdict.degree == 6
@@ -251,7 +250,6 @@ class TestCheckCommand:
 
         for module in (rinfty.freelie, rinfty.cli):
             monkeypatch.setattr(module, "build_hall_basis", refuse)
-        monkeypatch.setattr(rinfty.freelie, "fixed_point_dets", refuse)
         monkeypatch.setattr(rinfty.freelie.InducedTower, "__init__", refuse)
         start = time.perf_counter()
         code, out, err = run(capsys, "check", "--matrix", genus_five_file,
@@ -759,7 +757,6 @@ class TestSizeCaps:
         for module in (rinfty.analysis, rinfty.cli):
             monkeypatch.setattr(module, "charpoly", _refuse)
         monkeypatch.setattr(rinfty.analysis, "admissibility", _refuse)
-        monkeypatch.setattr(rinfty.cli, "is_automorphism_matrix", _refuse)
         err = self.refused(capsys, "check", "--matrix", str(path), family,
                            "--genus", "100", "--class", "1")
         assert err == ("resource cap: check of genus 100, above the genus "

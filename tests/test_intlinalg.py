@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from rinfty.analysis import nonorientable_base_matrices
 from rinfty.freelie import (ShapeCharacter, build_hall_basis, induced_tower,
                             shape_multiplicity, shape_work, witt_dimension)
-from rinfty.intlinalg import (IntMatrix, IntPoly, _root_products, charpoly,
+from rinfty.intlinalg import (IntMatrix, IntPoly, charpoly,
                               dominance_root_test, kfold_product_spectrum,
                               kfold_value_at_one, partitions, shape_charpoly,
                               shape_degree, smith_normal_form)
@@ -338,25 +338,17 @@ class TestProductSpectrum:
         # {(1+sqrt2)^2, -1, -1, (1-sqrt2)^2}, giving (x+1)^2 (x^2-6x+1)
         p = IntPoly([-1, -2, 1])
         expected = IntPoly([1, 2, 1]) * IntPoly([1, -6, 1])
-        assert _root_products((p, p)) == expected
-
-    def test_multiplication_by_root_one(self):
-        q = IntPoly([4, -1, 0, 1])
-        assert _root_products((IntPoly([-1, 1]), q)) == q
-
-    def test_annihilation_by_zero_root(self):
-        assert (_root_products((IntPoly([0, 1]), IntPoly([-5, 1])))
-                == IntPoly([0, 1]))
+        assert kfold_product_spectrum(p, 2) == expected
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            _root_products((IntPoly.zero(), IntPoly([1, 1])))
+            kfold_product_spectrum(IntPoly.zero(), 2)
 
     @pytest.mark.parametrize("p", [IntPoly([1, 2]), IntPoly([0, 1, -1]),
                                    IntPoly([-1, 0, 3])])
     @pytest.mark.parametrize("call", [
-        lambda p: _root_products((p, IntPoly([-2, 1]))),
-        lambda p: _root_products((IntPoly([-2, 1]), p)),
+        lambda p: kfold_product_spectrum(p, 2),
+        lambda p: kfold_value_at_one(p, 2),
         lambda p: kfold_product_spectrum(p, 1),
         lambda p: kfold_product_spectrum(p, 3),
         lambda p: symmetric_power_charpoly(p, 1),
@@ -368,21 +360,11 @@ class TestProductSpectrum:
         with pytest.raises(ValueError, match="monic"):
             call(p)
 
-    def test_commutative_and_degree(self):
-        rng = random.Random(5)
-        for _ in range(20):
-            p = _random_poly(rng)
-            q = _random_poly(rng)
-            pq = _root_products((p, q))
-            assert pq == _root_products((q, p))
-            assert pq.degree == p.degree * q.degree
-
     def test_against_interpolated_resultant(self):
         rng = random.Random(6)
         for _ in range(15):
             p = _random_poly(rng)
-            q = _random_poly(rng)
-            assert _root_products((p, q)) == _composed_by_resultant(p, q)
+            assert kfold_product_spectrum(p, 2) == _composed_by_resultant(p, p)
 
 
 def _random_poly(rng, max_deg=3):
@@ -432,6 +414,18 @@ def _composed_by_resultant(p, q):
     return IntPoly([c.numerator for c in coeffs]).shift(zero_mult)
 
 
+def _companion(p):
+    """Companion matrix of monic p: charpoly(_companion(p)) == p."""
+    n = p.degree
+    return IntMatrix([[1 if i == j + 1 else 0 for j in range(n - 1)]
+                      + [-p.coeffs[i]] for i in range(n)])
+
+
+def _kronecker(a, b):
+    return IntMatrix([[x * y for x in ra for y in rb]
+                      for ra in a.entries for rb in b.entries])
+
+
 class TestKfold:
     def test_identity_fold(self):
         p = IntPoly([-1, -2, 1])
@@ -447,15 +441,19 @@ class TestKfold:
             kfold_product_spectrum(IntPoly([1, 1]), 0)
 
     def test_direct_equals_iterated(self):
+        # the i-fold Kronecker power of p's companion matrix has the ordered
+        # i-fold root products for eigenvalues, zero roots included
         rng = random.Random(7)
-        for _ in range(15):
-            d = rng.randint(1, 3)
-            p = IntPoly([rng.randint(-3, 3) for _ in range(d)] + [1])
-            i = rng.randint(2, 4)
-            iterated = p
-            for _ in range(i - 1):
-                iterated = _root_products((iterated, p))
-            assert kfold_product_spectrum(p, i) == iterated
+        for d, i in itertools.product((1, 2, 3), repeat=2):
+            for k in range(10):
+                low = [rng.randint(-3, 3) for _ in range(d)]
+                if k % 3 == 0:
+                    low[0] = 0
+                p = IntPoly(low + [1])
+                power = companion = _companion(p)
+                for _ in range(i - 1):
+                    power = _kronecker(power, companion)
+                assert kfold_product_spectrum(p, i) == charpoly(power), (p, i)
 
     def test_unimodular_product_hits_one_at_2g(self):
         # det -1 quadratic: the square of the full root product is 1
@@ -464,6 +462,7 @@ class TestKfold:
         assert all(kfold_product_spectrum(p, i)(1) != 0 for i in (1, 2, 3))
 
     def test_value_at_one_shortcut(self):
+        # the factors' values at 1 against the product polynomial at 1
         rng = random.Random(8)
         for _ in range(20):
             d = rng.randint(1, 4)

@@ -4,13 +4,14 @@
 a kernel that is renamed or moved would silently drop its per-layer
 metrics.  One test resolves every wrapped name without patching, the
 others run traced benchmark requests end to end: a non-orientable
-``check``, which reads the partition-shape kernel off charpoly(W) and
-records no Hall table or tower, a spectrum ``crosscheck``, which
-builds the towers as that kernel's oracle, an orientable ``check`` that
-must record none of the tower kernels, and a non-orientable ``degree``
-verdict, which builds no tower either: its spans are the padding
-exponent and the one Hall table of the rank-2 Malcev basis behind it,
-and its Sym^i witness test records no k-fold span.
+``check``, which reads the partition-shape kernel and unimodularity off
+charpoly(W) and records no det, Hall table or tower, a spectrum
+``crosscheck``, which builds the towers as that kernel's oracle, an
+orientable ``check`` that must record none of the tower kernels, and a
+non-orientable ``degree`` verdict, which builds no tower either: its
+spans are the padding exponent and the one Hall table of the rank-2
+Malcev basis behind it, and its Sym^i witness test records no k-fold
+span.
 """
 
 import importlib
@@ -64,14 +65,15 @@ def _traced_check(path, *args):
 
 
 def test_traced_check_records_every_kernel_span(tmp_path):
-    # the non-orientable check: charpoly(W) and the unimodularity det
+    # the non-orientable check reads unimodularity off charpoly(W): no det
     path = tmp_path / "w3.txt"
     path.write_text(nonorientable_witness(2, 3)[0].to_text())
     payload, names = _traced_check(path, "--nonorientable", "--genus", "3",
                                    "--class", "4")
     assert payload["verdict"] == "R infinite (degree 4)"
-    assert {"intlinalg.det", "intlinalg.charpoly"} <= names
-    assert not names & {"freelie.hall", "freelie.tower"}
+    assert payload["unimodular"] is True
+    assert "intlinalg.charpoly" in names
+    assert not names & {"intlinalg.det", "freelie.hall", "freelie.tower"}
 
     # the towers run in the spectrum crosscheck, the shape kernel's oracle
     payload, names = _traced("crosscheck", "--what", "spectrum", "--rank",

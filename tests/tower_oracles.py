@@ -3,10 +3,14 @@
 The verdicts read every charpoly off ``ShapeCharacter`` and the
 partition-shape kernel; these helpers rebuild the same facts from Hall
 tables, induced towers and relator quotients, so the tests can compare
-the two.  ``LabuteCharacter`` and ``recursive_shape_charpoly`` are the
-earlier power-sum routes to the same charpolys: the trace formula with
-Lucas sequences, and the augmented monomial rebuilt by recursion for
-every power.  ``dense_sample_admissible`` and ``dense_admissibility``
+the two.  ``fixed_point_dets`` takes det(I - M_d) of the towers,
+projected onto a quotient when one is given, and
+``eigenvalue_one_first_degree`` reads the first zero off them; the
+package itself reads those dets off ``ShapeCharacter``.
+``LabuteCharacter`` and ``recursive_shape_charpoly`` are the earlier
+power-sum routes to the same charpolys: the trace formula with Lucas
+sequences, and the augmented monomial rebuilt by recursion for every
+power.  ``dense_sample_admissible`` and ``dense_admissibility``
 are the sampler and classifier of the verdict layer written with matrix
 products: a product of n x n transvection matrices, and (S Omega) S^T
 compared with +-Omega.
@@ -127,6 +131,26 @@ def symmetric_power_charpoly(p, i):
     return prod((shape_charpoly(p, shape)
                  for shape in partitions(i, p.degree)), start=IntPoly.one())
 
+
+
+def fixed_point_dets(tower, quotient, degrees):
+    """Lazily yield (d, det(I - M_d)) for each requested degree d.
+
+    M_d is projected onto the quotient lattice modulo torsion when a
+    quotient is supplied, otherwise it acts on the free lattice.
+    """
+    for d in degrees:
+        mat = tower.matrix(d)
+        if quotient is not None:
+            mat = quotient.project(mat, d)
+        yield d, (IntMatrix.identity(mat.rows) - mat).det()
+
+
+def eigenvalue_one_first_degree(tower, quotient, c):
+    """Smallest degree i <= c where det(I - M_i) vanishes, or None."""
+    return next((d for d, det in fixed_point_dets(tower, quotient,
+                                                  range(1, c + 1))
+                 if det == 0), None)
 
 def dense_admissibility(s, g):
     """Classify S * Omega * S^T as plus (+Omega), minus (-Omega) or none."""
