@@ -60,7 +60,7 @@ NONORIENTABLE_GENUS_CAP = 4  # surface genus g+1 with g <= 3
 # shape_work(g, c) * c^2 for the witness search: Newton steps times the
 # growth of root sizes, m = (k f(2,c))^c.  Fresh process, 2-core x86, Python
 # 3.11: (g, c) = (4, 7) 0.5 s, (5, 7) 1.5 s, (9, 4) 3.6 s, (40, 2) 2.1 s;
-# refused (10, 4) 11.3 s, (50, 2) 12.1 s, (5, 9) 22 s (padding_exponent 4 s)
+# refused (10, 4) 11.3 s, (50, 2) 12.1 s, (5, 9) 14 s (padding_exponent 0.8 s)
 WITNESS_SPECTRUM_CAP = 2_500_000
 # An orientable verdict costs per sample the ``shape_work`` of its character
 # through degree 4 plus 10,000 for drawing and checking the sample, which

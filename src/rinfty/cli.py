@@ -42,10 +42,10 @@ SPECTRUM_ROW_CAP = 70
 SPECTRUM_COUNT_WORK_CAP = 250_000_000
 # ``padding`` multiplies series over the words of length <= class in the
 # rank-r ambient, one homogeneous part pair at a time.  Fresh process:
-# rank 2 class 6 (126 words) 0.5-0.7 s, class 7 (254) 2.2-2.6 s; rank 3
-# class 5 (363) 0.3 s, rank 8 class 3 (584) 0.2 s, rank 9 class 3 (819)
-# 0.3 s (2-core x86, Python 3.11)
-PADDING_CLASS_CAP = 6
+# rank 2 class 6 (126 words) 0.33-0.44 s, class 7 (254) 0.86-1.4 s for
+# n = 2, 3, 5 and 1000; rank 3 class 5 (363) 0.2 s; rank 2 class 8 (510)
+# is over the word cap (2-core x86, Python 3.11)
+PADDING_CLASS_CAP = 7
 PADDING_WORD_CAP = 500
 # genus of ``check`` and ``witness``, fresh process (above 50 with the cap
 # lifted).  ``check --orientable --class 1`` (admissibility and one

@@ -98,11 +98,12 @@ def check_hall_table(r, c):
 
 def _vec_add(acc, vec, scale=1):
     for k, v in vec.items():
-        nv = acc.get(k, 0) + scale * v
+        cur = acc.get(k)
+        nv = scale * v if cur is None else cur + scale * v
         if nv:
             acc[k] = nv
-        else:
-            acc.pop(k, None)
+        elif cur is not None:
+            del acc[k]
     return acc
 
 

@@ -8,13 +8,15 @@ the coordinates.  Arithmetic runs inside the rational Malcev completion,
 realized concretely in the free associative algebra truncated at word
 length c: group elements are exponential series, kept as their c + 1
 homogeneous parts, so the truncated product multiplies only the parts
-whose degrees sum to at most c.  Powers and roots are one map
-exp(t * log) (``ring_power``), and normal-form coordinates are peeled
-off one homogeneous part at a time.  Coefficients are exact: integer
-numerators over one common denominator per series, Fractions only at the
-boundary; coordinates of group elements are exact integers.
+of positive degree whose degrees sum to at most c; constant parts only
+scale.  Powers and roots are one binomial series
+u^t = sum_k binom(t, k) (u - 1)^k (``ser_power``, under ``ring_power``),
+and normal-form coordinates are peeled off one homogeneous part at a
+time, each degree past c/2 in one subtraction.  Coefficients are exact:
+integer numerators over one common denominator per series, Fractions
+only at the boundary; coordinates of group elements are exact integers.
 
-The same map run with polynomial coefficients yields the power
+The same series run with polynomial coefficients yields the power
 polynomials q_i with u^m = prod a_i^(m x_i + q_i(x_1..x_{i-1}, m)), and
 the padding exponents f(n, c) with x^n y^f = (x z)^n.
 """
@@ -60,17 +62,35 @@ def _part_mul(out, pa, pb):
             out[w] = val if cur is None else cur + val
     return out
 
+def _scalar(v):
+    """v as an int when it is a constant MPoly numerator, else v."""
+    if isinstance(v, MPoly) and len(v.terms) == 1:
+        (e, k), = v.terms.items()
+        if not any(e):
+            return k
+    return v
+
 def ser_mul(a, b):
-    """Product at class c: part i meets the parts j <= c - i."""
+    """Product at class c: (a0 + A)(b0 + B) = a0 b0 + a0 B + b0 A + A B.
+
+    The constant parts a0 and b0 only scale, as ints when they are
+    constant; words multiply only in A B, part i >= 1 against the parts
+    1 <= j <= c - i.
+    """
     (da, pa), (db, pb) = a, b
     c = len(pa) - 1
-    out = [{} for _ in pa]
-    for i, part in enumerate(pa):
-        if part:
-            for j in range(c + 1 - i):
-                _part_mul(out[i + j], part, pb[j])
-    return _normal(da * db,
-                   [{w: v for w, v in part.items() if v} for part in out])
+    a0, b0 = pa[0].get((), 0), pb[0].get((), 0)
+    out = [{(): a0 * b0} if a0 and b0 else {}]
+    a0, b0 = _scalar(a0), _scalar(b0)
+    for d in range(1, c + 1):
+        acc = {w: b0 * v for w, v in pa[d].items()} if b0 else {}
+        if a0:
+            _vec_add(acc, pb[d], a0)
+        for i in range(1, d):
+            if pa[i] and pb[d - i]:
+                _part_mul(acc, pa[i], pb[d - i])
+        out.append({w: v for w, v in acc.items() if v})
+    return _normal(da * db, out)
 
 def ser_add(*pairs):
     """The sum of q * s over the pairs (q, s), each q a rational scale."""
@@ -121,10 +141,25 @@ def ser_log(e):
     return _ser_sum(_unit_tail(e), (1, [{} for _ in e[1]]),
                     lambda j: Fraction((-1) ** (j - 1), j))
 
+def _binom(t, k):
+    """binom(t, k) for t an int, Fraction or MPoly."""
+    out = Fraction(1, factorial(k))
+    for i in range(k):
+        out = out * (t - i)
+    return out
+
+def ser_power(e, t):
+    """e^t = sum over k of binom(t, k) (e - 1)^k, for e with constant term 1.
+
+    e - 1 has zero constant term, so the sum stops at k = c; t is a
+    scalar of e's ring (int, Fraction or MPoly).
+    """
+    return _ser_sum(_unit_tail(e), ser_unit(len(e[1]) - 1, e[1][0][()] // e[0]),
+                    lambda j: _binom(t, j))
+
 def ser_inv(e):
     """Inverse of a series with constant term 1."""
-    return _ser_sum(_unit_tail(e), ser_unit(len(e[1]) - 1, e[1][0][()] // e[0]),
-                    lambda j: (-1) ** j)
+    return ser_power(e, -1)
 
 
 class FreeNilpotentGroup:
@@ -175,16 +210,17 @@ class FreeNilpotentGroup:
                 cached = (1, [{} for _ in range(self.c + 1)])
                 cached[1][d] = dict(self.lie_series(d, local))
             else:
-                u, v = self._exp_basis(w.left), self._exp_basis(w.right)
-                comm = ser_mul(ser_mul(ser_inv(u), ser_inv(v)), ser_mul(u, v))
-                cached = ser_log(comm)
+                u, u_inv = self._exp_basis(w.left)
+                v, v_inv = self._exp_basis(w.right)
+                cached = ser_log(ser_mul(ser_mul(u_inv, v_inv), ser_mul(u, v)))
             self._log_series[key] = cached
         return cached
 
     def _exp_basis(self, h):
-        """The series of the basis element of Hall word h, kept per group."""
+        """The series of Hall word h's basis element and its inverse, kept."""
         if h not in self._exp_series:
-            self._exp_series[h] = ser_exp(self.log_basis(h.degree, h.local))
+            e = ser_exp(self.log_basis(h.degree, h.local))
+            self._exp_series[h] = e, ser_inv(e)
         return self._exp_series[h]
 
     # -- Lie coordinate extraction -----------------------------------------
@@ -256,15 +292,25 @@ class FreeNilpotentGroup:
         return out
 
     def peel(self, series, one=1):
-        """Normal-form exponents of a group series, degree by degree."""
+        """Normal-form exponents of a group series, degree by degree.
+
+        Degree d peels a_j^{x_j} off the left by multiplying with
+        exp(-x_j log a_j).  When 2d > c that factor is 1 - x_j log a_j,
+        and log a_j times (w - 1) lies in degree >= 2d, past the class,
+        so the whole degree is one subtraction of sum_j x_j log a_j.
+        """
         w = series
         coords = []
         for d in range(1, self.c + 1):
             xs = [x * one for x in self.lie_coordinates(w[1][d], d, w[0])]
-            for local, x in enumerate(xs):
-                if x:
-                    log_a = self.log_basis(d, local)
-                    w = ser_mul(ser_exp(ser_scale(log_a, -x), one), w)
+            if 2 * d > self.c:
+                w = ser_add((1, w), *((-x, self.log_basis(d, local))
+                                      for local, x in enumerate(xs) if x))
+            else:
+                for local, x in enumerate(xs):
+                    if x:
+                        log_a = self.log_basis(d, local)
+                        w = ser_mul(ser_exp(ser_scale(log_a, -x), one), w)
             coords.extend(xs)
         if w != ser_unit(self.c, one):
             raise AssertionError("peel left a non-identity residue")
@@ -281,13 +327,13 @@ class FreeNilpotentGroup:
         return _as_int_tuple(self.peel(inv))
 
     def ring_power(self, coords, t, one=1):
-        """Coordinates of (prod a_i^{x_i})^t, as peel(exp(t * log(series))).
+        """Coordinates of (prod a_i^{x_i})^t, as peel(ser_power(series, t)).
 
         The coordinates and t are fractions of the ring of ``one``: ints
         and Fractions for powers and roots, ``MPoly`` for symbolic tables.
         """
-        log = ser_log(self.series_from_coords(coords, one))
-        return self.peel(ser_exp(ser_scale(log, t), one), one)
+        return self.peel(ser_power(self.series_from_coords(coords, one), t),
+                         one)
 
     def power_coords(self, a, n):
         return _as_int_tuple(self.ring_power(a, n))

@@ -641,8 +641,8 @@ class TestSizeCaps:
         ("8", "4", " multiplies series over 4680 words, above the cap 500"),
         ("50", "3", " multiplies series over 127550 words, above the cap "
                     "500"),
-        ("2", "7", ", above the class cap 6"),
-        ("2", "8", ", above the class cap 6"),
+        ("2", "8", ", above the class cap 7"),
+        ("2", "9", ", above the class cap 7"),
     ])
     def test_padding_ambient(self, capsys, monkeypatch, rank, klass, detail):
         monkeypatch.setattr(rinfty.cli, "free_nilpotent_group", _refuse)

@@ -12,7 +12,8 @@ from rinfty.nilpotent import (build_power_table,
                               free_nilpotent_group, free_rank_certificate,
                               nth_root, padding_data, padding_exponent,
                               power_padding, ser_add, ser_exp, ser_inv,
-                              ser_log, ser_mul, ser_scale, ser_unit)
+                              ser_log, ser_mul, ser_power, ser_scale,
+                              ser_unit)
 
 
 def coords_strategy(group, bound=3):
@@ -260,6 +261,20 @@ class TestSeries:
             assert _is_canonical(series)
         assert ser_mul(e, inv) == ser_unit(c, one)
 
+    @_RINGS
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_power_matches_exp_of_scaled_log(self, coefficient, one, data):
+        c = data.draw(st.integers(1, 4))
+        flat = data.draw(flat_series(c, coefficient))
+        # a one-letter term keeps every (e - 1)^k, k <= c, nonzero
+        ell = {(0,): one, **{w: v for w, v in flat.items() if w}}
+        e = ser_exp(_series(ell, c), one)
+        t = data.draw(coefficient)
+        power = ser_power(e, t)
+        assert power == ser_exp(ser_scale(ser_log(e), t), one)
+        assert _is_canonical(power)
+
     @pytest.mark.parametrize("group", [G23, G33], ids=["N23", "N33"])
     def test_group_series_are_canonical(self, group):
         rng = random.Random(4)
@@ -411,10 +426,20 @@ def _term_listing(polys):
         for i, q in enumerate(polys))
 
 
+def _prime_divisors(n):
+    out, p = set(), 2
+    while p * p <= n:
+        while n % p == 0:
+            out.add(p)
+            n //= p
+        p += 1
+    return out | {n} if n > 1 else out
+
+
 # (n, c) -> f(n, c) and a sha256 prefix of ``_term_listing`` of the
 # coordinate polynomials of z, recorded from the separate-exponential
 # computation (a^n, b^m and a^-1 multiplied out as series); (2, 7) from
-# the exp(t * log) map on Fraction coefficients
+# the exp(t * log) map on Fraction coefficients, (2, 8) likewise
 PADDING_PINS = {
     (2, 1): (2, "43aec793d92a9c28"),
     (2, 2): (4, "bf4fc234cfcc13f9"),
@@ -423,6 +448,7 @@ PADDING_PINS = {
     (2, 5): (384, "8e28d6a5c0703cad"),
     (2, 6): (7680, "b30364ca7fe6cb3c"),
     (2, 7): (46080, "38670f21289efbce"),
+    (2, 8): (5160960, "e73a47843024c9fa"),
     (3, 1): (3, "b4229c054a950566"),
     (3, 2): (3, "1175ae8c3185b061"),
     (3, 3): (54, "c39925488ffca21b"),
@@ -437,6 +463,14 @@ class TestPinnedPolynomials:
         digest = hashlib.sha256(_term_listing(polys).encode()).hexdigest()
         assert (f, digest[:16]) == PADDING_PINS[n, c]
         assert len(polys) == free_nilpotent_group(2, c).k
+
+    @pytest.mark.parametrize("c", range(3, 9))
+    def test_padding_exponent_prime_support(self, c):
+        """The primes dividing f(2, c) are exactly the primes below c."""
+        f = padding_exponent(2, c)
+        assert f == PADDING_PINS[2, c][0]
+        assert _prime_divisors(f) == {p for p in range(2, c)
+                                      if _prime_divisors(p) == {p}}
 
     def test_class_three_padding_polynomials(self):
         m = MPoly.variable(("m",), "m")
