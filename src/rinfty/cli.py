@@ -7,11 +7,11 @@ invocations produce byte-identical documents.  Exit codes: 0 success,
 1 invalid input, 2 resource cap hit.
 """
 
+import argparse
 import json
 import math
+import os
 import sys
-
-import click
 
 from .analysis import (DEFAULT_SAMPLES, SurfaceSpec, admissibility,
                        nonorientable_charpoly_formula, nonorientable_witness,
@@ -92,33 +92,92 @@ def _read_matrix(path, admit):
         try:
             return IntMatrix.from_text(fh.read(), admit)
         except ValueError as exc:
-            raise click.ClickException(f"matrix file: {exc}")
+            raise CommandError(f"matrix file: {exc}")
 
 
 def _emit(payload, fmt, text_lines):
     if fmt == "json":
-        click.echo(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload, sort_keys=True))
     else:
         for line in text_lines:
-            click.echo(line)
+            print(line)
 
 
-_FORMAT = click.option("--format", "fmt", type=click.Choice(["text", "json"]),
-                       default="text", show_default=True)
+class CommandError(Exception):
+    """Bad arguments or a failed check: ``main`` prints one ``error:`` line
+    and exits 1.  Not a ``ValueError``, which ``_read_matrix`` rewraps as
+    a matrix-file error."""
 
 
-@click.group()
-def cli():
-    """Exact twisted-conjugacy analysis of nilpotent surface-group quotients."""
+class _Parser(argparse.ArgumentParser):
+    # argparse would print the usage and exit 2, this CLI's resource-cap
+    # code; its messages quote argv words raw, so escape their newlines
+    def error(self, message):
+        raise CommandError(message.replace("\n", "\\n"))
 
 
-@cli.command()
-@click.option("--orientable/--nonorientable", "orientable", required=True)
-@click.option("--genus", type=int, required=True)
-@click.option("--samples", type=click.IntRange(min=1),
-              default=DEFAULT_SAMPLES, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@_FORMAT
+def _int_at_least(low):
+    """An argparse type: an int, refused below low."""
+    def convert(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"{value} is not in the range x>={low}")
+        return value
+    return convert
+
+
+def _readable_file(path):
+    """An argparse type: the path of an existing, readable regular file."""
+    if not (os.path.isfile(path) and os.access(path, os.R_OK)):
+        raise argparse.ArgumentTypeError(f"{path!r} is not a readable file")
+    return path
+
+
+def _option(*flags, **kwargs):
+    return flags, kwargs
+
+
+_HELP = _option("--help", action="help", help="show this message and exit")
+_FORMAT = _option("--format", dest="fmt", choices=["text", "json"],
+                  default="text")
+# one dest, so the last flag given wins; ``main`` requires one of them
+_SURFACE = (_option("--orientable", dest="orientable", action="store_const",
+                    const=True),
+            _option("--nonorientable", dest="orientable",
+                    action="store_const", const=False))
+
+# built once: building the subparsers per call would cost each request
+# more than parsing does
+PARSER = _Parser(prog="rinfty", allow_abbrev=False, add_help=False,
+                 description="Exact twisted-conjugacy analysis of nilpotent "
+                             "surface-group quotients.")
+PARSER.add_argument(*_HELP[0], **_HELP[1])
+COMMANDS = PARSER.add_subparsers(metavar="COMMAND", required=True)
+
+
+def _command(name, *options):
+    """Register the decorated function as subcommand ``name`` with
+    ``options``, ``--format`` and ``--help``; ``main`` calls it with the
+    parsed values as keywords."""
+    def register(run):
+        sub = COMMANDS.add_parser(name, help=run.__doc__,
+                                  description=run.__doc__,
+                                  allow_abbrev=False, add_help=False)
+        for flags, kwargs in (*options, _FORMAT, _HELP):
+            sub.add_argument(*flags, **kwargs)
+        sub.set_defaults(run=run)
+        return run
+    return register
+
+
+@_command("degree", *_SURFACE,
+          _option("--genus", type=int, required=True),
+          _option("--samples", type=_int_at_least(1), default=DEFAULT_SAMPLES),
+          _option("--seed", type=int, default=0))
 def degree(orientable, genus, samples, seed, fmt):
     """Nilpotency degree at which every automorphism forces R-infinity."""
     verdict = rinf_degree(SurfaceSpec(orientable, genus), samples=samples,
@@ -151,24 +210,23 @@ def degree(orientable, genus, samples, seed, fmt):
     _emit(payload, fmt, lines)
 
 
-@cli.command()
-@click.option("--matrix", "matrix_path", type=click.Path(exists=True,
-              dir_okay=False), required=True,
-              help="matrix file: 'rows cols' header then integer rows")
-@click.option("--orientable/--nonorientable", "orientable", required=True)
-@click.option("--genus", type=int, required=True)
-@click.option("--class", "klass", type=int, required=True)
-@_FORMAT
+@_command("check",
+          _option("--matrix", dest="matrix_path", type=_readable_file,
+                  required=True,
+                  help="matrix file: 'rows cols' header then integer rows"),
+          *_SURFACE,
+          _option("--genus", type=int, required=True),
+          _option("--class", dest="klass", type=int, required=True))
 def check(matrix_path, orientable, genus, klass, fmt):
     """Per-degree eigenvalue-1 report for one abelianized action."""
     spec = SurfaceSpec(orientable, genus)
     if klass < 1:
-        raise click.ClickException("class must be at least 1")
+        raise CommandError("class must be at least 1")
     _cap(genus, GENUS_CAP, f"check of genus {genus}", "genus cap")
     n = spec.rank
     def admit(rows, cols):
         if rows != n or cols != n:
-            raise click.ClickException(
+            raise CommandError(
                 f"matrix must be {n}x{n} for this surface, got {rows}x{cols}")
     s = _read_matrix(matrix_path, admit)
     if orientable:
@@ -208,12 +266,11 @@ def check(matrix_path, orientable, genus, klass, fmt):
     _emit(payload, fmt, lines)
 
 
-@cli.command()
-@click.option("--orientable/--nonorientable", "orientable", required=True)
-@click.option("--genus", type=int, required=True)
-@click.option("--class", "klass", type=int, default=None,
-              help="quotient class for the non-orientable witness search")
-@_FORMAT
+@_command("witness", *_SURFACE,
+          _option("--genus", type=int, required=True),
+          _option("--class", dest="klass", type=int, default=None,
+                  help="quotient class for the non-orientable witness "
+                       "search"))
 def witness(orientable, genus, klass, fmt):
     """Explicit matrix whose induced tower avoids eigenvalue 1."""
     SurfaceSpec(orientable, genus)  # rejects a genus with no such surface
@@ -239,7 +296,7 @@ def witness(orientable, genus, klass, fmt):
     if klass is None:
         klass = 2 * g - 1
     if not 1 <= klass < 2 * g:
-        raise click.ClickException(f"class must satisfy 1 <= class < {2 * g}")
+        raise CommandError(f"class must satisfy 1 <= class < {2 * g}")
     w, m, _ = nonorientable_witness(g, klass)
     # the search asserted charpoly(w) = the closed formula and det(w) = -1
     p, det = nonorientable_charpoly_formula(g, m), -1
@@ -262,14 +319,13 @@ def witness(orientable, genus, klass, fmt):
     _emit(payload, fmt, lines)
 
 
-@cli.command("lie-dims")
-@click.option("--rank", type=int, required=True)
-@click.option("--class", "klass", type=int, required=True)
-@_FORMAT
+@_command("lie-dims",
+          _option("--rank", type=int, required=True),
+          _option("--class", dest="klass", type=int, required=True))
 def lie_dims(rank, klass, fmt):
     """Per-degree ranks of the free Lie ring (Witt numbers)."""
     if rank < 1 or klass < 1:
-        raise click.ClickException("rank and class must be at least 1")
+        raise CommandError("rank and class must be at least 1")
     digits = int(klass * math.log10(max(rank, 2))) + 1
     answer = f"lie-dims on rank {rank} through class {klass}"
     _cap(digits, LIE_DIMS_DIGIT_CAP, f"{answer} has entries of up to "
@@ -283,19 +339,18 @@ def lie_dims(rank, klass, fmt):
     _emit(payload, fmt, [str(dims)])
 
 
-@cli.command()
-@click.option("--rank", type=int, default=2, show_default=True)
-@click.option("--class", "klass", type=int, required=True)
-@click.option("--n", type=int, required=True)
-@_FORMAT
+@_command("padding",
+          _option("--rank", type=int, default=2),
+          _option("--class", dest="klass", type=int, required=True),
+          _option("--n", type=int, required=True))
 def padding(rank, klass, n, fmt):
     """Padding identity x^n y^f = (x z)^n in the free nilpotent group."""
     if rank < 2:
-        raise click.ClickException("rank must be at least 2")
+        raise CommandError("rank must be at least 2")
     if n < 2:
-        raise click.ClickException("n must be at least 2")
+        raise CommandError("n must be at least 2")
     if klass < 1:
-        raise click.ClickException("class must be at least 1")
+        raise CommandError("class must be at least 1")
     ambient = f"padding on rank {rank}, class {klass}"
     _cap(klass, PADDING_CLASS_CAP, ambient, "class cap")
     words = sum(rank ** d for d in range(1, klass + 1))
@@ -315,20 +370,17 @@ def padding(rank, klass, n, fmt):
     _emit(payload, fmt, lines)
 
 
-@cli.command()
-@click.option("--what", type=click.Choice(["spectrum", "twisted"]),
-              required=True)
-@click.option("--rank", type=int, default=2, show_default=True)
-@click.option("--class", "klass", type=int, default=2, show_default=True)
-@click.option("--count", type=click.IntRange(min=1), default=10,
-              show_default=True,
-              help="random matrices for the spectrum mode")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--modulus", type=int, default=3, show_default=True)
-@click.option("--matrix", "matrix_path", type=click.Path(exists=True,
-              dir_okay=False), default=None,
-              help="abelian twist matrix for the twisted mode")
-@_FORMAT
+@_command("crosscheck",
+          _option("--what", choices=["spectrum", "twisted"], required=True),
+          _option("--rank", type=int, default=2),
+          _option("--class", dest="klass", type=int, default=2),
+          _option("--count", type=_int_at_least(1), default=10,
+                  help="random matrices for the spectrum mode"),
+          _option("--seed", type=int, default=0),
+          _option("--modulus", type=int, default=3),
+          _option("--matrix", dest="matrix_path", type=_readable_file,
+                  default=None,
+                  help="abelian twist matrix for the twisted mode"))
 def crosscheck(what, rank, klass, count, seed, modulus, matrix_path, fmt):
     """Brute-force oracles versus the exact linear-algebra pipeline."""
     import random as _random
@@ -357,13 +409,13 @@ def crosscheck(what, rank, klass, count, seed, modulus, matrix_path, fmt):
         _emit(payload, fmt,
               [f"spectrum crosscheck: {count - len(failures)}/{count} passed"])
         if failures:
-            raise click.ClickException("spectrum crosscheck failed")
+            raise CommandError("spectrum crosscheck failed")
         return
     if matrix_path is not None:
         FiniteTwistedSetup(0, 1, modulus)  # the modulus, before the file
         def admit(rows, cols):
             if rows != cols:
-                raise click.ClickException("endomorphism matrix must be square")
+                raise CommandError("endomorphism matrix must be square")
             FiniteTwistedSetup(rows, 1, modulus)
         m = _read_matrix(matrix_path, admit)
         setup = FiniteTwistedSetup.from_abelian_matrix(m, modulus)
@@ -391,17 +443,15 @@ def crosscheck(what, rank, klass, count, seed, modulus, matrix_path, fmt):
            f"(= conjugacy classes): {brute}"])
 
 
-@cli.command()
-@click.option("--genus", type=int, required=True)
-@click.option("--sign", type=click.Choice(["plus", "minus"]), required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--length", type=click.IntRange(min=0), default=10,
-              show_default=True)
-@_FORMAT
+@_command("sample",
+          _option("--genus", type=int, required=True),
+          _option("--sign", choices=["plus", "minus"], required=True),
+          _option("--seed", type=int, default=0),
+          _option("--length", type=_int_at_least(0), default=10))
 def sample(genus, sign, seed, length, fmt):
     """Random admissible matrix (S*Omega*S^T = +-Omega), seed-deterministic."""
     if genus < 1:
-        raise click.ClickException("genus must be at least 1")
+        raise CommandError("genus must be at least 1")
     _cap(genus, SAMPLE_GENUS_CAP, f"sample of genus {genus}", "genus cap")
     _cap(length, SAMPLE_LENGTH_CAP, f"sample of length {length}",
          "length cap")
@@ -418,21 +468,22 @@ def sample(genus, sign, seed, length, fmt):
 def main(argv=None):
     """Entry point with the documented exit-code mapping."""
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        return 1
-    except click.ClickException as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
+        args = vars(PARSER.parse_args(argv))
+        if args.get("orientable", False) is None:
+            raise CommandError("one of the arguments --orientable "
+                               "--nonorientable is required")
+        args.pop("run")(**args)
+    except CommandError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except ResourceLimitError as exc:
-        click.echo(f"resource cap: {exc}", err=True)
+        print(f"resource cap: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-    except click.exceptions.Exit as exc:  # --help and friends
-        return exc.exit_code
+    except SystemExit as exc:  # --help
+        return exc.code
     return 0
 
 

@@ -1,9 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rinfty.analysis
 import rinfty.cli
@@ -23,10 +30,16 @@ def run(capsys, *args):
     return code, captured.out, captured.err
 
 
+def _options(command):
+    """The non-help argparse actions of one subcommand."""
+    return [a for a in rinfty.cli.COMMANDS.choices[command]._actions
+            if a.dest != "help"]
+
+
 def test_option_inventory():
     # every cap is a library constant: a new option is an edit here
-    assert {name: sorted(p.name for p in cmd.params)
-            for name, cmd in rinfty.cli.cli.commands.items()} == {
+    assert {name: sorted({a.dest for a in _options(name)})
+            for name in rinfty.cli.COMMANDS.choices} == {
         "degree": ["fmt", "genus", "orientable", "samples", "seed"],
         "check": ["fmt", "genus", "klass", "matrix_path", "orientable"],
         "witness": ["fmt", "genus", "klass", "orientable"],
@@ -35,6 +48,43 @@ def test_option_inventory():
         "crosscheck": ["count", "fmt", "klass", "matrix_path", "modulus",
                        "rank", "seed", "what"],
         "sample": ["fmt", "genus", "length", "seed", "sign"]}
+    # every default but None (a required option, or witness --class and
+    # crosscheck --matrix)
+    assert {name: {a.dest: a.default for a in _options(name)
+                   if a.default is not None}
+            for name in rinfty.cli.COMMANDS.choices} == {
+        "degree": {"samples": 10, "seed": 0, "fmt": "text"},
+        "check": {"fmt": "text"},
+        "witness": {"fmt": "text"},
+        "lie-dims": {"fmt": "text"},
+        "padding": {"rank": 2, "fmt": "text"},
+        "crosscheck": {"rank": 2, "klass": 2, "count": 10, "seed": 0,
+                       "modulus": 3, "fmt": "text"},
+        "sample": {"seed": 0, "length": 10, "fmt": "text"}}
+
+
+@pytest.mark.parametrize("command,rest", [
+    ("degree", []),
+    ("witness", ["--class", "1"]),
+    ("check", ["--class", "1", "--matrix", __file__]),
+])
+@pytest.mark.parametrize("flags,orientable", [
+    (["--orientable"], True),
+    (["--nonorientable"], False),
+    (["--orientable", "--nonorientable"], False),
+    (["--nonorientable", "--orientable"], True),
+])
+def test_last_surface_flag_wins(command, rest, flags, orientable):
+    args = rinfty.cli.PARSER.parse_args([command, *flags, "--genus", "3",
+                                         *rest])
+    assert args.orientable is orientable
+
+
+def test_last_surface_flag_answers(capsys):
+    both = run(capsys, "degree", "--orientable", "--nonorientable",
+               "--genus", "3")
+    assert both == run(capsys, "degree", "--nonorientable", "--genus", "3")
+    assert both[0] == 0
 
 
 class TestDegreeCommand:
@@ -849,6 +899,128 @@ class TestRejectedArguments:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("args", [
+        (),
+        ("frobnicate",),
+        ("degree", "--orientable", "--genus", "2", "--bogus"),
+        ("degree", "--orientable", "--gen", "2"),
+        ("degree", "--orientable", "--genus", "2", "--samp", "2"),
+        ("degree", "--genus", "2"),
+        ("lie-dims", "--rank", "2"),
+        ("degree", "--orientable", "--genus", "two"),
+        ("degree", "--orientable", "--genus", "2", "--samples", "0"),
+        ("degree", "--orientable", "--genus", "2", "extra\nword"),
+    ], ids=["no-command", "unknown-command", "unknown-option",
+            "abbreviated-required", "abbreviated-optional",
+            "missing-surface", "missing-class", "non-integer", "samples-0",
+            "newline-in-word"])
+    def test_usage_error_is_one_line(self, capsys, args):
+        code, out, err = run(capsys, *args)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+    def test_help_exits_zero(self, capsys):
+        for args in [("--help",), ("degree", "--help")]:
+            code, out, err = run(capsys, *args)
+            assert (code, err) == (0, "")
+            assert out.startswith("usage: rinfty")
+
+
+def _flag_words():
+    return sorted({flag for sub in rinfty.cli.COMMANDS.choices.values()
+                   for action in sub._actions
+                   for flag in action.option_strings})
+
+
+class TestFlagFuzzing:
+    """Random argv of command names, option names, small ints and junk."""
+
+    @pytest.fixture(scope="class")
+    def matrix_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "w2.txt"
+        path.write_text(orientable_witness(2).to_text())
+        return str(path)
+
+    @staticmethod
+    def argv(matrix_file):
+        """A command with some of its own options, then a few junk words or
+        words of any command or option name and small ints; or those
+        words alone."""
+        small = st.integers(-3, 6).map(str)
+        junk = st.sampled_from(["", "-", "--", "-x", "--gen", "--class=2",
+                                "--genus=-1", "1.5", "0x10", "-1_0", "%s",
+                                "a\nb", "\n", "--x\ny", "--format=yaml"])
+        names = sorted(rinfty.cli.COMMANDS.choices)
+        word = st.one_of(st.sampled_from(names),
+                         st.sampled_from(_flag_words()), small,
+                         junk).map(lambda w: [w])
+        tail = st.lists(junk.map(lambda w: [w]) | word, max_size=2)
+
+        def option(action):
+            flag = action.option_strings[0]
+            if action.nargs == 0:
+                return st.just([flag])
+            if action.choices:
+                value = st.sampled_from(action.choices)
+            elif action.dest == "matrix_path":
+                value = st.sampled_from([matrix_file, matrix_file + ".gone"])
+            else:
+                value = small
+            return value.map(lambda v: [flag, v])
+
+        def command(name):
+            # each option given with odds 3:1, in any order, then words
+            chosen = [st.tuples(option(a), st.integers(0, 3)).map(
+                lambda t: t[0] if t[1] else []) for a in _options(name)]
+            return st.tuples(st.tuples(*chosen).flatmap(st.permutations),
+                             tail).map(
+                lambda t: [name, *(w for p in t[0] + t[1] for w in p)])
+
+        return st.one_of(*map(command, names), st.lists(word, max_size=4).map(
+            lambda parts: [w for p in parts for w in p]))
+
+    def test_every_exit_is_coded(self, matrix_file):
+        @settings(max_examples=150, deadline=None)
+        @given(self.argv(matrix_file))
+        def check(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv)
+            err = err.getvalue()
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err
+            if code:
+                assert err.count("\n") == 1
+                assert err.startswith(("error: ", "resource cap: "))
+            else:
+                assert err == ""
+
+        # the spectrum crosscheck admits six 70-row towers, 3.6 s; a lower
+        # work cap keeps every example under a second
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rinfty.cli, "SPECTRUM_COUNT_WORK_CAP", 10_000_000)
+            check()
+
+
+def test_start_up_imports_only_the_standard_library():
+    # a third-party import would bring its load time into every request
+    script = ("import json, sys; before = set(sys.modules); "
+              "import rinfty.cli; "
+              "print(json.dumps(sorted(set(sys.modules) - before)))")
+    src = os.path.dirname(os.path.dirname(rinfty.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    added = json.loads(proc.stdout)
+    assert "rinfty.cli" in added
+    assert [name for name in added
+            if name.split(".")[0] not in sys.stdlib_module_names
+            and name != "rinfty" and not name.startswith("rinfty.")] == []
 
 
 class TestCrosscheckModulus:
